@@ -112,22 +112,30 @@ def bucket_index(seed: int, buckets: int, token_id: int) -> int:
     return derive_seed("bucket", seed, token_id) % buckets
 
 
-def score_strings(
-    a: bytes, b: bytes, ea: np.ndarray, eb: np.ndarray, mu: float, edit_mode: str = "normalized"
-) -> float:
-    """Pair score from raw surfaces and embedding vectors (higher is better)."""
+def _edit_terms(left: list[bytes], right: list[bytes], edit_mode: str) -> np.ndarray:
+    """The edit term of the pair score for each pair ``(left[i], right[i])``."""
     if edit_mode == "raw":
-        edit = float(editdist.levenshtein(a, b))
-    elif edit_mode == "normalized":
-        edit = editdist.normalized_levenshtein(a, b)
-    else:
-        raise ArgumentError(f"edit_mode must be one of {EDIT_MODES}")
+        return editdist.levenshtein_batch(left, right).astype(np.float64)
+    if edit_mode == "normalized":
+        return editdist.normalized_batch(left, right)
+    raise ArgumentError(f"edit_mode must be one of {EDIT_MODES}")
+
+
+def _score(edit: float, ea: np.ndarray, eb: np.ndarray, mu: float) -> float:
+    """Pair score from its edit term and the two embedding vectors."""
     na = float(np.linalg.norm(ea))
     nb = float(np.linalg.norm(eb))
     if na == 0.0 or nb == 0.0:
         raise ArgumentError("cannot score a zero embedding vector")
     cos = float(np.dot(ea, eb)) / (na * nb)
     return edit - mu * (1.0 - cos)
+
+
+def score_strings(
+    a: bytes, b: bytes, ea: np.ndarray, eb: np.ndarray, mu: float, edit_mode: str = "normalized"
+) -> float:
+    """Pair score from raw surfaces and embedding vectors (higher is better)."""
+    return _score(float(_edit_terms([a], [b], edit_mode)[0]), ea, eb, mu)
 
 
 def pair_score(
@@ -203,10 +211,7 @@ def _greedy_pair_cell(
             left.append(s_i)
             right.append(vocab.token_of(j))
             flat_rows.append(r * width + c)
-    if config.edit_mode == "raw":
-        edits = editdist.levenshtein_batch(left, right).astype(np.float64)
-    else:
-        edits = editdist.normalized_batch(left, right)
+    edits = _edit_terms(left, right, config.edit_mode)
     scores = np.full((m, width), -np.inf, dtype=np.float64)
     if flat_rows:
         flat = scores.reshape(-1)
@@ -313,18 +318,15 @@ def objective_value(key: BijectionKey, vocab: Vocabulary, store: EmbeddingStore)
     """Summed pair objective over the mask, counting each pair once per direction."""
     if key.vocab_fingerprint != vocab.fingerprint:
         raise CompatibilityError("key was built for a different vocabulary")
+    pairs = [(i, j) for i, j in key.mapping.items() if i != j]  # fixed points contribute zero
+    edits = _edit_terms(
+        [vocab.token_of(i) for i, _ in pairs],
+        [vocab.token_of(j) for _, j in pairs],
+        key.config.edit_mode,
+    )
     total = 0.0
-    for i, j in key.mapping.items():
-        if i == j:
-            continue  # fixed points contribute zero
-        total += score_strings(
-            vocab.token_of(i),
-            vocab.token_of(j),
-            store.row(i),
-            store.row(j),
-            key.config.mu,
-            key.config.edit_mode,
-        )
+    for (i, j), edit in zip(pairs, edits.tolist()):
+        total += _score(edit, store.row(i), store.row(j), key.config.mu)
     return total
 
 
@@ -366,19 +368,20 @@ def opacity_report(key: BijectionKey, vocab: Vocabulary) -> OpacityReport:
         raise CompatibilityError("key was built for a different vocabulary")
     if not key.mask:
         return OpacityReport(0, 0, None, None, None, empty_mapping=True)
-    dists = []
+    left: list[bytes] = []
+    right: list[bytes] = []
     unchanged = 0
-    pair_count = 0
     for i in sorted(key.mask):
         j = key.mapping[i]
         s_i, s_j = vocab.token_of(i), vocab.token_of(j)
         if s_i == s_j:
             unchanged += 1
         if i < j:
-            pair_count += 1
-            dists.append(editdist.normalized_levenshtein(s_i, s_j))
+            left.append(s_i)
+            right.append(s_j)
+    dists = editdist.normalized_batch(left, right).tolist()
     return OpacityReport(
-        pair_count=pair_count,
+        pair_count=len(dists),
         fixed_point_count=len(key.fixed_points),
         mean_normalized_edit=statistics.fmean(dists) if dists else None,
         median_normalized_edit=statistics.median(dists) if dists else None,
@@ -415,7 +418,9 @@ def load_key(path: str | Path) -> BijectionKey:
         doc = json.loads(Path(path).read_text(encoding="ascii"))
     except (json.JSONDecodeError, UnicodeDecodeError) as e:
         raise FormatError(f"key file is not valid JSON: {e}") from e
-    if not isinstance(doc, dict) or doc.get("version") != KEY_FORMAT_VERSION:
+    if not isinstance(doc, dict):
+        raise FormatError(f"key file must hold a JSON object, not {type(doc).__name__}")
+    if doc.get("version") != KEY_FORMAT_VERSION:
         raise FormatError(f"unsupported key format version {doc.get('version')!r}")
     try:
         fingerprint = int(doc["vocab_fingerprint"], 16)

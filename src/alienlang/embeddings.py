@@ -67,7 +67,10 @@ def load_embeddings(path: str | Path) -> EmbeddingStore:
         head = fp.read(4)
     if head == _MAGIC:
         return _load_binary(path)
-    return _load_text(path)
+    try:
+        return _load_text(path)
+    except UnicodeDecodeError as e:
+        raise FormatError(f"text embedding file is not UTF-8: {e}") from e
 
 
 def _load_binary(path: Path) -> EmbeddingStore:
@@ -97,6 +100,8 @@ def _load_text(path: Path) -> EmbeddingStore:
             n, d = int(header[0]), int(header[1])
         except ValueError as e:
             raise FormatError("non-integer dimensions in header") from e
+        if n < 0 or d < 0:
+            raise FormatError(f"negative dimensions {n} {d} in header")
         rows = np.full((n, d), np.nan, dtype=np.float64)
         seen: set[int] = set()
         for lineno, line in enumerate(fp, start=2):
@@ -105,13 +110,17 @@ def _load_text(path: Path) -> EmbeddingStore:
                 continue
             if len(parts) != d + 1:
                 raise FormatError(f"line {lineno}: expected id plus {d} values")
-            tid = int(parts[0])
+            try:
+                tid = int(parts[0])
+                values = [float(v) for v in parts[1:]]
+            except ValueError as e:
+                raise FormatError(f"line {lineno}: {e}") from e
             if not 0 <= tid < n:
                 raise FormatError(f"line {lineno}: token id {tid} outside [0, {n})")
             if tid in seen:
                 raise FormatError(f"line {lineno}: duplicate row for token id {tid}")
             seen.add(tid)
-            rows[tid] = [float(v) for v in parts[1:]]
+            rows[tid] = values
     if len(seen) != n:
         raise FormatError(f"text file declared {n} rows but provided {len(seen)}")
     if not np.isfinite(rows).all():

@@ -434,6 +434,13 @@ class TestSerialization:
         with pytest.raises(FormatError):
             load_key(path)
 
+    @pytest.mark.parametrize("text", ["[]", "[1, 2]", '"key"', "3", "null"])
+    def test_non_object_key_file_rejected(self, tmp_path, text):
+        path = tmp_path / "key.json"
+        path.write_text(text)
+        with pytest.raises(FormatError):
+            load_key(path)
+
     def test_bucket_assignment_reconstructible(self):
         # bucket_of never hits the key file; it must be a pure function
         for tid in (0, 17, 123456):

@@ -1,15 +1,15 @@
-"""Both edit-distance lanes against a brute-force oracle and each other."""
+"""The batched edit-distance kernel against an independent brute-force oracle."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from alienlang import _editdist_py, editdist
+from alienlang import editdist
 
 
 def oracle_levenshtein(a: bytes, b: bytes) -> int:
-    """Textbook full-matrix DP, written independently of both lanes."""
+    """Textbook full-matrix DP, written independently of the kernel."""
     m, n = len(a), len(b)
     dp = [[0] * (n + 1) for _ in range(m + 1)]
     for i in range(m + 1):
@@ -36,43 +36,90 @@ KNOWN_CASES = [
     (b"come", b"hello", 5),
     (b"ab", b"cd", 2),
     (b"same", b"same", 0),
+    (b"\0", b"", 1),
+    (b"a\0", b"a", 1),
+    (b"\0\0\0", b"\0", 2),
 ]
 
 
 @pytest.mark.parametrize("a,b,expected", KNOWN_CASES)
 def test_known_distances(a, b, expected):
     assert editdist.levenshtein(a, b) == expected
-    assert _editdist_py.levenshtein(a, b) == expected
     assert oracle_levenshtein(a, b) == expected
 
 
+# NUL is the kernel's padding byte, so it must be an ordinary byte to the result.
 @settings(max_examples=300, deadline=None)
-@given(st.binary(max_size=24), st.binary(max_size=24))
-def test_active_lane_matches_oracle(a, b):
+@given(st.binary(max_size=80), st.binary(max_size=80))
+def test_matches_oracle(a, b):
     assert editdist.levenshtein(a, b) == oracle_levenshtein(a, b)
 
 
-@settings(max_examples=200, deadline=None)
-@given(st.binary(max_size=24), st.binary(max_size=24))
-def test_lanes_agree(a, b):
-    assert editdist.levenshtein(a, b) == _editdist_py.levenshtein(a, b)
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(st.binary(max_size=80), st.binary(max_size=80)), max_size=12))
+def test_mixed_batch_matches_oracle(pairs):
+    left = [a for a, _ in pairs]
+    right = [b for _, b in pairs]
+    expected = [oracle_levenshtein(a, b) for a, b in pairs]
+    assert editdist.levenshtein_batch(left, right).tolist() == expected
+
+
+def test_word_boundary_lengths_in_one_batch():
+    # Shorter sides of 0, 1, 63 and 64 bytes take the bit kernel (or the empty
+    # shortcut); 65 and 130 take the DP.  All of them share one batch.
+    rng = np.random.default_rng(3)
+    lengths = (0, 1, 63, 64, 65, 130)
+    alphabet = np.frombuffer(b"\0\x01ab", dtype=np.uint8)
+
+    def draw(n):
+        return rng.choice(alphabet, size=n).tobytes()
+
+    left, right = [], []
+    for la in lengths:
+        for lb in lengths:
+            left.append(draw(la))
+            right.append(draw(lb))
+    left.append(b"\0" * 64)
+    right.append(b"\0" * 130)
+    got = editdist.levenshtein_batch(left, right)
+    assert got.dtype == np.int32
+    assert got.tolist() == [oracle_levenshtein(a, b) for a, b in zip(left, right)]
 
 
 @settings(max_examples=100, deadline=None)
-@given(st.binary(max_size=20), st.binary(max_size=20))
+@given(st.binary(max_size=70), st.binary(max_size=70))
 def test_symmetry(a, b):
     assert editdist.levenshtein(a, b) == editdist.levenshtein(b, a)
 
 
+def _draw_pairs(seed, count, max_len):
+    rng = np.random.default_rng(seed)
+
+    def draw():
+        return bytes(rng.integers(97, 100, size=int(rng.integers(0, max_len)), dtype=np.uint8))
+
+    return [draw() for _ in range(count)], [draw() for _ in range(count)]
+
+
 def test_batch_matches_scalar():
-    rng = np.random.default_rng(7)
-    left = [bytes(rng.integers(97, 123, size=int(rng.integers(0, 15)), dtype=np.uint8)) for _ in range(200)]
-    right = [bytes(rng.integers(97, 123, size=int(rng.integers(0, 15)), dtype=np.uint8)) for _ in range(200)]
+    left, right = _draw_pairs(7, 200, 70)
     batch = editdist.levenshtein_batch(left, right)
-    for a, b, d in zip(left, right, batch):
-        assert d == oracle_levenshtein(a, b)
-    py_batch = _editdist_py.levenshtein_batch(left, right)
-    assert np.array_equal(batch, py_batch)
+    assert batch.tolist() == [oracle_levenshtein(a, b) for a, b in zip(left, right)]
+    assert batch.tolist() == [editdist.levenshtein(a, b) for a, b in zip(left, right)]
+
+
+def test_many_chunks_match_oracle(monkeypatch):
+    # A small chunk splits the batch into many kernel passes over length-sorted
+    # pairs; every distance must still land at its own index.
+    monkeypatch.setattr(editdist, "_CHUNK", 7)
+    left, right = _draw_pairs(8, 200, 70)
+    batch = editdist.levenshtein_batch(left, right)
+    assert batch.tolist() == [oracle_levenshtein(a, b) for a, b in zip(left, right)]
+
+
+def test_empty_batch():
+    assert editdist.levenshtein_batch([], []).shape == (0,)
+    assert editdist.normalized_batch([], []).shape == (0,)
 
 
 def test_batch_length_mismatch():
@@ -87,5 +134,5 @@ def test_normalized():
 
 
 def test_normalized_batch():
-    out = editdist.normalized_batch([b"ab", b"abcd"], [b"cd", b"abce"])
-    assert np.allclose(out, [1.0, 0.25])
+    out = editdist.normalized_batch([b"ab", b"abcd", b""], [b"cd", b"abce", b""])
+    assert out.tolist() == [1.0, 0.25, 0.0]

@@ -55,6 +55,22 @@ class TestLoadStore:
         with pytest.raises(FormatError):
             load_embeddings(path)
 
+    @pytest.mark.parametrize(
+        "data",
+        [
+            b"1 2\nx 1.0 2.0\n",  # non-integer token id
+            b"1 2\n0 1.0 abc\n",  # non-float value
+            b"1 2\n0 1.0 \xff\n",  # not UTF-8
+            b"\xfe\xff 2\n",  # not UTF-8 in the header
+            b"-1 2\n",  # negative row count
+        ],
+    )
+    def test_malformed_text_rejected(self, tmp_path, data):
+        path = tmp_path / "emb.txt"
+        path.write_bytes(data)
+        with pytest.raises(FormatError):
+            load_embeddings(path)
+
     def test_truncated_binary_rejected(self, tmp_path):
         path = tmp_path / "emb.bin"
         save_embeddings(EmbeddingStore(rows=np.ones((2, 2))), path)
