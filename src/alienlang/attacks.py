@@ -368,12 +368,12 @@ def nn_hypotheses(
     for start in range(0, ids.size, block):
         stop = min(start + block, ids.size)
         sims = rows[start:stop] @ rows.T
-        for r in range(stop - start):
-            row = sims[r].copy()
-            row[start + r] = -np.inf  # exclude self
-            best = row.max()
-            tied = np.flatnonzero(row == best)
-            guesses[int(ids[start + r])] = int(ids[tied[0]])  # ids ascending
+        local = np.arange(stop - start)
+        sims[local, start + local] = -np.inf  # exclude self
+        # argmax takes the first maximum, which is the lowest id (ids ascending).
+        best = ids[sims.argmax(axis=1)]
+        del sims  # free this block before the next one is computed
+        guesses.update(zip(ids[start:stop].tolist(), best.tolist()))
     return guesses
 
 

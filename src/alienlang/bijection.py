@@ -23,6 +23,7 @@ import math
 import statistics
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
+from functools import cached_property
 from pathlib import Path
 from typing import Iterable
 
@@ -71,9 +72,7 @@ class BijectionKey:
     """The client-held secret: an involutive mapping over the masked IDs.
 
     ``mapping`` is total on ``mask`` (fixed points map to themselves) and is
-    its own inverse.  ``bucket_of`` records the bucket layout used during
-    construction; it is derivable from (seed, buckets, id) and therefore not
-    serialized.
+    its own inverse.
     """
 
     version: int
@@ -81,8 +80,14 @@ class BijectionKey:
     config: BuildConfig
     mask: frozenset[int]
     mapping: dict[int, int]
-    bucket_of: dict[int, int]
     fixed_points: tuple[int, ...]
+
+    @cached_property
+    def bucket_of(self) -> dict[int, int]:
+        """The bucket layout used during construction, derived from (seed, buckets, id)."""
+        return {
+            i: bucket_index(self.config.seed, self.config.buckets, i) for i in sorted(self.mask)
+        }
 
     def apply(self, token_id: int) -> int:
         return self.mapping.get(token_id, token_id)
@@ -198,53 +203,41 @@ def _greedy_pair_cell(
     width = nbr_ids.shape[1]
 
     # Score every retrieved candidate pair in one batch; the greedy loop then
-    # only consults precomputed scores.
-    left: list[bytes] = []
-    right: list[bytes] = []
-    flat_rows: list[int] = []
-    for r in range(m):
-        s_i = vocab.token_of(members[r])
-        for c in range(width):
-            j = int(nbr_ids[r, c])
-            if j < 0:
-                continue
-            left.append(s_i)
-            right.append(vocab.token_of(j))
-            flat_rows.append(r * width + c)
-    edits = _edit_terms(left, right, config.edit_mode)
+    # only consults precomputed ranks.
+    rows, cols = np.nonzero(nbr_ids >= 0)
+    nbr_pos = np.searchsorted(member_arr, nbr_ids[rows, cols])
+    surfaces = [vocab.token_of(i) for i in members]
+    edits = _edit_terms(
+        [surfaces[r] for r in rows.tolist()],
+        [surfaces[p] for p in nbr_pos.tolist()],
+        config.edit_mode,
+    )
     scores = np.full((m, width), -np.inf, dtype=np.float64)
-    if flat_rows:
-        flat = scores.reshape(-1)
-        flat[flat_rows] = edits - config.mu * (1.0 - nbr_sims.reshape(-1)[flat_rows])
+    scores[rows, cols] = edits - config.mu * (1.0 - nbr_sims[rows, cols])
 
-    # Candidate order per row: best score first, ties to the lower token id.
-    order = np.empty((m, width), dtype=np.int64) if width else np.empty((m, 0), dtype=np.int64)
-    for r in range(m):
-        order[r] = np.lexsort((nbr_ids[r], -scores[r]))
+    # Candidate member positions per row, best score first, ties to the lower
+    # token id; -1 marks a missing or non-finite candidate and ends the row.
+    cand_pos = np.full((m, width), -1, dtype=np.int64)
+    cand_pos[rows, cols] = nbr_pos
+    cand_pos[~np.isfinite(scores)] = -1
+    ranked = np.take_along_axis(cand_pos, np.lexsort((nbr_ids, -scores), axis=-1), axis=1)
+    del rows, cols, nbr_pos, surfaces, edits, scores, cand_pos, nbr_ids, nbr_sims
 
-    pos_of = {tid: r for r, tid in enumerate(members)}
-    available = np.ones(m, dtype=bool)
+    available = [True] * m
     for r in range(m):  # members are ascending by construction
         if not available[r]:
             continue
-        i = members[r]
-        best = -1
-        for c in order[r]:
-            j = int(nbr_ids[r, c])
-            if j < 0 or not np.isfinite(scores[r, c]):
+        for p in ranked[r].tolist():
+            if p < 0:
                 break
-            rj = pos_of[j]
-            if available[rj]:
-                best = rj
+            if available[p]:
+                i, j = members[r], members[p]
+                mapping[i] = j
+                mapping[j] = i
+                available[r] = available[p] = False
                 break
-        if best >= 0:
-            j = members[best]
-            mapping[i] = j
-            mapping[j] = i
-            available[r] = False
-            available[best] = False
 
-    leftovers = [members[r] for r in np.flatnonzero(available)]
+    leftovers = [members[r] for r in range(m) if available[r]]
     if leftovers:
         rng = derive_rng("fallback", config.seed, cell)
         shuffled = rng.permutation(np.asarray(leftovers, dtype=np.int64)).tolist()
@@ -277,10 +270,9 @@ def build_key(
     if missing:
         raise CoverageError(f"embedding row missing for masked id(s) {sorted(missing)[:5]}")
 
-    bucket_of = {i: bucket_index(config.seed, config.buckets, i) for i in sorted(mask)}
     cells: dict[int, list[int]] = {}
     for i in sorted(mask):
-        cells.setdefault(bucket_of[i], []).append(i)
+        cells.setdefault(bucket_index(config.seed, config.buckets, i), []).append(i)
 
     mapping: dict[int, int] = {}
     fixed_points: list[int] = []
@@ -307,7 +299,6 @@ def build_key(
         config=config,
         mask=mask,
         mapping=mapping,
-        bucket_of=bucket_of,
         fixed_points=tuple(sorted(fixed_points)),
     )
     key.validate()
@@ -459,14 +450,12 @@ def load_key(path: str | Path) -> BijectionKey:
         mapping[fp] = fp
 
     mask = frozenset(seen)
-    bucket_of = {i: bucket_index(config.seed, config.buckets, i) for i in sorted(mask)}
     key = BijectionKey(
         version=KEY_FORMAT_VERSION,
         vocab_fingerprint=fingerprint,
         config=config,
         mask=mask,
         mapping=mapping,
-        bucket_of=bucket_of,
         fixed_points=fixed_points,
     )
     key.validate()
@@ -482,7 +471,6 @@ def identity_key(vocab: Vocabulary, config: BuildConfig | None = None) -> Biject
         config=config,
         mask=frozenset(),
         mapping={},
-        bucket_of={},
         fixed_points=(),
     )
 
@@ -511,14 +499,12 @@ def key_from_pairs(
             raise ArgumentError(f"fixed point {fp} also appears in a pair")
         mapping[fp] = fp
     mask = frozenset(mapping)
-    bucket_of = {i: bucket_index(config.seed, config.buckets, i) for i in sorted(mask)}
     key = BijectionKey(
         version=KEY_FORMAT_VERSION,
         vocab_fingerprint=vocab.fingerprint,
         config=config,
         mask=mask,
         mapping=mapping,
-        bucket_of=bucket_of,
         fixed_points=fps,
     )
     key.validate()

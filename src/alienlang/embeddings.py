@@ -4,6 +4,13 @@ Retrieval is exact top-k cosine via blocked dense inner products.  At the
 vocabulary scales this toolkit targets (up to a few hundred thousand rows,
 small d) exact retrieval is affordable and removes approximation as a
 correctness variable; blocking is purely a memory optimization.
+
+Selection works on a whole similarity block at once: each query's own cell
+is set to -inf, one ``argpartition`` takes the k largest of every row, and
+only rows whose k-th value is tied across the cut are repaired, keeping the
+lowest-id ties.  The chosen columns are put in id order and then stably
+sorted by descending cosine, so every row follows the (-cosine, ascending
+id) order of an exhaustive sort whatever the block width.
 """
 
 from __future__ import annotations
@@ -182,35 +189,42 @@ def derive_proxy_store(
     return EmbeddingStore(rows=rows)
 
 
-def _topk_from_sims(
-    sims: np.ndarray, cand_ids: np.ndarray, k: int, exclude: int | None
+def _topk_rows(
+    sims: np.ndarray, query_ids: np.ndarray, cand_ids: np.ndarray, width: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Exact top-k of one similarity row with (-sim, id) ordering.
+    """Exact top-``width`` of every row of a similarity block, (-sim, id) order.
 
-    Ties at the k-th position are resolved to the lowest token ids, matching
-    the exhaustive-sort contract.
+    ``sims`` has one row per query and one column per ascending candidate id;
+    it is modified in place (each query's own cell becomes -inf).  Ties at
+    the cut go to the lowest ids, matching an exhaustive sort.  Slots left
+    holding -inf (the query itself, when width covers every candidate) come
+    back as id -1.
     """
-    if exclude is not None:
-        keep = cand_ids != exclude
-        sims = sims[keep]
-        cand_ids = cand_ids[keep]
-    m = sims.shape[0]
-    if m == 0:
-        return np.empty(0, dtype=cand_ids.dtype), np.empty(0, dtype=sims.dtype)
-    kk = min(k, m)
-    if kk < m:
-        part = np.argpartition(-sims, kk - 1)
-        kth = sims[part[kk - 1]]
-        definite = np.flatnonzero(sims > kth)
-        tied = np.flatnonzero(sims == kth)
-        need = kk - definite.size
-        tied_sorted = tied[np.argsort(cand_ids[tied], kind="stable")][:need]
-        chosen = np.concatenate([definite, tied_sorted])
+    rows, m = sims.shape
+    pos = np.searchsorted(cand_ids, query_ids)
+    hit = np.flatnonzero(cand_ids[np.minimum(pos, m - 1)] == query_ids)
+    sims[hit, pos[hit]] = -np.inf
+    if width < m:
+        chosen = np.argpartition(sims, m - width, axis=1)[:, m - width :]
+        kth = np.take_along_axis(sims, chosen, axis=1).min(axis=1, keepdims=True)
+        # A row needs repair only if values equal to its k-th straddle the cut.
+        straddle = np.flatnonzero((sims >= kth).sum(axis=1) > width)
+        if straddle.size:
+            s, t = sims[straddle], kth[straddle]
+            tied = s == t
+            need = width - (s > t).sum(axis=1, keepdims=True)
+            keep = (s > t) | (tied & (np.cumsum(tied, axis=1) <= need))
+            chosen[straddle] = np.nonzero(keep)[1].reshape(straddle.size, width)
+        chosen.sort(axis=1)  # position order is id order
     else:
-        chosen = np.arange(m)
-    order = np.lexsort((cand_ids[chosen], -sims[chosen]))
-    chosen = chosen[order]
-    return cand_ids[chosen], sims[chosen]
+        chosen = np.broadcast_to(np.arange(m), (rows, m))
+    vals = np.take_along_axis(sims, chosen, axis=1)
+    order = np.argsort(-vals, axis=1, kind="stable")
+    chosen = np.take_along_axis(chosen, order, axis=1)
+    vals = np.take_along_axis(vals, order, axis=1)
+    ids = cand_ids[chosen]
+    ids[vals == -np.inf] = -1
+    return ids, vals
 
 
 def knn(
@@ -232,9 +246,13 @@ def knn(
     if cand_ids.size and (cand_ids[0] < 0 or cand_ids[-1] >= store.n):
         raise CoverageError("candidate set contains ids without embedding rows")
     q = store.row(query_id)
+    if cand_ids.size == 0:
+        return []
     sims = store.rows[cand_ids] @ q
-    ids, _ = _topk_from_sims(sims, cand_ids, k, exclude=query_id)
-    return ids.tolist()
+    ids, _ = _topk_rows(
+        sims[None, :], np.array([query_id], dtype=np.int64), cand_ids, min(k, cand_ids.size)
+    )
+    return [i for i in ids[0].tolist() if i >= 0]
 
 
 def topk_cosine(
@@ -266,9 +284,8 @@ def topk_cosine(
     for start in range(0, queries.size, block):
         stop = min(start + block, queries.size)
         sims_block = store.rows[queries[start:stop]] @ cand_rows.T
-        for r in range(stop - start):
-            qid = int(queries[start + r])
-            ids_r, sims_r = _topk_from_sims(sims_block[r], cand, k, exclude=qid)
-            out_ids[start + r, : ids_r.size] = ids_r
-            out_sims[start + r, : sims_r.size] = sims_r
+        out_ids[start:stop], out_sims[start:stop] = _topk_rows(
+            sims_block, queries[start:stop], cand, width
+        )
+        del sims_block  # free this block before the next one is computed
     return out_ids, out_sims

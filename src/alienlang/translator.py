@@ -5,7 +5,8 @@ view.  Rendering an ID sequence and re-tokenizing it does not always
 reproduce the same IDs (adjacent alien tokens can merge), so every rendered
 document is checked for that fixpoint and flagged.  Unsafe renderings fall
 back to the ID-stream transport format, so losslessness never depends on
-retokenization behavior.
+retokenization behavior.  A rendering that begins with the ID-stream header
+is unsafe too, since decoding would read it as an ID stream.
 """
 
 from __future__ import annotations
@@ -69,6 +70,11 @@ def encode_text(
     tok = tokenizer or reference_tokenize
     ids = encode_ids(tok(x, vocab), key)
     rendered = detokenize(ids, vocab)
+    if rendered.startswith(ID_STREAM_MAGIC.encode("ascii")):
+        # decode_text would parse this rendering as an ID stream.
+        if strict:
+            raise StabilityError("rendered text starts with the ID-stream header", position=0)
+        return AlienDocument(ids=ids, rendered=rendered, retokenization_safe=False)
     recheck = tok(rendered, vocab)
     safe = recheck.ids == ids.ids
     if strict and not safe:

@@ -69,3 +69,10 @@ def clustered_store(
     rows = centers[assign] + noise * rng.standard_normal((n, d))
     rows /= np.linalg.norm(rows, axis=1, keepdims=True)
     return EmbeddingStore(rows=rows, normalized=True)
+
+
+def axis_store(rng: np.random.Generator, n: int, d: int) -> EmbeddingStore:
+    """Rows drawn from the +-e_i axis vectors, with duplicates, so every
+    cosine is exactly -1, 0 or 1 under any summation order: ties are exact."""
+    rows = np.eye(d)[rng.integers(0, d, size=n)] * rng.choice([-1.0, 1.0], size=(n, 1))
+    return EmbeddingStore(rows=rows, normalized=True)

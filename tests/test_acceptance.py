@@ -6,6 +6,7 @@ hand-computed, brute-forced by an in-test oracle, or a published reference
 value checked at its stated tolerance.
 """
 
+import hashlib
 import math
 import time
 from contextlib import contextmanager
@@ -271,7 +272,7 @@ def test_c04_greedy_quality():
 # C5: build budget at 32K scale
 
 
-def test_c05_build_budget_32k():
+def test_c05_build_budget_32k(tmp_path):
     with criterion("C05 build budget (32K vocab, d=64, k=50)"):
         rng = np.random.default_rng(505)
         vocab = random_vocab(rng, 32_768, specials=8)
@@ -286,6 +287,12 @@ def test_c05_build_budget_32k():
         elapsed = time.monotonic() - start
         assert len(key.mask) == len(vocab.permutable_ids)
         assert elapsed < 300.0, f"build took {elapsed:.1f}s (budget 300s)"
+        # the determinism contract at scale: SHA-256 of the save_key bytes
+        path = tmp_path / "key.json"
+        save_key(key, path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+            "8f04b379d5f953c1ac870fff72968f80869616e8c90ac24e0b4b3d2694bb3032"
+        )
 
 
 # ---------------------------------------------------------------------------

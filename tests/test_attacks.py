@@ -21,7 +21,7 @@ from alienlang import (
     rouge_l,
 )
 from alienlang.attacks import frequency_hypotheses, ngram_hypotheses, nn_hypotheses
-from helpers import random_vocab, unit_store, vocab_from
+from helpers import axis_store, random_vocab, unit_store, vocab_from
 
 
 def sample_corpus(rng, vocab, positions, zipf_a=1.1):
@@ -312,3 +312,18 @@ class TestAttackReport:
             AttackReport(attack_name="x", parameters={}, token_recovery=1.5)
         with pytest.raises(ArgumentError):
             AttackReport(attack_name="x", parameters={}, bleu=101.0)
+
+
+class TestNnHypothesesTies:
+    @pytest.mark.parametrize("block", [1, 2, 3, 7, 1024])
+    def test_ties_break_to_lowest_id(self, block):
+        rng = np.random.default_rng(31 + block)
+        store = axis_store(rng, 60, 4)
+        rows = store.rows
+        masked = sorted(int(i) for i in rng.choice(60, size=40, replace=False))
+        guesses = nn_hypotheses(store, masked, block=block)
+        assert sorted(guesses) == masked
+        for i in masked:
+            others = [j for j in masked if j != i]
+            best = max(float(rows[i] @ rows[j]) for j in others)
+            assert guesses[i] == min(j for j in others if float(rows[i] @ rows[j]) == best)

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -21,7 +22,14 @@ from alienlang import (
     select_mask,
 )
 from alienlang.bijection import bucket_index, score_strings
-from helpers import positive_unit_store, random_vocab, unit_store, vocab_from
+from helpers import (
+    axis_store,
+    clustered_store,
+    positive_unit_store,
+    random_vocab,
+    unit_store,
+    vocab_from,
+)
 from test_editdist import oracle_levenshtein
 
 TABLE8_CANDIDATES = [
@@ -281,6 +289,60 @@ class TestBuildKey:
 
         with pytest.raises(CoverageError):
             build_key(vocab, short_store, BuildConfig(k=2))
+
+
+def key_sha256(key, tmp_path) -> str:
+    path = tmp_path / "key.json"
+    save_key(key, path)
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def pinned_instance():
+    rng = np.random.default_rng(5150)
+    vocab = random_vocab(rng, 700, specials=4)
+    store = clustered_store(rng, 700, 16, clusters=20)
+    # exact cosine ties, so retrieval cuts through tied values
+    return vocab, store, axis_store(np.random.default_rng(5151), 700, 8)
+
+
+class TestKeyBytesPinned:
+    """The determinism contract: key files are byte-identical across releases.
+
+    Digests are SHA-256 of the ``save_key`` bytes.  A change to any of them
+    is a key-format change and needs a version bump.
+    """
+
+    CASES = {
+        "flat": (BuildConfig(k=10, seed=1), None, False,
+                 "bd9e479207280566daa9c61f18266f25a708b86856dfe0bc32681a23cc1a1e4f"),
+        "buckets4_threads2": (BuildConfig(k=10, seed=2, buckets=4), 2, False,
+                              "d78063b79f1217f72b9a304b4f2c1f0c762b5904c661721d03372aee49ebe407"),
+        "raw": (BuildConfig(k=10, seed=3, mu=2.0, edit_mode="raw"), None, False,
+                "17a1aef7f2fe91efbf3f3acf03c313c681dccf87b93ca7b818e914a578d2ac34"),
+        "k_covers_cell": (BuildConfig(k=400, seed=4, buckets=4), None, False,
+                          "cf9b13d507d86bcb2bcafe4a2a036571ed7c3edcf93ffad8e11c6bb78795e096"),
+        "rho_half": (BuildConfig(k=10, seed=5, rho=0.5), None, False,
+                     "864bb3a60ba36abe76ceea90b49ea691bf334bc11d150d9efff41ca8c628c76e"),
+        "batch1": (BuildConfig(k=10, seed=6, greedy_batch=1), None, False,
+                   "57230d6ca9ba85b33c25645ae84776af0df246a1143404419f8700c2971e4960"),
+        "batch64": (BuildConfig(k=10, seed=6, greedy_batch=64), None, False,
+                    "ca929132d090881d4972e4aa8312bf3967f30883646de88441a3a281ac904a77"),
+        "axis_ties": (BuildConfig(k=5, seed=7, buckets=2), None, True,
+                      "bca556357fe4978a63bf0802f7f18542da882ec29ae82c5fae8c6b3deabbce90"),
+    }
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_key_sha256(self, name, tmp_path):
+        config, threads, ties, digest = self.CASES[name]
+        vocab, store, axis_store = pinned_instance()
+        key = build_key(vocab, axis_store if ties else store, config, threads=threads)
+        assert key_sha256(key, tmp_path) == digest
+
+    def test_k_covers_every_cell(self):
+        # the k_covers_cell case exercises k >= cell size only if no cell exceeds k
+        vocab, _, _ = pinned_instance()
+        sizes = np.bincount([bucket_index(4, 4, i) for i in vocab.permutable_ids])
+        assert sizes.max() <= 400
 
 
 class TestObjective:

@@ -129,6 +129,25 @@ class TestEncodeDecode:
         assert run(argv) == 0
         assert alien.read_bytes() == src.read_bytes()
 
+    def test_header_collision_round_trip(self, workspace, capsys):
+        # an identity key renders the input verbatim, header and all
+        out = workspace["dir"] / "key.json"
+        build_key_cli(workspace, out, rho=0.0)
+        src = workspace["dir"] / "plain.txt"
+        alien = workspace["dir"] / "alien.txt"
+        back = workspace["dir"] / "back.txt"
+        src.write_bytes(b"#alien-ids v1 hello")
+        argv_common = [
+            "--vocab", workspace["vocab_path"],
+            "--specials", workspace["specials_path"],
+            "--key", str(out),
+        ]
+        assert run(["encode", *argv_common, str(src), str(alien)]) == 0
+        assert "writing ID stream" in capsys.readouterr().err
+        assert alien.read_text().startswith("#alien-ids v1 fingerprint=")
+        assert run(["decode", *argv_common, str(alien), str(back)]) == 0
+        assert back.read_bytes() == src.read_bytes()
+
     def test_ids_mode_round_trip(self, workspace):
         out = workspace["dir"] / "key.json"
         build_key_cli(workspace, out)

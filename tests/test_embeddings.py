@@ -14,7 +14,7 @@ from alienlang import (
     save_embeddings,
 )
 from alienlang.embeddings import topk_cosine
-from helpers import unit_store, vocab_from
+from helpers import axis_store, unit_store, vocab_from
 
 
 class TestLoadStore:
@@ -224,3 +224,48 @@ class TestTopkBatched:
         a, _ = topk_cosine(store, cands, 5, cands, block=1)
         b, _ = topk_cosine(store, cands, 5, cands, block=50)
         assert np.array_equal(a, b)
+
+
+class TestExactTies:
+    @pytest.mark.parametrize("block", range(1, 10))
+    def test_topk_matches_oracle_on_tied_rows(self, block):
+        rng = np.random.default_rng(900 + block)
+        for _ in range(12):
+            n = int(rng.integers(2, 40))
+            store = axis_store(rng, n, int(rng.integers(1, 5)))
+            size = int(rng.integers(1, n + 1))
+            cands = sorted(int(i) for i in rng.choice(n, size=size, replace=False))
+            # queries include ids outside the candidate set, and repeats
+            queries = [int(q) for q in rng.integers(0, n, size=int(rng.integers(1, n + 1)))]
+            for k in {1, int(rng.integers(1, len(cands) + 1)), len(cands), len(cands) + 3}:
+                ids, sims = topk_cosine(store, queries, k, cands, block=block)
+                assert ids.shape == (len(queries), min(k, len(cands)))
+                for r, qid in enumerate(queries):
+                    expected = oracle_knn(store, qid, k, cands)
+                    assert ids[r].tolist() == expected + [-1] * (ids.shape[1] - len(expected))
+                    assert sims[r, : len(expected)].tolist() == [
+                        float(store.rows[qid] @ store.rows[j]) for j in expected
+                    ]
+                    assert np.all(sims[r, len(expected) :] == -np.inf)
+
+    def test_knn_matches_oracle_on_tied_rows(self):
+        rng = np.random.default_rng(77)
+        for _ in range(60):
+            n = int(rng.integers(1, 40))
+            store = axis_store(rng, n, int(rng.integers(1, 5)))
+            size = int(rng.integers(1, n + 1))
+            cands = set(int(i) for i in rng.choice(n, size=size, replace=False))
+            qid = int(rng.integers(0, n))
+            for k in (1, 2, 3, len(cands), len(cands) + 1):
+                assert knn(store, qid, k, cands) == oracle_knn(store, qid, k, cands)
+
+    def test_cut_straddles_a_tie(self):
+        # query 0 = e_0; ids 2, 4, 6 also equal e_0 and ids 1, 3, 5 are e_1;
+        # k=2 cuts through the three cosine-1 ties, which go to the lowest ids
+        rows = np.array([[1, 0], [0, 1], [1, 0], [0, 1], [1, 0], [0, 1], [1, 0]], dtype=float)
+        store = EmbeddingStore(rows=rows, normalized=True)
+        ids, sims = topk_cosine(store, [0], 2, range(7))
+        assert ids.tolist() == [[2, 4]] and sims.tolist() == [[1.0, 1.0]]
+        ids, _ = topk_cosine(store, [0], 5, range(7))
+        assert ids.tolist() == [[2, 4, 6, 1, 3]]
+        assert knn(store, 0, 4, range(7)) == [2, 4, 6, 1]

@@ -143,6 +143,23 @@ class TestEncodeText:
             encode_text(b"xy", key, vocab, strict=True)
         assert exc_info.value.position == 0
 
+    def test_header_collision_is_unsafe(self):
+        # a rendering that starts with the ID-stream header would be parsed
+        # as an ID stream by decode_text, so it must not be called safe
+        vocab = byte_complete_vocab()
+        key = identity_key(vocab)
+        text = b"#alien-ids v1 hello"
+        doc = encode_text(text, key, vocab)
+        assert doc.rendered == text
+        assert not doc.retokenization_safe
+        assert decode_text(doc, key, vocab) == text
+        buf = io.StringIO()
+        write_id_stream(buf, [doc.ids], key.vocab_fingerprint)
+        assert decode_text(buf.getvalue().encode("ascii"), key, vocab) == text
+        with pytest.raises(StabilityError) as exc_info:
+            encode_text(text, key, vocab, strict=True)
+        assert exc_info.value.position == 0
+
     def test_mismatched_key_rejected(self):
         vocab, _ = full_rho_key(seed=11)
         other_vocab = vocab_from([b"q"])
@@ -336,6 +353,19 @@ class TestAlienizeDataset:
         assert out["instruction"].startswith("#alien-ids v1")
         restore_dataset(dst, key, vocab, back)
         assert json.loads(back.read_text().strip()) == {"instruction": "xy", "response": "x"}
+
+    def test_header_collision_round_trip(self, tmp_path):
+        vocab = byte_complete_vocab()
+        key = identity_key(vocab)
+        record = {"instruction": "#alien-ids v1 hello", "response": "#alien-ids v1x"}
+        src, dst, back = tmp_path / "in.jsonl", tmp_path / "out.jsonl", tmp_path / "back.jsonl"
+        write_jsonl(src, [record])
+        summary = alienize_dataset(src, key, vocab, dst)
+        assert summary.unsafe_renderings == 2
+        out = json.loads(dst.read_text().strip())
+        assert out["instruction"].startswith("#alien-ids v1 fingerprint=")
+        restore_dataset(dst, key, vocab, back)
+        assert json.loads(back.read_text().strip()) == record
 
     def test_strict_mode_aborts_on_unsafe(self, tmp_path):
         vocab = vocab_from([b"x", b"y", b"ab", b"a", b"b"])
