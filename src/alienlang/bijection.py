@@ -55,8 +55,8 @@ class BuildConfig:
     def __post_init__(self):
         if self.k < 1:
             raise ArgumentError("k must be >= 1")
-        if self.mu < 0:
-            raise ArgumentError("mu must be >= 0")
+        if not (math.isfinite(self.mu) and self.mu >= 0):
+            raise ArgumentError("mu must be finite and >= 0")
         if not 0.0 <= self.rho <= 1.0:
             raise ArgumentError("rho must lie in [0, 1]")
         if self.buckets < 1:
@@ -426,16 +426,21 @@ def load_key(path: str | Path) -> BijectionKey:
             edit_mode=cfg["edit_mode"],
         )
         raw_pairs = doc["mapping"]
-        fixed_points = tuple(int(i) for i in doc["fixed_points"])
+        fixed_points = doc["fixed_points"]
     except (KeyError, TypeError, ValueError) as e:
         raise FormatError(f"key file missing or malformed field: {e}") from e
+    # type() rather than isinstance() below: JSON true/false load as bool, an int subclass
+    if not (isinstance(raw_pairs, list) and isinstance(fixed_points, list)):
+        raise FormatError('key file "mapping" and "fixed_points" must be arrays')
+    if not all(type(fp) is int for fp in fixed_points):
+        raise FormatError("key file fixed points must be integers")
 
     mapping: dict[int, int] = {}
     seen: set[int] = set()
     for entry in raw_pairs:
-        if not (isinstance(entry, list) and len(entry) == 2):
+        i, j = entry if isinstance(entry, list) and len(entry) == 2 else (None, None)
+        if type(i) is not int or type(j) is not int:
             raise FormatError(f"malformed mapping entry {entry!r}")
-        i, j = int(entry[0]), int(entry[1])
         if not i < j:
             raise FormatError(f"mapping pair [{i}, {j}] violates i < j")
         if i in seen or j in seen:
@@ -456,7 +461,7 @@ def load_key(path: str | Path) -> BijectionKey:
         config=config,
         mask=mask,
         mapping=mapping,
-        fixed_points=fixed_points,
+        fixed_points=tuple(fixed_points),
     )
     key.validate()
     return key

@@ -7,7 +7,6 @@ byte-deterministic on identical inputs except ``attack probe`` (network).
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from pathlib import Path
@@ -27,12 +26,14 @@ from .probe import EndpointConfig, llm_inverse_probe
 from .report import emit_summary, matrix_to_csv, overlap_matrix
 from .translator import (
     ID_STREAM_MAGIC,
+    DatasetFormatError,
     alienize_dataset,
     decode_ids,
     decode_text,
     encode_ids,
     encode_text,
     read_id_stream,
+    read_jsonl,
     write_id_stream,
 )
 from .vocab import load_vocab, read_pretokenized, write_pretokenized
@@ -48,8 +49,6 @@ def _load_vocab(args) -> "Vocabulary":
 
 
 def _cmd_build_key(args) -> int:
-    vocab = _load_vocab(args)
-    store = normalize(load_embeddings(args.embeddings))
     config = BuildConfig(
         k=args.k,
         mu=args.mu,
@@ -59,6 +58,8 @@ def _cmd_build_key(args) -> int:
         greedy_batch=args.greedy_batch,
         edit_mode=args.edit_mode,
     )
+    vocab = _load_vocab(args)
+    store = normalize(load_embeddings(args.embeddings))
     if config.rho == 0.0:
         print("warning: rho=0 produces an identity key", file=sys.stderr)
     key = build_key(vocab, store, config, threads=args.threads)
@@ -101,7 +102,7 @@ def _cmd_decode(args) -> int:
     data = Path(args.input).read_bytes()
     if args.ids:
         if data.startswith(ID_STREAM_MAGIC.encode("ascii")):
-            sequences = read_id_stream(args.input, key.vocab_fingerprint)
+            sequences = read_id_stream(data, key.vocab_fingerprint)
         else:
             sequences = read_pretokenized(args.input, vocab)
         write_pretokenized([decode_ids(s, key) for s in sequences], args.output)
@@ -122,18 +123,21 @@ def _cmd_emit_dataset(args) -> int:
     return 0
 
 
-def _read_pairs(path: str, vocab) -> list[tuple]:
-    pairs = []
-    with open(path, "r", encoding="utf-8") as fp:
-        for lineno, line in enumerate(fp, start=1):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-                pairs.append((tuple(obj["plain"]), tuple(obj["alien"])))
-            except (json.JSONDecodeError, KeyError, TypeError) as e:
-                raise FormatError(f"{path}:{lineno}: bad pair record: {e}") from e
-    return pairs
+def _read_records(path: str, names: tuple[str, str], valid) -> list[tuple]:
+    """Read a JSONL file whose records hold the named fields, each passing ``valid``."""
+    rows = []
+    try:
+        for lineno, record in read_jsonl(path):
+            if not all(valid(record.get(name)) for name in names):
+                raise DatasetFormatError(lineno, f"record needs well-formed {' and '.join(names)}")
+            rows.append(tuple(record[name] for name in names))
+    except FormatError as e:
+        raise FormatError(f"{path}: {e}") from e
+    return rows
+
+
+def _is_id_list(value) -> bool:
+    return isinstance(value, list) and all(type(i) is int for i in value)
 
 
 def _cmd_attack(args) -> int:
@@ -152,8 +156,8 @@ def _cmd_attack(args) -> int:
     elif args.kind == "ngram":
         vocab = _load_vocab(args)
         key = load_key(args.key)
-        leaked = _read_pairs(args.leaked, vocab)
-        eval_pairs = _read_pairs(args.eval, vocab)
+        leaked = _read_records(args.leaked, ("plain", "alien"), _is_id_list)
+        eval_pairs = _read_records(args.eval, ("plain", "alien"), _is_id_list)
         reference = None
         if args.reference:
             reference = [s.ids for s in read_pretokenized(args.reference, vocab)]
@@ -172,16 +176,7 @@ def _cmd_attack(args) -> int:
         token = args.token or os.environ.get("ALIEN_TOKEN", "")
         if not endpoint:
             raise FormatError("no endpoint: pass --endpoint or set ALIEN_ENDPOINT")
-        eval_set = []
-        with open(args.eval, "r", encoding="utf-8") as fp:
-            for lineno, line in enumerate(fp, start=1):
-                if not line.strip():
-                    continue
-                try:
-                    obj = json.loads(line)
-                    eval_set.append((obj["alien"], obj["reference"]))
-                except (json.JSONDecodeError, KeyError, TypeError) as e:
-                    raise FormatError(f"{args.eval}:{lineno}: bad eval record: {e}") from e
+        eval_set = _read_records(args.eval, ("alien", "reference"), lambda v: isinstance(v, str))
         template = (
             Path(args.template).read_text(encoding="utf-8") if args.template else None
         )

@@ -238,20 +238,7 @@ def knn(
     The query token itself is excluded from results.  Requires a normalized
     store (cosine equals the dot product).  Ties break by ascending token id.
     """
-    if k <= 0:
-        raise ArgumentError("k must be a positive integer")
-    if not store.normalized:
-        raise ArgumentError("knn requires a normalized store")
-    cand_ids = np.fromiter(sorted(set(candidate_set)), dtype=np.int64)
-    if cand_ids.size and (cand_ids[0] < 0 or cand_ids[-1] >= store.n):
-        raise CoverageError("candidate set contains ids without embedding rows")
-    q = store.row(query_id)
-    if cand_ids.size == 0:
-        return []
-    sims = store.rows[cand_ids] @ q
-    ids, _ = _topk_rows(
-        sims[None, :], np.array([query_id], dtype=np.int64), cand_ids, min(k, cand_ids.size)
-    )
+    ids, _ = topk_cosine(store, [query_id], k, candidate_set)
     return [i for i in ids[0].tolist() if i >= 0]
 
 
@@ -259,14 +246,15 @@ def topk_cosine(
     store: EmbeddingStore,
     query_ids: Sequence[int],
     k: int,
-    candidate_ids: Sequence[int],
+    candidate_ids: Iterable[int],
     block: int = 512,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Batched exact top-k over a shared candidate set.
 
     Returns (neighbor_ids, sims) of shape (len(query_ids), k'), where
     k' = min(k, usable candidates).  Each query is excluded from its own
-    neighbor list.  Results are independent of the block width.
+    neighbor list.  Results are independent of the block width.  A query or
+    candidate id without an embedding row raises :class:`CoverageError`.
     """
     if k <= 0:
         raise ArgumentError("k must be a positive integer")
@@ -274,6 +262,10 @@ def topk_cosine(
         raise ArgumentError("topk_cosine requires a normalized store")
     cand = np.asarray(sorted(set(candidate_ids)), dtype=np.int64)
     queries = np.asarray(query_ids, dtype=np.int64)
+    for what, ids in (("query", queries), ("candidate", cand)):
+        outside = ids[(ids < 0) | (ids >= store.n)]
+        if outside.size:
+            raise CoverageError(f"no embedding row for {what} id {int(outside[0])}")
     width = min(k, cand.size)
     out_ids = np.full((queries.size, width), -1, dtype=np.int64)
     out_sims = np.full((queries.size, width), -np.inf, dtype=np.float64)

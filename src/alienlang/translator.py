@@ -13,13 +13,23 @@ from __future__ import annotations
 
 import io
 import json
+import re
+from contextlib import nullcontext
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .bijection import BijectionKey
 from .errors import ArgumentError, CompatibilityError, FormatError, StabilityError
-from .vocab import TokenSequence, Vocabulary, detokenize, reference_tokenize
+from .vocab import (
+    TokenSequence,
+    Vocabulary,
+    detokenize,
+    parse_id_line,
+    read_lines,
+    reference_tokenize,
+    write_id_lines,
+)
 
 ID_STREAM_MAGIC = "#alien-ids v1"
 
@@ -109,7 +119,7 @@ def decode_text(
     if not isinstance(x_alien, bytes):
         raise ArgumentError("decode_text expects bytes or an AlienDocument")
     if x_alien.startswith(ID_STREAM_MAGIC.encode("ascii")):
-        seqs = read_id_stream(io.StringIO(x_alien.decode("ascii")), key.vocab_fingerprint)
+        seqs = read_id_stream(x_alien, key.vocab_fingerprint)
         return b"".join(detokenize(decode_ids(s, key), vocab) for s in seqs)
     tok = tokenizer or reference_tokenize
     ids = tok(x_alien, vocab)
@@ -128,49 +138,25 @@ def write_id_stream(
 ) -> None:
     """Write the ID-stream transport format (header line plus ID lines)."""
     own = isinstance(target, (str, Path))
-    fp = open(target, "w", encoding="ascii") if own else target
-    try:
+    with open(target, "w", encoding="ascii") if own else nullcontext(target) as fp:
         fp.write(f"{ID_STREAM_MAGIC} fingerprint={fingerprint:016x}\n")
-        for seq in sequences:
-            ids = seq.ids if isinstance(seq, TokenSequence) else tuple(seq)
-            fp.write(" ".join(str(i) for i in ids) + "\n")
-    finally:
-        if own:
-            fp.close()
+        write_id_lines(fp, sequences)
 
 
 def read_id_stream(source, expect_fingerprint: int | None = None) -> list[TokenSequence]:
-    """Parse the ID-stream transport format, checking the fingerprint header."""
-    own = isinstance(source, (str, Path))
-    fp = open(source, "r", encoding="ascii") if own else source
-    try:
-        header = fp.readline().rstrip("\n")
-        parts = header.split()
-        if parts[: 2] != ID_STREAM_MAGIC.split() or len(parts) != 3:
-            raise FormatError("missing or malformed ID-stream header")
-        if not parts[2].startswith("fingerprint="):
-            raise FormatError("ID-stream header lacks a fingerprint")
-        fingerprint = int(parts[2].split("=", 1)[1], 16)
-        if expect_fingerprint is not None and fingerprint != expect_fingerprint:
-            raise CompatibilityError("ID stream belongs to a different vocabulary")
-        out = []
-        for lineno, line in enumerate(fp, start=2):
-            line = line.strip()
-            try:
-                ids = tuple(int(t) for t in line.split()) if line else ()
-            except ValueError as e:
-                raise FormatError(f"line {lineno}: not a space-separated ID list") from e
-            out.append(TokenSequence(ids=ids, fingerprint=fingerprint))
-        return out
-    finally:
-        if own:
-            fp.close()
-
-
-def _id_stream_text(ids: TokenSequence, fingerprint: int) -> str:
-    buf = io.StringIO()
-    write_id_stream(buf, [ids], fingerprint)
-    return buf.getvalue()
+    """Parse the ID-stream transport format (a path, its bytes or a file object)."""
+    lines = read_lines(source)
+    _, header = next(lines, (1, ""))
+    parts = header.split()
+    if parts[:2] != ID_STREAM_MAGIC.split() or len(parts) != 3:
+        raise FormatError("line 1: missing or malformed ID-stream header")
+    match = re.fullmatch(r"fingerprint=([0-9a-fA-F]{1,16})", parts[2])
+    if match is None:
+        raise FormatError("line 1: ID-stream header lacks a hexadecimal fingerprint")
+    fingerprint = int(match[1], 16)
+    if expect_fingerprint is not None and fingerprint != expect_fingerprint:
+        raise CompatibilityError("ID stream belongs to a different vocabulary")
+    return [TokenSequence(parse_id_line(line, lineno), fingerprint) for lineno, line in lines]
 
 
 @dataclass
@@ -195,48 +181,56 @@ class DatasetFormatError(FormatError):
         self.lineno = lineno
 
 
-def _translate_field(
-    text: str, key: BijectionKey, vocab: Vocabulary, strict: bool, stats: DatasetSummary
-) -> str:
-    raw = text.encode("utf-8", errors="surrogateescape")
-    doc = encode_text(raw, key, vocab, strict=strict)
-    stats.tokens += len(doc.ids)
-    if doc.retokenization_safe:
-        return doc.rendered.decode("utf-8", errors="surrogateescape")
-    stats.unsafe_renderings += 1
-    return _id_stream_text(doc.ids, key.vocab_fingerprint)
+def read_jsonl(source) -> Iterator[tuple[int, dict]]:
+    """Yield (line number, JSON object) for each non-blank line of a JSONL source."""
+    for lineno, line in read_lines(source):
+        if not line.strip():
+            continue
+        try:
+            record = json.loads(line)
+        except (ValueError, RecursionError) as e:
+            raise DatasetFormatError(lineno, f"invalid JSON: {e}") from e
+        if not isinstance(record, dict):
+            raise DatasetFormatError(lineno, "record is not a JSON object")
+        yield lineno, record
 
 
-def _restore_field(text: str, key: BijectionKey, vocab: Vocabulary) -> str:
-    raw = text.encode("utf-8", errors="surrogateescape")
-    return decode_text(raw, key, vocab).decode("utf-8", errors="surrogateescape")
-
-
-def transform_record(
-    record: dict, key: BijectionKey, vocab: Vocabulary, strict: bool, stats: DatasetSummary
-) -> dict:
-    """Translate the content fields of one record, leaving the rest verbatim."""
+def _walk_record(record: dict, field_fn: Callable[[str], str]) -> dict:
+    """Apply ``field_fn`` to each content field of one record, leaving the rest verbatim."""
     out = dict(record)
     if "messages" in record:
-        if not isinstance(record["messages"], list):
+        msgs = record["messages"]
+        if not isinstance(msgs, list):
             raise FormatError('"messages" must be an array')
-        msgs = []
-        for msg in record["messages"]:
-            if not isinstance(msg, dict) or not isinstance(msg.get("content"), str):
-                raise FormatError('each message needs a string "content" field')
-            new = dict(msg)
-            new["content"] = _translate_field(msg["content"], key, vocab, strict, stats)
-            msgs.append(new)
-        out["messages"] = msgs
+        if not all(isinstance(m, dict) and isinstance(m.get("content"), str) for m in msgs):
+            raise FormatError('each message needs a string "content" field')
+        out["messages"] = [{**m, "content": field_fn(m["content"])} for m in msgs]
         return out
-    if "instruction" in record or "response" in record:
-        for field_name in ("instruction", "response"):
-            if field_name in record:
-                if not isinstance(record[field_name], str):
-                    raise FormatError(f'"{field_name}" must be a string')
-                out[field_name] = _translate_field(record[field_name], key, vocab, strict, stats)
-        return out
-    raise FormatError('record has neither "messages" nor "instruction"/"response"')
+    fields = [name for name in ("instruction", "response") if name in record]
+    if not fields:
+        raise FormatError('record has neither "messages" nor "instruction"/"response"')
+    for name in fields:
+        if not isinstance(record[name], str):
+            raise FormatError(f'"{name}" must be a string')
+        out[name] = field_fn(record[name])
+    return out
+
+
+def _map_dataset(input_path, output_path, field_fn: Callable[[str], str]) -> int:
+    """Write every record of a JSONL file through ``field_fn``; returns the record count."""
+    records = 0
+    # the input opens first, so a missing input leaves the output untouched
+    with open(input_path, "rb") as src, open(output_path, "w", encoding="utf-8") as dst:
+        for lineno, record in read_jsonl(src):
+            try:
+                out = _walk_record(record, field_fn)
+            except StabilityError as e:
+                raise DatasetFormatError(lineno, f"unstable rendering: {e}") from e
+            except (FormatError, UnicodeEncodeError) as e:  # lone surrogates from \ud800 escapes
+                raise DatasetFormatError(lineno, str(e)) from e
+            dst.write(json.dumps(out, ensure_ascii=True, sort_keys=False) + "\n")
+            records += 1
+    return records
 
 
 def alienize_dataset(
@@ -254,25 +248,18 @@ def alienize_dataset(
     in strict mode it aborts.
     """
     stats = DatasetSummary(records=0, tokens=0, unsafe_renderings=0)
-    with open(input_path, "r", encoding="utf-8") as src, open(
-        output_path, "w", encoding="utf-8"
-    ) as dst:
-        for lineno, line in enumerate(src, start=1):
-            if not line.strip():
-                continue
-            try:
-                record = json.loads(line)
-                if not isinstance(record, dict):
-                    raise FormatError("record is not a JSON object")
-                translated = transform_record(record, key, vocab, strict, stats)
-            except StabilityError as e:
-                raise DatasetFormatError(lineno, f"unstable rendering: {e}") from e
-            except FormatError as e:
-                raise DatasetFormatError(lineno, str(e)) from e
-            except json.JSONDecodeError as e:
-                raise DatasetFormatError(lineno, f"invalid JSON: {e}") from e
-            dst.write(json.dumps(translated, ensure_ascii=True, sort_keys=False) + "\n")
-            stats.records += 1
+
+    def translate(text: str) -> str:
+        doc = encode_text(text.encode("utf-8", errors="surrogateescape"), key, vocab, strict)
+        stats.tokens += len(doc.ids)
+        if doc.retokenization_safe:
+            return doc.rendered.decode("utf-8", errors="surrogateescape")
+        stats.unsafe_renderings += 1
+        buf = io.StringIO()
+        write_id_stream(buf, [doc.ids], key.vocab_fingerprint)
+        return buf.getvalue()
+
+    stats.records = _map_dataset(input_path, output_path, translate)
     return stats
 
 
@@ -283,27 +270,10 @@ def restore_dataset(
     output_path: str | Path,
 ) -> DatasetSummary:
     """Inverse of :func:`alienize_dataset` for content fields (test utility)."""
-    stats = DatasetSummary(records=0, tokens=0, unsafe_renderings=0)
-    with open(input_path, "r", encoding="utf-8") as src, open(
-        output_path, "w", encoding="utf-8"
-    ) as dst:
-        for lineno, line in enumerate(src, start=1):
-            if not line.strip():
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as e:
-                raise DatasetFormatError(lineno, f"invalid JSON: {e}") from e
-            out = dict(record)
-            if "messages" in record:
-                out["messages"] = [
-                    {**m, "content": _restore_field(m["content"], key, vocab)}
-                    for m in record["messages"]
-                ]
-            else:
-                for field_name in ("instruction", "response"):
-                    if field_name in record:
-                        out[field_name] = _restore_field(record[field_name], key, vocab)
-            dst.write(json.dumps(out, ensure_ascii=True, sort_keys=False) + "\n")
-            stats.records += 1
-    return stats
+
+    def restore(text: str) -> str:
+        plain = decode_text(text.encode("utf-8", errors="surrogateescape"), key, vocab)
+        return plain.decode("utf-8", errors="surrogateescape")
+
+    records = _map_dataset(input_path, output_path, restore)
+    return DatasetSummary(records=records, tokens=0, unsafe_renderings=0)

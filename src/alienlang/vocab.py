@@ -9,11 +9,12 @@ single byte 0xFF); Python's json module accepts these in both directions.
 from __future__ import annotations
 
 import hashlib
+import io
 import json
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import ArgumentError, CoverageError, FormatError, UnknownTokenError
 
@@ -226,29 +227,52 @@ def detokenize(ids: TokenSequence | Sequence[int], vocab: Vocabulary) -> bytes:
     return b"".join(vocab.token_of(tid) for tid in seq)
 
 
+def read_lines(source) -> Iterator[tuple[int, str]]:
+    """Yield (line number, line) from a path, a byte string or a file object.
+
+    The one line reader of every line format.  Lines end at each newline
+    byte; a line whose bytes are not UTF-8 raises :class:`FormatError` naming it.
+    """
+    if isinstance(source, (str, Path)):
+        with open(source, "rb") as fp:
+            yield from read_lines(fp)
+        return
+    for lineno, line in enumerate(io.BytesIO(source) if isinstance(source, bytes) else source, 1):
+        if isinstance(line, bytes):
+            try:
+                line = line.decode("utf-8")
+            except UnicodeDecodeError as e:
+                raise FormatError(f"line {lineno}: not UTF-8 ({e.reason} at byte {e.start})") from e
+        yield lineno, line
+
+
+def parse_id_line(line: str, lineno: int) -> tuple[int, ...]:
+    """Parse one line of space-separated decimal token IDs."""
+    if line.isascii():  # int() and str.split() also take non-ASCII digits and spaces
+        try:
+            return tuple(int(tok) for tok in line.split())
+        except ValueError:
+            pass
+    raise FormatError(f"line {lineno}: not a space-separated ID list")
+
+
+def write_id_lines(fp, sequences: Iterable[TokenSequence | Sequence[int]]) -> None:
+    """Write each sequence to a text file object as one line of space-separated IDs."""
+    for seq in sequences:
+        ids = seq.ids if isinstance(seq, TokenSequence) else seq
+        fp.write(" ".join(str(i) for i in ids) + "\n")
+
+
 def read_pretokenized(path: str | Path, vocab: Vocabulary | None = None) -> list[TokenSequence]:
     """Read a pretokenized stream: one sequence of space-separated IDs per line.
 
     When a vocabulary is given, IDs are validated against it and sequences
     carry its fingerprint.
     """
-    sequences: list[TokenSequence] = []
-    with open(path, "r", encoding="utf-8") as fp:
-        for lineno, line in enumerate(fp, start=1):
-            line = line.strip()
-            try:
-                ids = tuple(int(tok) for tok in line.split()) if line else ()
-            except ValueError as e:
-                raise FormatError(f"line {lineno}: not a space-separated ID list") from e
-            if vocab is not None:
-                sequences.append(vocab.sequence(ids))
-            else:
-                sequences.append(TokenSequence(ids=ids))
-    return sequences
+    wrap = TokenSequence if vocab is None else vocab.sequence
+    return [wrap(parse_id_line(line, lineno)) for lineno, line in read_lines(path)]
 
 
 def write_pretokenized(sequences: Iterable[TokenSequence | Sequence[int]], path: str | Path) -> None:
     with open(path, "w", encoding="utf-8") as fp:
-        for seq in sequences:
-            ids = seq.ids if isinstance(seq, TokenSequence) else seq
-            fp.write(" ".join(str(i) for i in ids) + "\n")
+        write_id_lines(fp, sequences)

@@ -505,6 +505,33 @@ class TestSerialization:
         with pytest.raises(FormatError):
             load_key(path)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("mapping", [["a", 3]]),
+            ("mapping", [[1.5, 3]]),
+            ("mapping", [[True, 3]]),
+            ("mapping", 5),
+            ("mapping", {"1": 3}),
+            ("fixed_points", 5),
+            ("fixed_points", ["4"]),
+            ("fixed_points", [4.0]),
+            ("fixed_points", [False]),
+        ],
+    )
+    def test_malformed_id_fields_rejected(self, tmp_path, field, value):
+        import json as json_mod
+
+        vocab, store = build_instance(6, 20)
+        key = build_key(vocab, store, BuildConfig(k=3, seed=2))
+        path = tmp_path / "key.json"
+        save_key(key, path)
+        doc = json_mod.loads(path.read_text())
+        doc[field] = value
+        path.write_text(json_mod.dumps(doc))
+        with pytest.raises(FormatError):
+            load_key(path)
+
     def test_bucket_assignment_reconstructible(self):
         # bucket_of never hits the key file; it must be a pure function
         for tid in (0, 17, 123456):
@@ -528,3 +555,8 @@ class TestConfigValidation:
     def test_bad_config_rejected(self, kwargs):
         with pytest.raises(ArgumentError):
             BuildConfig(**kwargs)
+
+    @pytest.mark.parametrize("mu", [math.nan, math.inf, -math.inf])
+    def test_non_finite_mu_rejected(self, mu):
+        with pytest.raises(ArgumentError):
+            BuildConfig(mu=mu)

@@ -363,6 +363,74 @@ class TestExitCodes:
         assert run(argv) == 1
         assert "error:" in capsys.readouterr().err
 
+    def _one_error_line(self, capsys):
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        return err
+
+    def test_non_finite_mu_is_1(self, workspace, capsys):
+        argv = [
+            "build-key",
+            "--vocab", workspace["vocab_path"],
+            "--embeddings", workspace["emb_path"],
+            "--mu", "nan",
+            "--out", str(workspace["dir"] / "key.json"),
+        ]
+        assert run(argv) == 1
+        assert "mu" in self._one_error_line(capsys)
+        assert not (workspace["dir"] / "key.json").exists()
+
+    def test_emit_dataset_non_utf8_is_1(self, workspace, capsys):
+        out = workspace["dir"] / "key.json"
+        build_key_cli(workspace, out)
+        src = workspace["dir"] / "data.jsonl"
+        src.write_bytes(b'{"instruction": "ok", "response": "ok"}\n{"instruction": "\xff"}\n')
+        capsys.readouterr()
+        argv = [
+            "emit-dataset",
+            "--vocab", workspace["vocab_path"],
+            "--specials", workspace["specials_path"],
+            "--key", str(out),
+            "--in", str(src),
+            "--out", str(workspace["dir"] / "alien.jsonl"),
+        ]
+        assert run(argv) == 1
+        assert "line 2" in self._one_error_line(capsys)
+
+    def test_decode_non_hex_fingerprint_is_1(self, workspace, capsys):
+        out = workspace["dir"] / "key.json"
+        build_key_cli(workspace, out)
+        src = workspace["dir"] / "alien.txt"
+        src.write_bytes(b"#alien-ids v1 fingerprint=zz\n1 2 3\n")
+        capsys.readouterr()
+        argv = [
+            "decode",
+            "--vocab", workspace["vocab_path"],
+            "--specials", workspace["specials_path"],
+            "--key", str(out),
+            str(src), str(workspace["dir"] / "back.txt"),
+        ]
+        assert run(argv) == 1
+        assert "fingerprint" in self._one_error_line(capsys)
+
+    def test_attack_ngram_malformed_pair_is_1(self, workspace, capsys):
+        out = workspace["dir"] / "key.json"
+        build_key_cli(workspace, out)
+        leaked = workspace["dir"] / "leaked.jsonl"
+        leaked.write_text('{"plain": [1, 2], "alien": [1, 2]}\n{"plain": ["a"], "alien": [3]}\n')
+        capsys.readouterr()
+        argv = [
+            "attack", "ngram",
+            "--vocab", workspace["vocab_path"],
+            "--specials", workspace["specials_path"],
+            "--key", str(out),
+            "--leaked", str(leaked),
+            "--eval", str(leaked),
+        ]
+        assert run(argv) == 1
+        err = self._one_error_line(capsys)
+        assert str(leaked) in err and "line 2" in err and "plain" in err
+
     def test_every_subcommand_has_help(self, capsys):
         for argv in (
             ["build-key", "--help"],

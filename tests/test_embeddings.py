@@ -3,6 +3,7 @@ import pytest
 
 from alienlang import (
     ArgumentError,
+    CoverageError,
     DegenerateInputError,
     EmbeddingStore,
     FormatError,
@@ -204,6 +205,19 @@ class TestKnn:
         result = knn(store, 3, 20, range(64))
         sims = [float(np.dot(q, store.rows[i])) for i in result]
         assert all(a >= b for a, b in zip(sims, sims[1:]))
+
+
+class TestIdRange:
+    @pytest.mark.parametrize(
+        "query, candidates",
+        [(-1, range(4)), (4, range(4)), (0, [-2, 1, 2]), (0, [1, 4]), (9, [])],
+    )
+    def test_ids_without_rows_rejected(self, query, candidates):
+        store = EmbeddingStore(rows=np.eye(4), normalized=True)
+        with pytest.raises(CoverageError):
+            topk_cosine(store, [0, query], 2, candidates)
+        with pytest.raises(CoverageError):
+            knn(store, query, 2, candidates)
 
 
 class TestTopkBatched:
