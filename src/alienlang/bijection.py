@@ -22,7 +22,7 @@ import json
 import math
 import statistics
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from functools import cached_property
 from pathlib import Path
 from typing import Iterable
@@ -31,7 +31,7 @@ import numpy as np
 
 from . import editdist
 from .embeddings import EmbeddingStore, topk_cosine
-from .errors import ArgumentError, CompatibilityError, CoverageError, FormatError
+from .errors import ArgumentError, CompatibilityError, CoverageError, FormatError, ToolkitError
 from .seeding import derive_rng, derive_seed
 from .vocab import Vocabulary
 
@@ -71,16 +71,24 @@ class BuildConfig:
 class BijectionKey:
     """The client-held secret: an involutive mapping over the masked IDs.
 
-    ``mapping`` is total on ``mask`` (fixed points map to themselves) and is
-    its own inverse.
+    ``mapping`` is its own inverse; its domain is the mask, and fixed points
+    map to themselves.
     """
 
     version: int
     vocab_fingerprint: int
     config: BuildConfig
-    mask: frozenset[int]
     mapping: dict[int, int]
-    fixed_points: tuple[int, ...]
+
+    @cached_property
+    def mask(self) -> frozenset[int]:
+        """The masked ids: the domain of ``mapping``."""
+        return frozenset(self.mapping)
+
+    @cached_property
+    def fixed_points(self) -> tuple[int, ...]:
+        """The masked ids that map to themselves, ascending."""
+        return tuple(sorted(i for i, j in self.mapping.items() if i == j))
 
     @cached_property
     def bucket_of(self) -> dict[int, int]:
@@ -93,17 +101,10 @@ class BijectionKey:
         return self.mapping.get(token_id, token_id)
 
     def validate(self) -> None:
-        """Check the structural invariants; raises FormatError on violation."""
-        if set(self.mapping) != self.mask:
-            raise FormatError("mapping domain differs from mask")
+        """Check that ``mapping`` is an involution; raises FormatError if not."""
         for i, j in self.mapping.items():
-            if j not in self.mask:
-                raise FormatError(f"mapping image {j} escapes the mask")
             if self.mapping.get(j) != i:
                 raise FormatError(f"involution broken at pair ({i}, {j})")
-        fixed = {i for i, j in self.mapping.items() if i == j}
-        if fixed != set(self.fixed_points):
-            raise FormatError("fixed_points list disagrees with mapping")
 
 
 def bucket_index(seed: int, buckets: int, token_id: int) -> int:
@@ -185,16 +186,11 @@ def _greedy_pair_cell(
     store: EmbeddingStore,
     config: BuildConfig,
     cell: int,
-) -> tuple[dict[int, int], list[int]]:
-    """Pair one bucket cell; returns (mapping fragment, fixed points)."""
-    mapping: dict[int, int] = {}
-    fixed: list[int] = []
+) -> dict[int, int]:
+    """Pair one non-empty bucket cell; returns its mapping fragment."""
     m = len(members)
-    if m == 0:
-        return mapping, fixed
     if m == 1:
-        mapping[members[0]] = members[0]
-        return mapping, [members[0]]
+        return {members[0]: members[0]}
 
     member_arr = np.asarray(members, dtype=np.int64)
     nbr_ids, nbr_sims = topk_cosine(
@@ -223,6 +219,7 @@ def _greedy_pair_cell(
     ranked = np.take_along_axis(cand_pos, np.lexsort((nbr_ids, -scores), axis=-1), axis=1)
     del rows, cols, nbr_pos, surfaces, edits, scores, cand_pos, nbr_ids, nbr_sims
 
+    mapping: dict[int, int] = {}
     available = [True] * m
     for r in range(m):  # members are ascending by construction
         if not available[r]:
@@ -244,11 +241,10 @@ def _greedy_pair_cell(
         if len(shuffled) % 2 == 1:
             fp = shuffled.pop()
             mapping[fp] = fp
-            fixed.append(fp)
         for a, b in zip(shuffled[0::2], shuffled[1::2]):
             mapping[a] = b
             mapping[b] = a
-    return mapping, fixed
+    return mapping
 
 
 def build_key(
@@ -274,33 +270,20 @@ def build_key(
     for i in sorted(mask):
         cells.setdefault(bucket_index(config.seed, config.buckets, i), []).append(i)
 
-    mapping: dict[int, int] = {}
-    fixed_points: list[int] = []
-    items = sorted(cells.items())
-    if threads and threads > 1 and len(items) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            futures = {
-                cell: pool.submit(_greedy_pair_cell, members, vocab, store, config, cell)
-                for cell, members in items
-            }
-            results = [(cell, futures[cell].result()) for cell, _ in items]
-    else:
-        results = [
-            (cell, _greedy_pair_cell(members, vocab, store, config, cell))
-            for cell, members in items
-        ]
-    for _, (frag, fixed) in sorted(results):
-        mapping.update(frag)
-        fixed_points.extend(fixed)
+    def pair_cell(cell: int) -> dict[int, int]:
+        return _greedy_pair_cell(cells[cell], vocab, store, config, cell)
 
-    key = BijectionKey(
-        version=KEY_FORMAT_VERSION,
-        vocab_fingerprint=vocab.fingerprint,
-        config=config,
-        mask=mask,
-        mapping=mapping,
-        fixed_points=tuple(sorted(fixed_points)),
-    )
+    order = sorted(cells)
+    if threads and threads > 1 and len(order) > 1:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            fragments = list(pool.map(pair_cell, order))
+    else:
+        fragments = map(pair_cell, order)
+    mapping: dict[int, int] = {}
+    for frag in fragments:
+        mapping.update(frag)
+
+    key = BijectionKey(KEY_FORMAT_VERSION, vocab.fingerprint, config, mapping)
     key.validate()
     return key
 
@@ -387,15 +370,7 @@ def save_key(key: BijectionKey, path: str | Path) -> None:
     doc = {
         "version": key.version,
         "vocab_fingerprint": f"{key.vocab_fingerprint:016x}",
-        "config": {
-            "k": key.config.k,
-            "mu": key.config.mu,
-            "rho": key.config.rho,
-            "seed": key.config.seed,
-            "buckets": key.config.buckets,
-            "greedy_batch": key.config.greedy_batch,
-            "edit_mode": key.config.edit_mode,
-        },
+        "config": asdict(key.config),
         "fixed_points": list(key.fixed_points),
         "mapping": [[i, j] for i, j in pairs],
     }
@@ -403,11 +378,38 @@ def save_key(key: BijectionKey, path: str | Path) -> None:
     Path(path).write_bytes(blob.encode("ascii"))
 
 
+# the JSON value types a key file may give a BuildConfig field of each type
+_JSON_TYPES = {"int": (int,), "float": (int, float), "str": (str,)}
+
+
+def _assemble(
+    fingerprint: int,
+    config: BuildConfig,
+    pairs: Iterable[tuple[int, int]],
+    fixed_points: Iterable[int],
+    error: type[ToolkitError],
+) -> BijectionKey:
+    """A key from disjoint pairs and fixed points; an id used twice raises ``error``."""
+    mapping: dict[int, int] = {}
+    for i, j in pairs:
+        if i == j:
+            raise error(f"pair ({i}, {j}) maps an id to itself: use fixed_points")
+        if i in mapping or j in mapping:
+            raise error(f"token id reused across pairs near ({i}, {j}): involution broken")
+        mapping[i] = j
+        mapping[j] = i
+    for fp in fixed_points:
+        if fp in mapping:
+            raise error(f"fixed point {fp} is already mapped: involution broken")
+        mapping[fp] = fp
+    return BijectionKey(KEY_FORMAT_VERSION, fingerprint, config, mapping)
+
+
 def load_key(path: str | Path) -> BijectionKey:
     """Load and structurally validate a key file."""
     try:
         doc = json.loads(Path(path).read_text(encoding="ascii"))
-    except (json.JSONDecodeError, UnicodeDecodeError) as e:
+    except (ValueError, RecursionError) as e:  # JSONDecodeError, UnicodeDecodeError, huge ints
         raise FormatError(f"key file is not valid JSON: {e}") from e
     if not isinstance(doc, dict):
         raise FormatError(f"key file must hold a JSON object, not {type(doc).__name__}")
@@ -415,69 +417,36 @@ def load_key(path: str | Path) -> BijectionKey:
         raise FormatError(f"unsupported key format version {doc.get('version')!r}")
     try:
         fingerprint = int(doc["vocab_fingerprint"], 16)
-        cfg = doc["config"]
-        config = BuildConfig(
-            k=cfg["k"],
-            mu=cfg["mu"],
-            rho=cfg["rho"],
-            seed=cfg["seed"],
-            buckets=cfg["buckets"],
-            greedy_batch=cfg["greedy_batch"],
-            edit_mode=cfg["edit_mode"],
-        )
+        cfg = {f.name: doc["config"][f.name] for f in fields(BuildConfig)}
         raw_pairs = doc["mapping"]
         fixed_points = doc["fixed_points"]
     except (KeyError, TypeError, ValueError) as e:
         raise FormatError(f"key file missing or malformed field: {e}") from e
     # type() rather than isinstance() below: JSON true/false load as bool, an int subclass
+    for f in fields(BuildConfig):
+        if type(cfg[f.name]) not in _JSON_TYPES[f.type]:
+            raise FormatError(f"key file config {f.name}={cfg[f.name]!r} is not a valid {f.type}")
     if not (isinstance(raw_pairs, list) and isinstance(fixed_points, list)):
         raise FormatError('key file "mapping" and "fixed_points" must be arrays')
     if not all(type(fp) is int for fp in fixed_points):
         raise FormatError("key file fixed points must be integers")
 
-    mapping: dict[int, int] = {}
-    seen: set[int] = set()
-    for entry in raw_pairs:
-        i, j = entry if isinstance(entry, list) and len(entry) == 2 else (None, None)
-        if type(i) is not int or type(j) is not int:
-            raise FormatError(f"malformed mapping entry {entry!r}")
-        if not i < j:
-            raise FormatError(f"mapping pair [{i}, {j}] violates i < j")
-        if i in seen or j in seen:
-            raise FormatError(f"token id reused across pairs near [{i}, {j}]: involution broken")
-        seen.update((i, j))
-        mapping[i] = j
-        mapping[j] = i
-    for fp in fixed_points:
-        if fp in seen:
-            raise FormatError(f"fixed point {fp} also appears in a pair: involution broken")
-        seen.add(fp)
-        mapping[fp] = fp
+    def pairs():
+        for entry in raw_pairs:
+            i, j = entry if isinstance(entry, list) and len(entry) == 2 else (None, None)
+            if type(i) is not int or type(j) is not int:
+                raise FormatError(f"malformed mapping entry {entry!r}")
+            if not i < j:
+                raise FormatError(f"mapping pair [{i}, {j}] violates i < j")
+            yield i, j
 
-    mask = frozenset(seen)
-    key = BijectionKey(
-        version=KEY_FORMAT_VERSION,
-        vocab_fingerprint=fingerprint,
-        config=config,
-        mask=mask,
-        mapping=mapping,
-        fixed_points=tuple(fixed_points),
-    )
-    key.validate()
-    return key
+    return _assemble(fingerprint, BuildConfig(**cfg), pairs(), fixed_points, FormatError)
 
 
 def identity_key(vocab: Vocabulary, config: BuildConfig | None = None) -> BijectionKey:
     """A rho=0 key for the vocabulary: empty mask, encode is identity."""
     config = replace(config or BuildConfig(), rho=0.0)
-    return BijectionKey(
-        version=KEY_FORMAT_VERSION,
-        vocab_fingerprint=vocab.fingerprint,
-        config=config,
-        mask=frozenset(),
-        mapping={},
-        fixed_points=(),
-    )
+    return BijectionKey(KEY_FORMAT_VERSION, vocab.fingerprint, config, {})
 
 
 def key_from_pairs(
@@ -487,30 +456,8 @@ def key_from_pairs(
     fixed_points: Iterable[int] = (),
 ) -> BijectionKey:
     """Assemble a key from explicit pairs (diagnostics and tests)."""
+    pairs = list(pairs)
+    if any(i in vocab.specials or j in vocab.specials for i, j in pairs):
+        raise ArgumentError("special tokens cannot be paired")
     config = config or BuildConfig()
-    mapping: dict[int, int] = {}
-    for i, j in pairs:
-        if i == j:
-            raise ArgumentError("use fixed_points for identity entries")
-        if i in vocab.specials or j in vocab.specials:
-            raise ArgumentError("special tokens cannot be paired")
-        if i in mapping or j in mapping:
-            raise ArgumentError(f"token id reused in pairs near ({i}, {j})")
-        mapping[i] = j
-        mapping[j] = i
-    fps = tuple(sorted(set(fixed_points)))
-    for fp in fps:
-        if fp in mapping:
-            raise ArgumentError(f"fixed point {fp} also appears in a pair")
-        mapping[fp] = fp
-    mask = frozenset(mapping)
-    key = BijectionKey(
-        version=KEY_FORMAT_VERSION,
-        vocab_fingerprint=vocab.fingerprint,
-        config=config,
-        mask=mask,
-        mapping=mapping,
-        fixed_points=fps,
-    )
-    key.validate()
-    return key
+    return _assemble(vocab.fingerprint, config, pairs, sorted(set(fixed_points)), ArgumentError)

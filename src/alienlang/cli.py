@@ -177,9 +177,12 @@ def _cmd_attack(args) -> int:
         if not endpoint:
             raise FormatError("no endpoint: pass --endpoint or set ALIEN_ENDPOINT")
         eval_set = _read_records(args.eval, ("alien", "reference"), lambda v: isinstance(v, str))
-        template = (
-            Path(args.template).read_text(encoding="utf-8") if args.template else None
-        )
+        template = None
+        if args.template:
+            try:
+                template = Path(args.template).read_text(encoding="utf-8")
+            except UnicodeDecodeError as e:
+                raise FormatError(f"{args.template}: template is not UTF-8: {e}") from e
         config = EndpointConfig(
             base_url=endpoint,
             auth_token=token,

@@ -68,24 +68,18 @@ def encode_text(
     key: BijectionKey,
     vocab: Vocabulary,
     strict: bool = False,
-    tokenizer=None,
 ) -> AlienDocument:
-    """Tokenize, remap, render; verify the retokenization fixpoint.
-
-    ``tokenizer`` may override the reference tokenizer with any callable
-    (bytes, vocab) -> TokenSequence.
-    """
+    """Tokenize, remap, render; verify the retokenization fixpoint."""
     if key.vocab_fingerprint != vocab.fingerprint:
         raise CompatibilityError("key was built for a different vocabulary")
-    tok = tokenizer or reference_tokenize
-    ids = encode_ids(tok(x, vocab), key)
+    ids = encode_ids(reference_tokenize(x, vocab), key)
     rendered = detokenize(ids, vocab)
     if rendered.startswith(ID_STREAM_MAGIC.encode("ascii")):
         # decode_text would parse this rendering as an ID stream.
         if strict:
             raise StabilityError("rendered text starts with the ID-stream header", position=0)
         return AlienDocument(ids=ids, rendered=rendered, retokenization_safe=False)
-    recheck = tok(rendered, vocab)
+    recheck = reference_tokenize(rendered, vocab)
     safe = recheck.ids == ids.ids
     if strict and not safe:
         pos = next(
@@ -104,7 +98,6 @@ def decode_text(
     x_alien: bytes | AlienDocument,
     key: BijectionKey,
     vocab: Vocabulary,
-    tokenizer=None,
 ) -> bytes:
     """Recover plaintext from an alien document or rendered alien bytes.
 
@@ -121,10 +114,9 @@ def decode_text(
     if x_alien.startswith(ID_STREAM_MAGIC.encode("ascii")):
         seqs = read_id_stream(x_alien, key.vocab_fingerprint)
         return b"".join(detokenize(decode_ids(s, key), vocab) for s in seqs)
-    tok = tokenizer or reference_tokenize
-    ids = tok(x_alien, vocab)
+    ids = reference_tokenize(x_alien, vocab)
     plain = detokenize(decode_ids(ids, key), vocab)
-    roundtrip = detokenize(encode_ids(tok(plain, vocab), key), vocab)
+    roundtrip = detokenize(encode_ids(reference_tokenize(plain, vocab), key), vocab)
     if roundtrip != x_alien:
         raise StabilityError(
             "alien text is not a stable rendering (ID form unavailable); "

@@ -171,6 +171,8 @@ def load_vocab(path: str | Path, specials_path: str | Path | None = None) -> Voc
             raise FormatError("specials file must be a JSON array of token strings")
         token_map = {tok: tid for tok, tid in entries}
         for tok_str in spec_list:
+            if not isinstance(tok_str, str):
+                raise FormatError(f"specials file entry {tok_str!r} is not a token string")
             tok = _surrogate_encode(tok_str)
             if tok not in token_map:
                 raise UnknownTokenError(f"special token {tok_str!r} absent from vocab")

@@ -338,6 +338,15 @@ class TestKeyBytesPinned:
         key = build_key(vocab, axis_store if ties else store, config, threads=threads)
         assert key_sha256(key, tmp_path) == digest
 
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_load_save_reproduces_bytes(self, name, tmp_path):
+        config, threads, ties, _ = self.CASES[name]
+        vocab, store, axis_store = pinned_instance()
+        first, second = tmp_path / "first.json", tmp_path / "second.json"
+        save_key(build_key(vocab, axis_store if ties else store, config, threads=threads), first)
+        save_key(load_key(first), second)
+        assert second.read_bytes() == first.read_bytes()
+
     def test_k_covers_every_cell(self):
         # the k_covers_cell case exercises k >= cell size only if no cell exceeds k
         vocab, _, _ = pinned_instance()
@@ -531,6 +540,102 @@ class TestSerialization:
         path.write_text(json_mod.dumps(doc))
         with pytest.raises(FormatError):
             load_key(path)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("k", 2.5),
+            ("k", True),
+            ("k", "3"),
+            ("seed", "x"),
+            ("seed", 1.0),
+            ("seed", None),
+            ("buckets", True),
+            ("buckets", [2]),
+            ("greedy_batch", 50.0),
+            ("mu", "1"),
+            ("mu", False),
+            ("rho", None),
+            ("rho", {"v": 1}),
+            ("edit_mode", 1),
+            ("edit_mode", None),
+        ],
+    )
+    def test_malformed_config_types_rejected(self, tmp_path, field, value):
+        import json as json_mod
+
+        vocab = vocab_from([b"aa", b"bb", b"cc"])
+        path = tmp_path / "key.json"
+        save_key(key_from_pairs(vocab, [(0, 1)], fixed_points=[2]), path)
+        doc = json_mod.loads(path.read_text())
+        doc["config"][field] = value
+        path.write_text(json_mod.dumps(doc))
+        with pytest.raises(FormatError, match=field):
+            load_key(path)
+
+    def test_integral_mu_and_rho_accepted(self, tmp_path):
+        import json as json_mod
+
+        vocab = vocab_from([b"aa", b"bb"])
+        path = tmp_path / "key.json"
+        save_key(key_from_pairs(vocab, [(0, 1)]), path)
+        doc = json_mod.loads(path.read_text())
+        doc["config"].update(mu=2, rho=1)
+        path.write_text(json_mod.dumps(doc))
+        assert load_key(path).config == BuildConfig(mu=2.0, rho=1.0)
+
+    def test_fixed_points_derived_sorted(self, tmp_path):
+        import json as json_mod
+
+        vocab = vocab_from([b"aa", b"bb", b"cc", b"dd", b"ee"])
+        key = key_from_pairs(vocab, [(1, 3)], fixed_points=[4, 0, 2])
+        assert key.fixed_points == (0, 2, 4)
+        assert key.mask == frozenset(range(5))
+        path = tmp_path / "key.json"
+        save_key(key, path)
+        doc = json_mod.loads(path.read_text())
+        doc["fixed_points"] = [4, 2, 0]  # hand-edited out of order
+        path.write_text(json_mod.dumps(doc))
+        back = load_key(path)
+        assert back.fixed_points == (0, 2, 4) and back.mapping == key.mapping
+        resaved = tmp_path / "resaved.json"
+        save_key(back, resaved)
+        assert json_mod.loads(resaved.read_text())["fixed_points"] == [0, 2, 4]
+
+    @pytest.mark.parametrize(
+        "mapping, fixed_points",
+        [
+            ([[0, 1]], [1]),
+            ([[0, 1]], [2, 2]),
+            ([[1, 1]], []),
+            ([[2, 1]], []),
+        ],
+    )
+    def test_broken_involution_rejected(self, tmp_path, mapping, fixed_points):
+        import json as json_mod
+
+        vocab = vocab_from([b"aa", b"bb", b"cc"])
+        path = tmp_path / "key.json"
+        save_key(identity_key(vocab), path)
+        doc = json_mod.loads(path.read_text())
+        doc.update(mapping=mapping, fixed_points=fixed_points)
+        path.write_text(json_mod.dumps(doc))
+        with pytest.raises(FormatError):
+            load_key(path)
+
+    @pytest.mark.parametrize(
+        "pairs, fixed_points",
+        [
+            ([(0, 1), (1, 2)], []),
+            ([(0, 1)], [1]),
+            ([(1, 1)], []),
+            ([(0, 3)], []),  # id 3 is special
+        ],
+    )
+    def test_key_from_pairs_rejects_non_involutions(self, pairs, fixed_points):
+        vocab = vocab_from([b"aa", b"bb", b"cc", b"<s>"], specials=[b"<s>"])
+        with pytest.raises(ArgumentError):
+            key_from_pairs(vocab, pairs, fixed_points=fixed_points)
 
     def test_bucket_assignment_reconstructible(self):
         # bucket_of never hits the key file; it must be a pure function

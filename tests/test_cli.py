@@ -431,6 +431,36 @@ class TestExitCodes:
         err = self._one_error_line(capsys)
         assert str(leaked) in err and "line 2" in err and "plain" in err
 
+    def test_specials_non_string_is_1(self, workspace, capsys):
+        specials = workspace["dir"] / "specials_bad.json"
+        specials.write_text("[5]\n")
+        src = workspace["dir"] / "plain.txt"
+        src.write_bytes(b"the")
+        argv = [
+            "encode",
+            "--vocab", workspace["vocab_path"],
+            "--specials", str(specials),
+            "--key", str(workspace["dir"] / "key.json"),
+            str(src), str(workspace["dir"] / "alien.txt"),
+        ]
+        assert run(argv) == 1
+        assert "specials" in self._one_error_line(capsys)
+
+    def test_probe_non_utf8_template_is_1(self, workspace, capsys):
+        eval_path = workspace["dir"] / "eval.jsonl"
+        eval_path.write_text('{"alien": "x", "reference": "y"}\n')
+        template = workspace["dir"] / "template.txt"
+        template.write_bytes(b"\xff")
+        argv = [
+            "attack", "probe",
+            "--endpoint", "http://127.0.0.1:9",
+            "--eval", str(eval_path),
+            "--template", str(template),
+        ]
+        assert run(argv) == 1
+        err = self._one_error_line(capsys)
+        assert str(template) in err and "UTF-8" in err
+
     def test_every_subcommand_has_help(self, capsys):
         for argv in (
             ["build-key", "--help"],
