@@ -1,26 +1,28 @@
 """Observer-side recovery attacks and text-similarity scoring.
 
 Each attack separates inference from scoring: the hypothesis-generation
-functions never see the true key, and the public entry points accept either a
-key or any object exposing the same scoring surface (``decode(alien_id)`` and
-``masked_ids()``).  That seam is what lets tests prove the key cannot leak
-into the inference path.
+functions never see the true key, and the public entry points grade their
+guesses against ``truth``, any object with ``apply(alien_id) -> plain_id``
+and a ``mask`` of permuted ids.  A key is one; :class:`TruthOracle` wraps a
+bare callback.  That seam is what lets tests prove the key cannot leak into
+the inference path.
+
+A corpus is a sequence whose items are token ids or sequences of ids
+(tuples, lists, :class:`~alienlang.vocab.TokenSequence` objects).
 """
 
 from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass, field
-from typing import Callable, Iterable, Mapping, Sequence
+from dataclasses import asdict, dataclass, field
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 from scipy import sparse
 
-from .bijection import BijectionKey
 from .embeddings import EmbeddingStore
 from .errors import ArgumentError, CoverageError, FormatError
-from .vocab import TokenSequence
 
 
 @dataclass
@@ -45,63 +47,29 @@ class AttackReport:
             raise ArgumentError(f"bleu must lie in [0, 100], got {self.bleu}")
 
     def to_dict(self) -> dict:
-        return {
-            "attack_name": self.attack_name,
-            "parameters": self.parameters,
-            "token_recovery": self.token_recovery,
-            "bijection_recovery": self.bijection_recovery,
-            "bleu": self.bleu,
-            "rouge_l": self.rouge_l,
-            "evaluated_count": self.evaluated_count,
-            "details": self.details,
-        }
+        return asdict(self)
 
 
+@dataclass(frozen=True)
 class TruthOracle:
-    """Scoring-only adapter around a key, mapping, or callback.
+    """Scoring-only truth from a callback, with the surface a key has.
 
-    ``decode`` returns the true plaintext id for an alien id; ``masked_ids``
-    is the permuted set the attacker is graded against.
+    ``apply`` returns the true plaintext id for an alien id; ``mask`` is the
+    permuted set the attacker is graded against.
     """
 
-    def __init__(self, decode: Callable[[int], int], masked_ids: frozenset[int]):
-        self._decode = decode
-        self._mask = masked_ids
-
-    @classmethod
-    def of(cls, truth, mask: Iterable[int] | None = None) -> "TruthOracle":
-        if isinstance(truth, TruthOracle):
-            return truth
-        if isinstance(truth, BijectionKey):
-            return cls(truth.apply, truth.mask)
-        if isinstance(truth, Mapping):
-            table = dict(truth)
-            if mask is None:
-                mask = table.keys()
-            return cls(lambda i: table.get(i, i), frozenset(mask))
-        if callable(truth):
-            if mask is None:
-                raise ArgumentError("a scoring callback needs an explicit mask")
-            return cls(truth, frozenset(mask))
-        raise ArgumentError(f"cannot build a truth oracle from {type(truth).__name__}")
-
-    def decode(self, alien_id: int) -> int:
-        return self._decode(alien_id)
-
-    def masked_ids(self) -> frozenset[int]:
-        return self._mask
+    apply: Callable[[int], int]
+    mask: frozenset[int]
 
 
 def _flatten(corpus) -> list[int]:
-    if isinstance(corpus, TokenSequence):
-        return list(corpus.ids)
     out: list[int] = []
     for item in corpus:
-        if isinstance(item, TokenSequence):
-            out.extend(item.ids)
-        elif isinstance(item, (list, tuple)):
-            out.extend(int(i) for i in item)
-        else:
+        if isinstance(item, int):
+            out.append(item)
+        elif isinstance(item, Iterable):  # a sequence of ids
+            out.extend(map(int, item))
+        else:  # an id of another integer type, such as numpy's
             out.append(int(item))
     return out
 
@@ -130,31 +98,24 @@ def frequency_hypotheses(
     return list(zip(alien_ranks, ref_ranks))
 
 
-def frequency_attack(
-    alien_corpus,
-    reference_corpus,
-    truth,
-    top_m: int,
-    mask: Iterable[int] | None = None,
-) -> AttackReport:
+def frequency_attack(alien_corpus, reference_corpus, truth, top_m: int) -> AttackReport:
     """O1: frequency-rank matching between an alien corpus and a reference corpus.
 
     ``token_recovery`` is correct hypotheses about masked tokens over the full
     permuted set; ``head_recovery`` (details) is the hit rate over the
     attempted head, which is the meaningful number for identity keys.
     """
-    oracle = TruthOracle.of(truth, mask)
     hypotheses = frequency_hypotheses(alien_corpus, reference_corpus, top_m)
-    masked = oracle.masked_ids()
-    correct_total = sum(1 for a, p in hypotheses if oracle.decode(a) == p)
-    correct_masked = sum(1 for a, p in hypotheses if a in masked and oracle.decode(a) == p)
+    masked = truth.mask
+    correct = [a for a, p in hypotheses if truth.apply(a) == p]
+    correct_masked = sum(1 for a in correct if a in masked)
     return AttackReport(
         attack_name="frequency",
         parameters={"top_m": top_m},
         token_recovery=(correct_masked / len(masked)) if masked else 0.0,
         evaluated_count=len(hypotheses),
         details={
-            "head_recovery": correct_total / len(hypotheses),
+            "head_recovery": len(correct) / len(hypotheses),
             "correct_masked": correct_masked,
             "mask_size": len(masked),
         },
@@ -162,7 +123,7 @@ def frequency_attack(
 
 
 def _context_signatures(
-    sequences: Iterable[Sequence[int]],
+    sequences: list[list[int]],
     radius: int,
     translate: dict[int, int] | None,
     targets: set[int] | None,
@@ -174,8 +135,7 @@ def _context_signatures(
     signatures.
     """
     sigs: dict[int, Counter] = {}
-    for seq in sequences:
-        ids = list(seq.ids) if isinstance(seq, TokenSequence) else list(seq)
+    for ids in sequences:
         n = len(ids)
         for t, center in enumerate(ids):
             if targets is not None and center not in targets:
@@ -210,59 +170,42 @@ def ngram_hypotheses(
     evaluation pairs contribute only their alien sides to inference; their
     plaintext sides are the secret being recovered.  Candidates already
     consumed by known mappings are excluded, since the attacker knows the
-    mapping is a bijection.  Pure inference: no key involved.
+    mapping is a bijection.  Each unseen token gets the candidate with the
+    largest context overlap, ties (and an empty signature) going to the more
+    frequent candidate, then the lower id.  Pure inference: no key involved.
     """
     if n < 2:
         raise ArgumentError("n-gram order must be >= 2")
 
-    def sides(pairs):
-        plain_side, alien_side = [], []
-        for plain, alien in pairs:
-            p = list(plain.ids) if isinstance(plain, TokenSequence) else list(plain)
-            a = list(alien.ids) if isinstance(alien, TokenSequence) else list(alien)
-            plain_side.append(p)
-            alien_side.append(a)
-        return plain_side, alien_side
-
-    leaked_plain, leaked_alien = sides(leaked_pairs)
-    _, eval_alien = sides(eval_corpus)
+    leaked = [(list(plain), list(alien)) for plain, alien in leaked_pairs]
+    eval_alien = [list(alien) for _, alien in eval_corpus]
 
     known: dict[int, int] = {}
-    for p_seq, a_seq in zip(leaked_plain, leaked_alien):
+    for p_seq, a_seq in leaked:
         if len(p_seq) != len(a_seq):
             raise FormatError("leaked pairs must be positionally aligned (equal lengths)")
-        for p, a in zip(p_seq, a_seq):
-            known[a] = p
+        known.update(zip(a_seq, p_seq))
 
     if reference_corpus is None:
-        reference = leaked_plain
+        reference = [p_seq for p_seq, _ in leaked]
     else:
-        reference = [
-            list(seq.ids) if isinstance(seq, TokenSequence) else list(seq)
-            for seq in reference_corpus
-        ]
+        reference = [list(seq) for seq in reference_corpus]
     ref_freq = Counter(t for seq in reference for t in seq)
     consumed = set(known.values())
-    candidates = sorted(t for t in ref_freq if t not in consumed)
+    # candidate order is the tie-break: more frequent first, then lower id
+    candidates = sorted((t for t in ref_freq if t not in consumed), key=lambda t: (-ref_freq[t], t))
     radius = n - 1
 
-    unseen_targets = {
-        t for seq in eval_alien for t in seq if t not in known
-    }
+    unseen_targets = {t for seq in eval_alien for t in seq if t not in known}
     alien_sigs = _context_signatures(eval_alien, radius, translate=known, targets=unseen_targets)
-    plain_sigs = _context_signatures(
-        reference, radius, translate=None, targets=set(candidates)
-    )
+    plain_sigs = _context_signatures(reference, radius, translate=None, targets=set(candidates))
 
     guesses: dict[int, int] = {}
     if not candidates:
         return known, guesses
 
-    cand_index = {c: idx for idx, c in enumerate(candidates)}
-    cand_freq = np.array([ref_freq[c] for c in candidates], dtype=np.int64)
-    cand_ids = np.array(candidates, dtype=np.int64)
-
     # Sparse candidate-by-context matrix for fast multiset intersections.
+    cand_index = {c: idx for idx, c in enumerate(candidates)}
     context_values = sorted({v for sig in plain_sigs.values() for v in sig})
     ctx_index = {v: idx for idx, v in enumerate(context_values)}
     rows, cols, data = [], [], []
@@ -276,33 +219,15 @@ def ngram_hypotheses(
         (data, (rows, cols)), shape=(len(candidates), max(len(context_values), 1))
     )
 
-    # Default guess for empty signatures: highest frequency, then lowest id.
-    default_order = np.lexsort((cand_ids, -cand_freq))
-    default_guess = int(cand_ids[default_order[0]])
-
     for alien_tok in sorted(unseen_targets):
-        sig = alien_sigs.get(alien_tok)
-        if not sig:
-            guesses[alien_tok] = default_guess
-            continue
         scores = np.zeros(len(candidates), dtype=np.int64)
-        touched = False
-        for v, cnt in sig.items():
+        for v, cnt in alien_sigs[alien_tok].items():
             col = ctx_index.get(v)
-            if col is None:
-                continue
-            start, stop = matrix.indptr[col], matrix.indptr[col + 1]
-            if start == stop:
-                continue
-            idx = matrix.indices[start:stop]
-            vals = matrix.data[start:stop]
-            scores[idx] += np.minimum(vals, cnt)
-            touched = True
-        if not touched:
-            guesses[alien_tok] = default_guess
-            continue
-        order = np.lexsort((cand_ids, -cand_freq, -scores))
-        guesses[alien_tok] = int(cand_ids[order[0]])
+            if col is not None:
+                start, stop = matrix.indptr[col], matrix.indptr[col + 1]
+                scores[matrix.indices[start:stop]] += np.minimum(matrix.data[start:stop], cnt)
+        # argmax takes the first maximum: candidate 0 when nothing overlaps
+        guesses[alien_tok] = candidates[int(scores.argmax())]
     return known, guesses
 
 
@@ -311,7 +236,7 @@ def ngram_attack(
     eval_corpus: Sequence[tuple],
     n: int,
     truth,
-    mask: Iterable[int] | None = None,
+    *,
     reference_corpus: Sequence | None = None,
 ) -> AttackReport:
     """O2: known-plaintext leakage plus n-gram context extrapolation.
@@ -321,20 +246,14 @@ def ngram_attack(
     absent from the leaked pairs, with never-guessed tokens counting as
     misses.  ``None`` when nothing is unseen.
     """
-    oracle = TruthOracle.of(truth, mask)
     known, guesses = ngram_hypotheses(leaked_pairs, eval_corpus, n, reference_corpus)
-    masked = oracle.masked_ids()
-
-    correct_unseen = sum(1 for a, g in guesses.items() if oracle.decode(a) == g)
+    correct = {a for a, g in guesses.items() if truth.apply(a) == g}
     evaluated = len(known) + len(guesses)
-    token_recovery = (len(known) + correct_unseen) / evaluated if evaluated else 0.0
+    token_recovery = (len(known) + len(correct)) / evaluated if evaluated else 0.0
 
-    unseen_mask = [a for a in masked if a not in known]
+    unseen_mask = [a for a in truth.mask if a not in known]
     if unseen_mask:
-        correct_masked_unseen = sum(
-            1 for a in unseen_mask if a in guesses and oracle.decode(a) == guesses[a]
-        )
-        bijection_recovery = correct_masked_unseen / len(unseen_mask)
+        bijection_recovery = sum(1 for a in unseen_mask if a in correct) / len(unseen_mask)
     else:
         bijection_recovery = None
 
@@ -377,14 +296,11 @@ def nn_hypotheses(
     return guesses
 
 
-def nn_mapping_attack(
-    store: EmbeddingStore, truth, mask: Iterable[int] | None = None
-) -> AttackReport:
+def nn_mapping_attack(store: EmbeddingStore, truth) -> AttackReport:
     """O3: nearest-neighbor mapping recovery from embedding space."""
-    oracle = TruthOracle.of(truth, mask)
-    masked = sorted(oracle.masked_ids())
+    masked = sorted(truth.mask)
     guesses = nn_hypotheses(store, masked)
-    correct = sum(1 for a, g in guesses.items() if oracle.decode(a) == g)
+    correct = sum(1 for a, g in guesses.items() if truth.apply(a) == g)
     return AttackReport(
         attack_name="nn_mapping",
         parameters={"mask_size": len(masked)},

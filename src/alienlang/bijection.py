@@ -33,7 +33,7 @@ from . import editdist
 from .embeddings import EmbeddingStore, topk_cosine
 from .errors import ArgumentError, CompatibilityError, CoverageError, FormatError, ToolkitError
 from .seeding import derive_rng, derive_seed
-from .vocab import Vocabulary
+from .vocab import Vocabulary, _parse_fingerprint
 
 KEY_FORMAT_VERSION = 1
 
@@ -326,16 +326,6 @@ class OpacityReport:
     unchanged_fraction: float | None
     empty_mapping: bool
 
-    def to_dict(self) -> dict:
-        return {
-            "pair_count": self.pair_count,
-            "fixed_point_count": self.fixed_point_count,
-            "mean_normalized_edit": self.mean_normalized_edit,
-            "median_normalized_edit": self.median_normalized_edit,
-            "unchanged_fraction": self.unchanged_fraction,
-            "empty_mapping": self.empty_mapping,
-        }
-
 
 def opacity_report(key: BijectionKey, vocab: Vocabulary) -> OpacityReport:
     if key.vocab_fingerprint != vocab.fingerprint:
@@ -416,16 +406,21 @@ def load_key(path: str | Path) -> BijectionKey:
     if doc.get("version") != KEY_FORMAT_VERSION:
         raise FormatError(f"unsupported key format version {doc.get('version')!r}")
     try:
-        fingerprint = int(doc["vocab_fingerprint"], 16)
+        fingerprint = doc["vocab_fingerprint"]
         cfg = {f.name: doc["config"][f.name] for f in fields(BuildConfig)}
         raw_pairs = doc["mapping"]
         fixed_points = doc["fixed_points"]
-    except (KeyError, TypeError, ValueError) as e:
+    except (KeyError, TypeError) as e:
         raise FormatError(f"key file missing or malformed field: {e}") from e
+    fingerprint = _parse_fingerprint(fingerprint, "key file vocab_fingerprint")
     # type() rather than isinstance() below: JSON true/false load as bool, an int subclass
     for f in fields(BuildConfig):
         if type(cfg[f.name]) not in _JSON_TYPES[f.type]:
             raise FormatError(f"key file config {f.name}={cfg[f.name]!r} is not a valid {f.type}")
+    try:
+        config = BuildConfig(**cfg)
+    except (ArgumentError, OverflowError) as e:  # a range check; an int too large for a float
+        raise FormatError(f"key file config: {e}") from e
     if not (isinstance(raw_pairs, list) and isinstance(fixed_points, list)):
         raise FormatError('key file "mapping" and "fixed_points" must be arrays')
     if not all(type(fp) is int for fp in fixed_points):
@@ -440,7 +435,7 @@ def load_key(path: str | Path) -> BijectionKey:
                 raise FormatError(f"mapping pair [{i}, {j}] violates i < j")
             yield i, j
 
-    return _assemble(fingerprint, BuildConfig(**cfg), pairs(), fixed_points, FormatError)
+    return _assemble(fingerprint, config, pairs(), fixed_points, FormatError)
 
 
 def identity_key(vocab: Vocabulary, config: BuildConfig | None = None) -> BijectionKey:

@@ -16,6 +16,7 @@ id) order of an exhaustive sort whatever the block width.
 from __future__ import annotations
 
 import struct
+from array import array
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -109,8 +110,11 @@ def _load_text(path: Path) -> EmbeddingStore:
             raise FormatError("non-integer dimensions in header") from e
         if n < 0 or d < 0:
             raise FormatError(f"negative dimensions {n} {d} in header")
-        rows = np.full((n, d), np.nan, dtype=np.float64)
+        # Rows are read before the matrix is allocated, so its size is bounded
+        # by the file's contents rather than by what its header claims.
+        ids: list[int] = []
         seen: set[int] = set()
+        values = array("d")
         for lineno, line in enumerate(fp, start=2):
             parts = line.split()
             if not parts:
@@ -119,7 +123,7 @@ def _load_text(path: Path) -> EmbeddingStore:
                 raise FormatError(f"line {lineno}: expected id plus {d} values")
             try:
                 tid = int(parts[0])
-                values = [float(v) for v in parts[1:]]
+                row = [float(v) for v in parts[1:]]
             except ValueError as e:
                 raise FormatError(f"line {lineno}: {e}") from e
             if not 0 <= tid < n:
@@ -127,9 +131,12 @@ def _load_text(path: Path) -> EmbeddingStore:
             if tid in seen:
                 raise FormatError(f"line {lineno}: duplicate row for token id {tid}")
             seen.add(tid)
-            rows[tid] = values
-    if len(seen) != n:
-        raise FormatError(f"text file declared {n} rows but provided {len(seen)}")
+            ids.append(tid)
+            values.extend(row)
+    if len(ids) != n:
+        raise FormatError(f"text file declared {n} rows but provided {len(ids)}")
+    rows = np.empty((n, d), dtype=np.float64)
+    rows[ids] = np.frombuffer(values, dtype=np.float64).reshape(n, d)
     if not np.isfinite(rows).all():
         raise FormatError("embedding matrix contains non-finite values")
     return EmbeddingStore(rows=rows)

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Sequence
 
@@ -43,9 +43,6 @@ class OverlapMatrix:
                 if v != self.values[j][i]:
                     raise ArgumentError("overlap matrix must be symmetric")
 
-    def to_dict(self) -> dict:
-        return {"seeds": list(self.seeds), "values": [list(row) for row in self.values]}
-
 
 def overlap_matrix(keys: Sequence[BijectionKey]) -> OverlapMatrix:
     """Pairwise overlap percentages across keys sharing one vocabulary."""
@@ -77,15 +74,21 @@ def matrix_to_csv(matrix: OverlapMatrix, path: str | Path) -> None:
             writer.writerow([seed, *(repr(v) for v in row)])
 
 
+# each report type's tag in a summary file
+_REPORT_TAGS = (
+    (AttackReport, "attack"),
+    (OverlapMatrix, "overlap_matrix"),
+    (OpacityReport, "opacity"),
+)
+
+
 def _serialize_report(item) -> dict:
-    if isinstance(item, AttackReport):
-        return {"type": "attack", **item.to_dict()}
-    if isinstance(item, OverlapMatrix):
-        return {"type": "overlap_matrix", **item.to_dict()}
-    if isinstance(item, OpacityReport):
-        return {"type": "opacity", **item.to_dict()}
+    """A report's fields under its type tag; a plain dict is tagged ``raw``."""
     if isinstance(item, dict):
         return {"type": "raw", **item}
+    for cls, tag in _REPORT_TAGS:
+        if isinstance(item, cls):
+            return {"type": tag, **asdict(item)}
     raise ArgumentError(f"cannot serialize report of type {type(item).__name__}")
 
 
@@ -101,8 +104,10 @@ def emit_summary(reports: Sequence, path: str | Path) -> None:
 def read_summary(path: str | Path) -> dict:
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as e:
+    except (ValueError, RecursionError) as e:  # JSONDecodeError, UnicodeDecodeError, huge ints
         raise FormatError(f"summary file is not valid JSON: {e}") from e
+    if not isinstance(doc, dict):
+        raise FormatError(f"summary file must hold a JSON object, not {type(doc).__name__}")
     if doc.get("schema_version") != SUMMARY_SCHEMA_VERSION:
         raise FormatError(f"unsupported summary schema {doc.get('schema_version')!r}")
     return doc

@@ -13,17 +13,17 @@ from __future__ import annotations
 
 import io
 import json
-import re
 from contextlib import nullcontext
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator
 
 from .bijection import BijectionKey
 from .errors import ArgumentError, CompatibilityError, FormatError, StabilityError
 from .vocab import (
     TokenSequence,
     Vocabulary,
+    _parse_fingerprint,
     detokenize,
     parse_id_line,
     read_lines,
@@ -125,9 +125,7 @@ def decode_text(
     return plain
 
 
-def write_id_stream(
-    target, sequences: Iterable[TokenSequence | Sequence[int]], fingerprint: int
-) -> None:
+def write_id_stream(target, sequences: Iterable[Iterable[int]], fingerprint: int) -> None:
     """Write the ID-stream transport format (header line plus ID lines)."""
     own = isinstance(target, (str, Path))
     with open(target, "w", encoding="ascii") if own else nullcontext(target) as fp:
@@ -142,10 +140,10 @@ def read_id_stream(source, expect_fingerprint: int | None = None) -> list[TokenS
     parts = header.split()
     if parts[:2] != ID_STREAM_MAGIC.split() or len(parts) != 3:
         raise FormatError("line 1: missing or malformed ID-stream header")
-    match = re.fullmatch(r"fingerprint=([0-9a-fA-F]{1,16})", parts[2])
-    if match is None:
+    name, _, value = parts[2].partition("=")
+    if name != "fingerprint":
         raise FormatError("line 1: ID-stream header lacks a hexadecimal fingerprint")
-    fingerprint = int(match[1], 16)
+    fingerprint = _parse_fingerprint(value, "line 1: ID-stream header fingerprint")
     if expect_fingerprint is not None and fingerprint != expect_fingerprint:
         raise CompatibilityError("ID stream belongs to a different vocabulary")
     return [TokenSequence(parse_id_line(line, lineno), fingerprint) for lineno, line in lines]
@@ -156,13 +154,6 @@ class DatasetSummary:
     records: int
     tokens: int
     unsafe_renderings: int
-
-    def to_dict(self) -> dict:
-        return {
-            "records": self.records,
-            "tokens": self.tokens,
-            "unsafe_renderings": self.unsafe_renderings,
-        }
 
 
 class DatasetFormatError(FormatError):

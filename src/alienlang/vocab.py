@@ -11,16 +11,20 @@ from __future__ import annotations
 import hashlib
 import io
 import json
+import re
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 from .errors import ArgumentError, CoverageError, FormatError, UnknownTokenError
 
 
 def _surrogate_encode(s: str) -> bytes:
-    return s.encode("utf-8", errors="surrogateescape")
+    try:
+        return s.encode("utf-8", errors="surrogateescape")
+    except UnicodeEncodeError as e:  # a lone surrogate outside U+DC80..U+DCFF carries no byte
+        raise FormatError(f"token string {s!r} holds a surrogate that is not a byte escape") from e
 
 
 def _surrogate_decode(b: bytes) -> str:
@@ -33,12 +37,22 @@ def _fingerprint(id_to_token: dict[int, bytes], specials: frozenset[int]) -> int
     h.update(b"vocab-fp-v1")
     for tid in sorted(id_to_token):
         tok = id_to_token[tid]
-        h.update(struct.pack("<QQ", tid, len(tok)))
+        try:
+            h.update(struct.pack("<QQ", tid, len(tok)))
+        except struct.error as e:
+            raise FormatError(f"token id {tid} does not fit in 64 bits") from e
         h.update(tok)
     h.update(b"|specials|")
     for tid in sorted(specials):
         h.update(struct.pack("<Q", tid))
     return int.from_bytes(h.digest(), "big")
+
+
+def _parse_fingerprint(text: object, what: str) -> int:
+    """A fingerprint written as 1-16 hexadecimal digits; anything else raises FormatError."""
+    if not (isinstance(text, str) and re.fullmatch(r"[0-9a-fA-F]{1,16}", text)):
+        raise FormatError(f"{what} {text!r} is not 1-16 hexadecimal digits")
+    return int(text, 16)
 
 
 @dataclass(frozen=True)
@@ -149,7 +163,7 @@ def load_vocab(path: str | Path, specials_path: str | Path | None = None) -> Voc
     raw = Path(path).read_text(encoding="utf-8", errors="surrogateescape")
     try:
         obj = json.loads(raw, object_pairs_hook=reject_duplicates)
-    except json.JSONDecodeError as e:
+    except (ValueError, RecursionError) as e:  # JSONDecodeError, deep nesting, huge ints
         raise FormatError(f"vocab file is not valid JSON: {e}") from e
     if not isinstance(obj, dict):
         raise FormatError("vocab file must be a JSON object mapping token to id")
@@ -165,7 +179,7 @@ def load_vocab(path: str | Path, specials_path: str | Path | None = None) -> Voc
             spec_list = json.loads(
                 Path(specials_path).read_text(encoding="utf-8", errors="surrogateescape")
             )
-        except json.JSONDecodeError as e:
+        except (ValueError, RecursionError) as e:
             raise FormatError(f"specials file is not valid JSON: {e}") from e
         if not isinstance(spec_list, list):
             raise FormatError("specials file must be a JSON array of token strings")
@@ -223,10 +237,9 @@ def reference_tokenize(text: bytes, vocab: Vocabulary) -> TokenSequence:
     return TokenSequence(ids=tuple(ids), fingerprint=vocab.fingerprint)
 
 
-def detokenize(ids: TokenSequence | Sequence[int], vocab: Vocabulary) -> bytes:
+def detokenize(ids: Iterable[int], vocab: Vocabulary) -> bytes:
     """Concatenate token strings in order."""
-    seq = ids.ids if isinstance(ids, TokenSequence) else ids
-    return b"".join(vocab.token_of(tid) for tid in seq)
+    return b"".join(vocab.token_of(tid) for tid in ids)
 
 
 def read_lines(source) -> Iterator[tuple[int, str]]:
@@ -258,11 +271,10 @@ def parse_id_line(line: str, lineno: int) -> tuple[int, ...]:
     raise FormatError(f"line {lineno}: not a space-separated ID list")
 
 
-def write_id_lines(fp, sequences: Iterable[TokenSequence | Sequence[int]]) -> None:
+def write_id_lines(fp, sequences: Iterable[Iterable[int]]) -> None:
     """Write each sequence to a text file object as one line of space-separated IDs."""
     for seq in sequences:
-        ids = seq.ids if isinstance(seq, TokenSequence) else seq
-        fp.write(" ".join(str(i) for i in ids) + "\n")
+        fp.write(" ".join(str(i) for i in seq) + "\n")
 
 
 def read_pretokenized(path: str | Path, vocab: Vocabulary | None = None) -> list[TokenSequence]:
@@ -275,6 +287,6 @@ def read_pretokenized(path: str | Path, vocab: Vocabulary | None = None) -> list
     return [wrap(parse_id_line(line, lineno)) for lineno, line in read_lines(path)]
 
 
-def write_pretokenized(sequences: Iterable[TokenSequence | Sequence[int]], path: str | Path) -> None:
+def write_pretokenized(sequences: Iterable[Iterable[int]], path: str | Path) -> None:
     with open(path, "w", encoding="utf-8") as fp:
         write_id_lines(fp, sequences)

@@ -1,4 +1,5 @@
 import math
+from collections import Counter, defaultdict
 
 import numpy as np
 import pytest
@@ -199,7 +200,7 @@ class TestNnMappingAttack:
 
 
 class TestScoringSeam:
-    """Attacks must run with the key replaced by a scoring callback."""
+    """Attacks must grade the same with the key replaced by a callback oracle."""
 
     def _fixture(self):
         rng = np.random.default_rng(0)
@@ -214,9 +215,8 @@ class TestScoringSeam:
         alien = [key.apply(i) for i in corpus]
         via_key = frequency_attack(alien, corpus, key, top_m=30)
         table = dict(key.mapping)
-        via_callback = frequency_attack(
-            alien, corpus, lambda i: table.get(i, i), top_m=30, mask=key.mask
-        )
+        oracle = TruthOracle(lambda i: table.get(i, i), key.mask)
+        via_callback = frequency_attack(alien, corpus, oracle, top_m=30)
         assert via_key.to_dict() == via_callback.to_dict()
 
     def test_ngram_with_callback(self):
@@ -225,16 +225,15 @@ class TestScoringSeam:
         eval_pairs = make_aligned_pairs(rng, vocab, key, 8, 20)
         via_key = ngram_attack(leaked, eval_pairs, n=2, truth=key)
         table = dict(key.mapping)
-        via_callback = ngram_attack(
-            leaked, eval_pairs, n=2, truth=lambda i: table.get(i, i), mask=key.mask
-        )
+        oracle = TruthOracle(lambda i: table.get(i, i), key.mask)
+        via_callback = ngram_attack(leaked, eval_pairs, n=2, truth=oracle)
         assert via_key.to_dict() == via_callback.to_dict()
 
     def test_nn_with_callback(self):
         rng, vocab, store, key = self._fixture()
         via_key = nn_mapping_attack(store, key)
         table = dict(key.mapping)
-        via_callback = nn_mapping_attack(store, lambda i: table.get(i, i), mask=key.mask)
+        via_callback = nn_mapping_attack(store, TruthOracle(lambda i: table.get(i, i), key.mask))
         assert via_key.to_dict() == via_callback.to_dict()
 
     def test_inference_runs_without_any_truth(self):
@@ -247,10 +246,6 @@ class TestScoringSeam:
         known, guesses = ngram_hypotheses(leaked, eval_pairs, n=2)
         assert known
         assert nn_hypotheses(store, sorted(key.mask))
-
-    def test_callback_without_mask_rejected(self):
-        with pytest.raises(ArgumentError):
-            TruthOracle.of(lambda i: i)
 
 
 class TestBleu:
@@ -327,3 +322,63 @@ class TestNnHypothesesTies:
             others = [j for j in masked if j != i]
             best = max(float(rows[i] @ rows[j]) for j in others)
             assert guesses[i] == min(j for j in others if float(rows[i] @ rows[j]) == best)
+
+
+def reference_ngram_guesses(leaked, evals, n, reference):
+    """Loop reference for ngram_hypotheses' guesses: the candidate with the largest
+    multiset context overlap, ties to the more frequent candidate, then the lower id."""
+    known = {a: p for plain, alien in leaked for p, a in zip(plain, alien)}
+    reference = [p for p, _ in leaked] if reference is None else reference
+    freq = Counter(t for seq in reference for t in seq)
+    candidates = [t for t in freq if t not in set(known.values())]
+
+    def signatures(seqs, translate, targets):
+        sigs = defaultdict(Counter)
+        for seq in seqs:
+            for t, center in enumerate(seq):
+                if center not in targets:
+                    continue
+                sigs[center].update(
+                    seq[u] if translate is None else translate[seq[u]]
+                    for u in range(max(0, t - n + 1), min(len(seq), t + n))
+                    if u != t and (translate is None or seq[u] in translate)
+                )
+        return sigs
+
+    unseen = {t for _, alien in evals for t in alien if t not in known}
+    alien_sigs = signatures([alien for _, alien in evals], known, unseen)
+    plain_sigs = signatures(reference, None, set(candidates))
+
+    def rank(alien_tok, cand):
+        overlap = sum(min(cnt, plain_sigs[cand][v]) for v, cnt in alien_sigs[alien_tok].items())
+        return overlap, freq[cand], -cand
+
+    if not candidates:
+        return {}
+    return {a: max(candidates, key=lambda c: rank(a, c)) for a in unseen}
+
+
+class TestNgramHypothesesTies:
+    @pytest.mark.parametrize("seed", range(40))
+    def test_matches_loop_reference(self, seed):
+        # few distinct ids, so overlaps and frequencies tie often; some cases
+        # leak nothing and some evaluation sequences have no context at all
+        rng = np.random.default_rng(seed)
+        ids = int(rng.integers(2, 30))
+        perm = rng.permutation(ids)
+        n = int(rng.integers(2, 5))
+
+        def seqs(count, max_len):
+            sizes = [rng.integers(0, max_len + 1) for _ in range(count)]
+            return [rng.integers(0, ids, size=size).tolist() for size in sizes]
+
+        def pairs(count, max_len):
+            return [(p, [int(perm[t]) for t in p]) for p in seqs(count, max_len)]
+
+        leaked = pairs(int(rng.integers(0, 4)), 6)
+        evals = pairs(int(rng.integers(1, 6)), int(rng.choice([1, 8])))
+        reference = None
+        if seed % 3:
+            reference = seqs(4, 9)
+        _, guesses = ngram_hypotheses(leaked, evals, n, reference)
+        assert guesses == reference_ngram_guesses(leaked, evals, n, reference)

@@ -573,6 +573,62 @@ class TestSerialization:
         with pytest.raises(FormatError, match=field):
             load_key(path)
 
+    @staticmethod
+    def edited_key_file(tmp_path, edit):
+        """A saved two-token key file with ``edit`` applied to its JSON document."""
+        import json as json_mod
+
+        path = tmp_path / "key.json"
+        save_key(key_from_pairs(vocab_from([b"aa", b"bb"]), [(0, 1)]), path)
+        doc = json_mod.loads(path.read_text())
+        edit(doc)
+        path.write_text(json_mod.dumps(doc))
+        return path
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("k", 0, "k must be >= 1"),
+            ("edit_mode", "fuzzy", "edit_mode must be one of"),
+            ("rho", 1.5, "rho must lie in"),
+            ("mu", 10**400, "too large"),  # an int past float range
+        ],
+        ids=["k-0", "edit_mode-fuzzy", "rho-1.5", "mu-huge-int"],
+    )
+    def test_config_out_of_range_rejected(self, tmp_path, field, value, message):
+        path = self.edited_key_file(tmp_path, lambda doc: doc["config"].update({field: value}))
+        with pytest.raises(FormatError, match=f"key file config: .*{message}"):
+            load_key(path)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "0x_b8116aab61bbef6",
+            "0xb8116aab61bbef6",
+            "+b8116aab61bbef6",
+            "-1",
+            "b811_6aab_61bb_ef6",
+            " b8116aab61bbef6",
+            "b8116aab61bbef6\n",
+            "",
+            "1" * 17,
+            "\u0661",  # an Arabic-Indic digit
+            12,
+            None,
+        ],
+    )
+    def test_malformed_fingerprint_rejected(self, tmp_path, text):
+        path = self.edited_key_file(tmp_path, lambda doc: doc.update(vocab_fingerprint=text))
+        with pytest.raises(FormatError, match="vocab_fingerprint"):
+            load_key(path)
+
+    @pytest.mark.parametrize(
+        "text, value", [("ABCDEF0123456789", 0xABCDEF0123456789), ("0", 0), ("00ff", 255)]
+    )
+    def test_short_and_uppercase_fingerprint_accepted(self, tmp_path, text, value):
+        path = self.edited_key_file(tmp_path, lambda doc: doc.update(vocab_fingerprint=text))
+        assert load_key(path).vocab_fingerprint == value
+
     def test_integral_mu_and_rho_accepted(self, tmp_path):
         import json as json_mod
 

@@ -44,6 +44,16 @@ class TestLoadStore:
         back = load_embeddings(path)
         assert np.array_equal(back.rows, store.rows)
 
+    def test_text_rows_in_any_order(self, tmp_path):
+        path = tmp_path / "emb.txt"
+        path.write_text("3 2\n2 5 6\n\n0 1 2\n1 3 4\n", encoding="utf-8")
+        assert np.array_equal(load_embeddings(path).rows, [[1, 2], [3, 4], [5, 6]])
+
+    def test_text_empty_matrix(self, tmp_path):
+        path = tmp_path / "emb.txt"
+        path.write_text("0 5\n", encoding="utf-8")
+        assert load_embeddings(path).rows.shape == (0, 5)
+
     def test_nan_row_rejected(self, tmp_path):
         path = tmp_path / "emb.txt"
         path.write_text("1 2\n0 1.0 nan\n", encoding="utf-8")
@@ -64,6 +74,7 @@ class TestLoadStore:
             b"1 2\n0 1.0 \xff\n",  # not UTF-8
             b"\xfe\xff 2\n",  # not UTF-8 in the header
             b"-1 2\n",  # negative row count
+            b"99999999999 99999999\n0 1.0\n",  # a header far larger than its rows
         ],
     )
     def test_malformed_text_rejected(self, tmp_path, data):

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,8 @@ from alienlang import (
     AttackReport,
     BuildConfig,
     CompatibilityError,
+    FormatError,
+    OpacityReport,
     OverlapMatrix,
     build_key,
     emit_summary,
@@ -142,3 +146,43 @@ class TestEmitSummary:
         emit_summary([matrix], p1)
         emit_summary([matrix], p2)
         assert p1.read_bytes() == p2.read_bytes()
+
+    def test_bytes_pinned_for_every_report_type(self, tmp_path):
+        # SHA-256 of the bytes written before reports were serialized with asdict
+        reports = [
+            AttackReport(
+                attack_name="ngram",
+                parameters={"n": 3, "pair_budget": 10},
+                token_recovery=0.5,
+                evaluated_count=4,
+                details={"known_tokens": 2, "guessed_tokens": 2},
+            ),
+            OverlapMatrix(seeds=(0, 7), values=((100.0, 12.5), (12.5, 100.0))),
+            OpacityReport(3, 1, 0.75, None, 0.0, empty_mapping=False),
+            {"note": "raw", "value": [1, 2]},
+        ]
+        path = tmp_path / "summary.json"
+        emit_summary(reports, path)
+        assert [r["type"] for r in read_summary(path)["reports"]] == [
+            "attack", "overlap_matrix", "opacity", "raw",
+        ]
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+            "cf6584d123b178c9057614fb7b11f4270afd837b33d9615579f837dee8113220"
+        )
+
+    @pytest.mark.parametrize(
+        "data",
+        [
+            b"[]",  # a JSON array, not an object
+            b'{"schema_version": 1, "reports": []}\xff',  # not UTF-8
+            b"[" * 100_000,  # nesting deeper than the JSON parser recurses
+            b"9" * 5000,  # an integer past the int-parsing digit limit
+            b'{"schema_version": 2, "reports": []}',
+        ],
+        ids=["array", "not-utf8", "deep", "huge-int", "schema-2"],
+    )
+    def test_malformed_summary_rejected(self, tmp_path, data):
+        path = tmp_path / "summary.json"
+        path.write_bytes(data)
+        with pytest.raises(FormatError):
+            read_summary(path)

@@ -249,6 +249,13 @@ class TestIdStream:
         with pytest.raises(CompatibilityError):
             read_id_stream(path, 2)
 
+    @pytest.mark.parametrize(
+        "text", ["0x_b8116aab61bbef6", "0xff", "+ff", "-1", "f_f", "", "1" * 17, "\u0661"]
+    )
+    def test_malformed_fingerprint_rejected(self, text):
+        with pytest.raises(FormatError, match="fingerprint"):
+            read_id_stream(f"#alien-ids v1 fingerprint={text}\n1 2\n".encode("utf-8"))
+
     def test_missing_header_rejected(self, tmp_path):
         path = tmp_path / "stream.txt"
         path.write_text("1 2 3\n", encoding="utf-8")

@@ -80,6 +80,33 @@ class TestLoadVocab:
         with pytest.raises(UnknownTokenError):
             load_vocab(path, spath)
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "[" * 100_000,  # nesting deeper than the JSON parser recurses
+            '{"a": ' + "9" * 5000 + "}",  # an integer past the int-parsing digit limit
+            '{"a": 18446744073709551616}',  # an id that does not fit in 64 bits
+            '{"\\ud800": 0}',  # a lone surrogate that carries no byte
+        ],
+        ids=["deep", "huge-int", "id-past-64-bits", "lone-surrogate"],
+    )
+    def test_malformed_vocab_file_rejected(self, tmp_path, text):
+        path = tmp_path / "vocab.json"
+        path.write_text(text, encoding="ascii")
+        with pytest.raises(FormatError):
+            load_vocab(path)
+
+    @pytest.mark.parametrize(
+        "text",
+        ["[" * 100_000, "[" + "9" * 5000 + "]", '["\\ud800"]'],
+        ids=["deep", "huge-int", "lone-surrogate"],
+    )
+    def test_malformed_specials_file_rejected(self, tmp_path, text):
+        path, spath = write_vocab_file(tmp_path, {"a": 0}, specials=[])
+        spath.write_text(text, encoding="ascii")
+        with pytest.raises(FormatError):
+            load_vocab(path, spath)
+
     def test_empty_token_rejected(self):
         with pytest.raises(FormatError):
             Vocabulary.from_entries([(b"", 0)])
