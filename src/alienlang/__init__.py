@@ -69,6 +69,7 @@ from .vocab import (
     TokenSequence,
     Vocabulary,
     detokenize,
+    first_merge,
     load_vocab,
     read_pretokenized,
     reference_tokenize,

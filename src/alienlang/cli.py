@@ -202,7 +202,12 @@ def _cmd_attack(args) -> int:
 
 
 def _cmd_overlap(args) -> int:
-    keys = [load_key(p) for p in args.keys]
+    keys = []
+    for path in args.keys:  # several key files: name the one that fails
+        try:
+            keys.append(load_key(path))
+        except FormatError as e:
+            raise FormatError(f"{path}: {e}") from e
     matrix = overlap_matrix(keys)
     if args.out:
         emit_summary([matrix], args.out)

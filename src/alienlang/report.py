@@ -108,6 +108,10 @@ def read_summary(path: str | Path) -> dict:
         raise FormatError(f"summary file is not valid JSON: {e}") from e
     if not isinstance(doc, dict):
         raise FormatError(f"summary file must hold a JSON object, not {type(doc).__name__}")
-    if doc.get("schema_version") != SUMMARY_SCHEMA_VERSION:
-        raise FormatError(f"unsupported summary schema {doc.get('schema_version')!r}")
+    version = doc.get("schema_version")
+    if type(version) is not int or version != SUMMARY_SCHEMA_VERSION:  # true and 1.0 equal 1
+        raise FormatError(f"unsupported summary schema {version!r}")
+    reports = doc.get("reports")
+    if not (isinstance(reports, list) and all(isinstance(r, dict) for r in reports)):
+        raise FormatError('summary file "reports" must be an array of objects')
     return doc

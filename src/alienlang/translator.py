@@ -7,6 +7,17 @@ document is checked for that fixpoint and flagged.  Unsafe renderings fall
 back to the ID-stream transport format, so losslessness never depends on
 retokenization behavior.  A rendering that begins with the ID-stream header
 is unsafe too, since decoding would read it as an ID stream.
+
+The fixpoint is checked without tokenizing twice.  A token survives
+retokenization unless a longer vocabulary entry matches at its offset, and
+such an entry extends the token, so :func:`~alienlang.vocab.first_merge`
+tests only the tokens that prefix a longer entry, at their own offsets.
+:func:`encode_text` thus tokenizes once, and :attr:`AlienDocument.merge_at`
+records the first token that would merge.  The text path of
+:func:`decode_text` tokenizes once too and accepts when the decoded tokens
+are a fixpoint; otherwise it falls back to the full re-encode check, which
+still accepts a rendering that retokenizes differently but re-encodes to the
+same bytes.
 """
 
 from __future__ import annotations
@@ -25,6 +36,7 @@ from .vocab import (
     Vocabulary,
     _parse_fingerprint,
     detokenize,
+    first_merge,
     parse_id_line,
     read_lines,
     reference_tokenize,
@@ -36,11 +48,18 @@ ID_STREAM_MAGIC = "#alien-ids v1"
 
 @dataclass(frozen=True)
 class AlienDocument:
-    """An alien-side document: IDs plus an optional rendered text view."""
+    """An alien-side document: IDs plus an optional rendered text view.
+
+    ``merge_at`` is the index of the first token that retokenizing
+    ``rendered`` would absorb into a longer entry, the reason the rendering
+    is unsafe.  It is None for a safe rendering, and for one that is unsafe
+    only because it starts with the ID-stream header.
+    """
 
     ids: TokenSequence
     rendered: bytes | None = None
     retokenization_safe: bool = False
+    merge_at: int | None = None
 
 
 def _check_fingerprint(seq: TokenSequence, key: BijectionKey) -> None:
@@ -79,19 +98,24 @@ def encode_text(
         if strict:
             raise StabilityError("rendered text starts with the ID-stream header", position=0)
         return AlienDocument(ids=ids, rendered=rendered, retokenization_safe=False)
-    recheck = reference_tokenize(rendered, vocab)
-    safe = recheck.ids == ids.ids
-    if strict and not safe:
-        pos = next(
-            (p for p, (a, b) in enumerate(zip(ids.ids, recheck.ids)) if a != b),
-            min(len(ids.ids), len(recheck.ids)),
-        )
-        raise StabilityError(
-            f"rendered text does not retokenize to the transmitted ids "
-            f"(first divergence at token {pos})",
-            position=pos,
-        )
-    return AlienDocument(ids=ids, rendered=rendered, retokenization_safe=safe)
+    pos = first_merge(ids.ids, rendered, vocab)
+    if strict and pos is not None:
+        raise _merge_error(ids.ids, rendered, pos, vocab)
+    return AlienDocument(ids=ids, rendered=rendered, retokenization_safe=pos is None, merge_at=pos)
+
+
+def _merge_error(ids: tuple[int, ...], rendered: bytes, pos: int, vocab: Vocabulary) -> StabilityError:
+    """The StabilityError naming token ``pos`` and the entry that absorbs it:
+    the longest entry matching at the token's offset, which extends the token."""
+    token = vocab.id_to_token[ids[pos]]
+    start = len(detokenize(ids[:pos], vocab))
+    candidates = (rendered[start : start + n] for n in vocab.extension_lengths[ids[pos]])
+    absorbing = max((entry for entry in candidates if entry in vocab.token_to_id), key=len)
+    return StabilityError(
+        f"rendered text does not retokenize to the transmitted ids "
+        f"(first divergence at token {pos}: {token!r} merges into {absorbing!r})",
+        position=pos,
+    )
 
 
 def decode_text(
@@ -102,8 +126,12 @@ def decode_text(
     """Recover plaintext from an alien document or rendered alien bytes.
 
     ID-form input bypasses retokenization entirely.  Text-form input is
-    re-encoded after decoding as a stability check: if the result does not
-    reproduce the input, the rendering was unstable and the ID form is needed.
+    tokenized and decoded; it is accepted at once when the decoded tokens are
+    a retokenization fixpoint, since the plaintext then re-encodes to exactly
+    the input.  Otherwise it is re-encoded in full as a stability check: if
+    the result does not reproduce the input, the rendering was unstable and
+    the ID form is needed (the StabilityError's ``position`` is the first
+    decoded token that merges).
     """
     if key.vocab_fingerprint != vocab.fingerprint:
         raise CompatibilityError("key was built for a different vocabulary")
@@ -114,13 +142,17 @@ def decode_text(
     if x_alien.startswith(ID_STREAM_MAGIC.encode("ascii")):
         seqs = read_id_stream(x_alien, key.vocab_fingerprint)
         return b"".join(detokenize(decode_ids(s, key), vocab) for s in seqs)
-    ids = reference_tokenize(x_alien, vocab)
-    plain = detokenize(decode_ids(ids, key), vocab)
+    plain_ids = decode_ids(reference_tokenize(x_alien, vocab), key)
+    plain = detokenize(plain_ids, vocab)
+    pos = first_merge(plain_ids.ids, plain, vocab)
+    if pos is None:  # a fixpoint re-encodes to exactly x_alien
+        return plain
     roundtrip = detokenize(encode_ids(reference_tokenize(plain, vocab), key), vocab)
     if roundtrip != x_alien:
         raise StabilityError(
             "alien text is not a stable rendering (ID form unavailable); "
-            "transport the document as an ID stream instead"
+            "transport the document as an ID stream instead",
+            position=pos,
         )
     return plain
 

@@ -14,6 +14,7 @@ import json
 import re
 import struct
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Iterator
 
@@ -116,6 +117,24 @@ class Vocabulary:
 
     def __len__(self) -> int:
         return len(self.id_to_token)
+
+    @cached_property
+    def extension_lengths(self) -> dict[int, tuple[int, ...]]:
+        """For each token that is a proper prefix of another entry, the lengths
+        of the entries extending it, ascending.
+
+        Only these tokens can be absorbed into a longer match when a rendering
+        is retokenized (see :func:`first_merge`).  Derived on first use, so
+        loading a vocabulary does not pay for it.
+        """
+        table = self.token_to_id
+        longer: dict[int, set[int]] = {}
+        for tok in table:
+            for cut in range(1, len(tok)):
+                tid = table.get(tok[:cut])
+                if tid is not None:
+                    longer.setdefault(tid, set()).add(len(tok))
+        return {tid: tuple(sorted(lengths)) for tid, lengths in longer.items()}
 
     @property
     def permutable_ids(self) -> tuple[int, ...]:
@@ -237,9 +256,41 @@ def reference_tokenize(text: bytes, vocab: Vocabulary) -> TokenSequence:
     return TokenSequence(ids=tuple(ids), fingerprint=vocab.fingerprint)
 
 
+def first_merge(ids: Iterable[int], rendered: bytes, vocab: Vocabulary) -> int | None:
+    """Index of the first token that retokenizing ``rendered`` would not reproduce.
+
+    ``rendered`` is the concatenation of the tokens ``ids``.  Greedy longest
+    match reproduces token ``t_i`` at its byte offset unless a longer entry
+    matches there, and any such entry starts with ``t_i``; so only tokens in
+    :attr:`Vocabulary.extension_lengths` are tested, at their own offsets.
+    Returns None when ``ids`` is a retokenization fixpoint of ``rendered``;
+    otherwise the first token whose offset greedy matching would cover with a
+    longer entry, which is where ``reference_tokenize(rendered)`` first
+    differs from ``ids``.
+    """
+    table = vocab.token_to_id
+    tokens = vocab.id_to_token
+    extensions = vocab.extension_lengths
+    n = len(rendered)
+    pos = 0
+    for i, tid in enumerate(ids):
+        longer = extensions.get(tid)
+        if longer is not None:
+            for length in longer:
+                if pos + length > n:
+                    break
+                if rendered[pos : pos + length] in table:
+                    return i
+        pos += len(tokens[tid])
+    return None
+
+
 def detokenize(ids: Iterable[int], vocab: Vocabulary) -> bytes:
     """Concatenate token strings in order."""
-    return b"".join(vocab.token_of(tid) for tid in ids)
+    try:
+        return b"".join(map(vocab.id_to_token.__getitem__, ids))
+    except KeyError as e:
+        raise UnknownTokenError(f"unknown token id {e.args[0]}") from None
 
 
 def read_lines(source) -> Iterator[tuple[int, str]]:

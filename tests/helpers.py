@@ -1,10 +1,20 @@
-"""Shared fixture builders: synthetic vocabularies and embedding stores."""
+"""Shared fixture builders (synthetic vocabularies and embedding stores) and
+reference oracles."""
 
 from __future__ import annotations
 
 import numpy as np
 
-from alienlang import EmbeddingStore, Vocabulary
+from alienlang import (
+    EmbeddingStore,
+    StabilityError,
+    Vocabulary,
+    decode_ids,
+    detokenize,
+    encode_ids,
+    reference_tokenize,
+)
+from alienlang.translator import ID_STREAM_MAGIC
 
 LOWER = "abcdefghijklmnopqrstuvwxyz"
 
@@ -76,3 +86,35 @@ def axis_store(rng: np.random.Generator, n: int, d: int) -> EmbeddingStore:
     cosine is exactly -1, 0 or 1 under any summation order: ties are exact."""
     rows = np.eye(d)[rng.integers(0, d, size=n)] * rng.choice([-1.0, 1.0], size=(n, 1))
     return EmbeddingStore(rows=rows, normalized=True)
+
+
+def _first_divergence(ids: tuple[int, ...], recheck: tuple[int, ...]) -> int | None:
+    if ids == recheck:
+        return None
+    return next(
+        (p for p, (a, b) in enumerate(zip(ids, recheck)) if a != b),
+        min(len(ids), len(recheck)),
+    )
+
+
+def retokenize_encode_oracle(x: bytes, key, vocab: Vocabulary) -> tuple[bool, int | None]:
+    """encode_text's (retokenization_safe, strict StabilityError position) by
+    retokenizing the whole rendering; position is None when strict passes."""
+    ids = encode_ids(reference_tokenize(x, vocab), key).ids
+    rendered = detokenize(ids, vocab)
+    if rendered.startswith(ID_STREAM_MAGIC.encode("ascii")):
+        return False, 0
+    pos = _first_divergence(ids, reference_tokenize(rendered, vocab).ids)
+    return pos is None, pos
+
+
+def retokenize_decode_oracle(x_alien: bytes, key, vocab: Vocabulary) -> bytes:
+    """decode_text on rendered text (no ID-stream header) by re-encoding the
+    plaintext in full; raises StabilityError with the first divergent token."""
+    plain_ids = decode_ids(reference_tokenize(x_alien, vocab), key).ids
+    plain = detokenize(plain_ids, vocab)
+    roundtrip = detokenize(encode_ids(reference_tokenize(plain, vocab), key), vocab)
+    if roundtrip != x_alien:
+        pos = _first_divergence(plain_ids, reference_tokenize(plain, vocab).ids)
+        raise StabilityError("alien text is not a stable rendering", position=pos)
+    return plain

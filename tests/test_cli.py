@@ -431,6 +431,18 @@ class TestExitCodes:
         err = self._one_error_line(capsys)
         assert str(leaked) in err and "line 2" in err and "plain" in err
 
+    def test_overlap_malformed_key_named_is_1(self, workspace, capsys):
+        good = workspace["dir"] / "key.json"
+        build_key_cli(workspace, good)
+        doc = json.loads(good.read_text())
+        doc["config"]["k"] = 0
+        bad = workspace["dir"] / "bad_key.json"
+        bad.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert run(["overlap", "--keys", str(good), str(bad)]) == 1
+        err = self._one_error_line(capsys)
+        assert err.startswith(f"error: {bad}: ") and "k must be >= 1" in err
+
     def test_specials_non_string_is_1(self, workspace, capsys):
         specials = workspace["dir"] / "specials_bad.json"
         specials.write_text("[5]\n")

@@ -178,8 +178,16 @@ class TestEmitSummary:
             b"[" * 100_000,  # nesting deeper than the JSON parser recurses
             b"9" * 5000,  # an integer past the int-parsing digit limit
             b'{"schema_version": 2, "reports": []}',
+            b'{"schema_version": true, "reports": []}',  # a bool equals 1 but is no version
+            b'{"schema_version": 1.0, "reports": []}',
+            b'{"schema_version": 1, "reports": 5}',
+            b'{"schema_version": 1, "reports": [5]}',
+            b'{"schema_version": 1}',
         ],
-        ids=["array", "not-utf8", "deep", "huge-int", "schema-2"],
+        ids=[
+            "array", "not-utf8", "deep", "huge-int", "schema-2", "schema-true", "schema-float",
+            "reports-not-list", "report-not-object", "no-reports",
+        ],
     )
     def test_malformed_summary_rejected(self, tmp_path, data):
         path = tmp_path / "summary.json"

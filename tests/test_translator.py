@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import alienlang.translator as translator
 from alienlang import (
     BuildConfig,
     CompatibilityError,
@@ -21,10 +22,18 @@ from alienlang import (
     identity_key,
     key_from_pairs,
     read_id_stream,
+    reference_tokenize,
     write_id_stream,
 )
 from alienlang.translator import restore_dataset
-from helpers import byte_complete_vocab, random_vocab, unit_store, vocab_from
+from helpers import (
+    byte_complete_vocab,
+    random_vocab,
+    retokenize_decode_oracle,
+    retokenize_encode_oracle,
+    unit_store,
+    vocab_from,
+)
 
 
 def full_rho_key(seed=0, n=40):
@@ -218,6 +227,119 @@ class TestDecodeText:
             vocab.token_of(inverse.get(i, i)) for i in alien_doc.ids
         )
         assert decode_text(alien_doc, key, vocab) == expected
+
+
+@st.composite
+def prefix_heavy_cases(draw):
+    """A 2-3 letter vocabulary of 1-4 byte tokens holding every single letter,
+    a random involutive key over it, and a text over the same letters."""
+    alphabet = b"abc"[: draw(st.integers(2, 3))]
+    letters = st.sampled_from(sorted(alphabet))
+    longer = draw(st.lists(st.lists(letters, min_size=2, max_size=4).map(bytes), max_size=14, unique=True))
+    vocab = vocab_from([bytes([c]) for c in alphabet] + longer)
+    order = draw(st.permutations(range(len(vocab))))
+    npairs = draw(st.integers(0, len(vocab) // 2))
+    pairs = [tuple(sorted(order[2 * i : 2 * i + 2])) for i in range(npairs)]
+    text = bytes(draw(st.lists(letters, max_size=16)))
+    return vocab, key_from_pairs(vocab, pairs), text
+
+
+def outcome(fn, *args):
+    """A call's result, or its exception's type and position."""
+    try:
+        return fn(*args)
+    except StabilityError as e:
+        return StabilityError, e.position
+
+
+class TestRetokenizationFixpoint:
+    @settings(max_examples=400, deadline=None)
+    @given(prefix_heavy_cases())
+    def test_matches_full_retokenization(self, case):
+        vocab, key, text = case
+        safe, position = retokenize_encode_oracle(text, key, vocab)
+        doc = encode_text(text, key, vocab)
+        assert (doc.retokenization_safe, doc.merge_at) == (safe, position)
+        strict = outcome(encode_text, text, key, vocab, True)
+        assert strict == (doc if safe else (StabilityError, position))
+        for alien in (text, doc.rendered):
+            assert outcome(decode_text, alien, key, vocab) == outcome(
+                retokenize_decode_oracle, alien, key, vocab
+            )
+
+    def test_fallback_accepts_what_the_boundary_check_rejects(self):
+        # "cde" tokenizes as cd|e and decodes to x|yz = "xyz"; x extends to
+        # "xy", so the boundary check fails, but "xyz" retokenizes as xy|z,
+        # which encodes to c|de = "cde": the full re-encode check accepts.
+        vocab = vocab_from([b"c", b"d", b"e", b"cd", b"de", b"x", b"y", b"z", b"yz", b"xy"])
+        # cd<->x, e<->yz, xy<->c, z<->de, d<->y
+        key = key_from_pairs(vocab, [(3, 5), (2, 8), (0, 9), (4, 7), (1, 6)])
+        assert decode_text(b"cde", key, vocab) == b"xyz"
+        with pytest.raises(StabilityError) as exc_info:
+            encode_text(b"xyz", key, vocab, strict=True)
+        assert exc_info.value.position == 0
+
+    def test_merge_at_and_strict_reason(self):
+        vocab = vocab_from([b"x", b"y", b"ab", b"a", b"b"])
+        key = key_from_pairs(vocab, [(0, 3), (1, 4)])
+        assert encode_text(b"yxy", key, vocab).merge_at == 1
+        assert encode_text(b"yx", key, vocab).merge_at is None
+        with pytest.raises(StabilityError, match=r"token 1: b'a' merges into b'ab'") as exc_info:
+            encode_text(b"yxy", key, vocab, strict=True)
+        assert exc_info.value.position == 1
+
+    def test_strict_reason_names_the_longest_absorbing_entry(self):
+        vocab = vocab_from([b"x", b"y", b"z", b"a", b"b", b"c", b"ab", b"abc"])
+        key = key_from_pairs(vocab, [(0, 3), (1, 4), (2, 5)])
+        with pytest.raises(StabilityError, match=r"token 0: b'a' merges into b'abc'"):
+            encode_text(b"xyz", key, vocab, strict=True)
+
+    def test_rendering_greedy_cannot_cover_is_unsafe(self):
+        # "xy" renders a|bc = "abc"; greedy retokenization takes "ab" and then
+        # finds no token for "c", so the rendering is unsafe, not an error
+        vocab = vocab_from([b"x", b"y", b"a", b"ab", b"bc"])
+        key = key_from_pairs(vocab, [(0, 2), (1, 4)])
+        doc = encode_text(b"xy", key, vocab)
+        assert (doc.rendered, doc.retokenization_safe, doc.merge_at) == (b"abc", False, 0)
+        with pytest.raises(StabilityError, match=r"b'a' merges into b'ab'"):
+            encode_text(b"xy", key, vocab, strict=True)
+
+    def test_header_collision_has_no_merge(self):
+        vocab = byte_complete_vocab()
+        doc = encode_text(b"#alien-ids v1", identity_key(vocab), vocab)
+        assert not doc.retokenization_safe and doc.merge_at is None
+
+    def test_decode_fallback_error_carries_position(self):
+        vocab = vocab_from([b"x", b"y", b"ab", b"a", b"b"])
+        key = key_from_pairs(vocab, [(0, 3), (1, 4)])
+        with pytest.raises(StabilityError) as exc_info:
+            decode_text(b"yxy", key, vocab)
+        assert exc_info.value.position == 1
+
+    def test_safe_traffic_tokenizes_once(self, monkeypatch):
+        calls = []
+
+        def counting(text, vocab):
+            calls.append(text)
+            return reference_tokenize(text, vocab)
+
+        monkeypatch.setattr(translator, "reference_tokenize", counting)
+        vocab = byte_complete_vocab(extra_tokens=[b"the", b"and"])
+        store = unit_store(np.random.default_rng(5), len(vocab), 8)
+        key = build_key(vocab, store, BuildConfig(k=6, seed=1, rho=0.7))
+        rng = np.random.default_rng(6)
+        checked = 0
+        for _ in range(100):
+            text = bytes(rng.integers(32, 127, size=int(rng.integers(0, 80)), dtype=np.uint8))
+            calls.clear()
+            doc = encode_text(text, key, vocab)
+            assert calls == [text]
+            if doc.retokenization_safe:
+                calls.clear()
+                assert decode_text(doc.rendered, key, vocab) == text
+                assert calls == [doc.rendered]
+                checked += 1
+        assert checked > 50
 
 
 class TestRhoEffect:

@@ -13,6 +13,7 @@ from alienlang import (
     UnknownTokenError,
     Vocabulary,
     detokenize,
+    first_merge,
     load_vocab,
     read_pretokenized,
     reference_tokenize,
@@ -171,8 +172,8 @@ class TestDetokenize:
 
     def test_unknown_id_rejected(self):
         vocab = vocab_from([b"a"])
-        with pytest.raises(UnknownTokenError):
-            detokenize([5], vocab)
+        with pytest.raises(UnknownTokenError, match="unknown token id 5"):
+            detokenize([0, 5, 0], vocab)
 
     def test_round_trip_1000_random_byte_strings(self):
         vocab = byte_complete_vocab(extra_tokens=[b"the", b"ing", b"\xc3\xa9", b"qu"])
@@ -180,6 +181,27 @@ class TestDetokenize:
         for _ in range(1000):
             text = bytes(rng.integers(0, 256, size=int(rng.integers(0, 120)), dtype=np.uint8))
             assert detokenize(reference_tokenize(text, vocab), vocab) == text
+
+
+class TestFirstMerge:
+    def test_extension_lengths(self):
+        vocab = vocab_from([b"a", b"ab", b"abc", b"b", b"bcd", b"c"])
+        assert vocab.extension_lengths == {0: (2, 3), 1: (3,), 3: (3,)}
+
+    def test_extension_lengths_derived_on_first_use(self):
+        vocab = vocab_from([b"a", b"ab"])
+        assert "extension_lengths" not in vocab.__dict__
+        assert vocab.extension_lengths is vocab.extension_lengths
+
+    def test_fixpoint_is_none(self):
+        vocab = vocab_from([b"a", b"ab", b"b", b"c"])
+        assert first_merge((1, 0, 3), b"abac", vocab) is None
+        assert first_merge((), b"", vocab) is None
+
+    def test_index_of_first_absorbed_token(self):
+        vocab = vocab_from([b"a", b"ab", b"b", b"c"])
+        # "c", "a", "b" renders "cab", which retokenizes as "c", "ab"
+        assert first_merge((3, 0, 2, 0, 2), b"cabab", vocab) == 1
 
 
 @settings(max_examples=200, deadline=None)
