@@ -69,7 +69,6 @@ from .vocab import (
     TokenSequence,
     Vocabulary,
     detokenize,
-    first_merge,
     load_vocab,
     read_pretokenized,
     reference_tokenize,

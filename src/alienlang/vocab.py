@@ -15,6 +15,7 @@ import re
 import struct
 from dataclasses import dataclass, field
 from functools import cached_property
+from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Iterator
 
@@ -125,16 +126,24 @@ class Vocabulary:
 
         Only these tokens can be absorbed into a longer match when a rendering
         is retokenized (see :func:`first_merge`).  Derived on first use, so
-        loading a vocabulary does not pay for it.
+        loading a vocabulary does not pay for it; the first encode or decode
+        in a process does.  Entries are grouped by length and their prefixes
+        looked up with ``map``, which keeps the per-prefix work in C.
         """
         table = self.token_to_id
-        longer: dict[int, set[int]] = {}
+        by_length: dict[int, list[bytes]] = {}
         for tok in table:
-            for cut in range(1, len(tok)):
-                tid = table.get(tok[:cut])
-                if tid is not None:
-                    longer.setdefault(tid, set()).add(len(tok))
-        return {tid: tuple(sorted(lengths)) for tid, lengths in longer.items()}
+            by_length.setdefault(len(tok), []).append(tok)
+        longer: dict[int, list[int]] = {}
+        for length in sorted(by_length):
+            tokens = by_length[length]
+            prefix_ids: set[int | None] = set()
+            for cut in range(1, length):
+                prefix_ids.update(map(table.get, map(itemgetter(slice(cut)), tokens)))
+            prefix_ids.discard(None)
+            for tid in prefix_ids:
+                longer.setdefault(tid, []).append(length)
+        return {tid: tuple(lengths) for tid, lengths in longer.items()}
 
     @property
     def permutable_ids(self) -> tuple[int, ...]:

@@ -13,13 +13,13 @@ from alienlang import (
     UnknownTokenError,
     Vocabulary,
     detokenize,
-    first_merge,
     load_vocab,
     read_pretokenized,
     reference_tokenize,
     save_vocab,
     write_pretokenized,
 )
+from alienlang.vocab import first_merge
 from helpers import byte_complete_vocab, vocab_from
 
 
