@@ -34,6 +34,7 @@ from .translator import (
     encode_text,
     read_id_stream,
     read_jsonl,
+    to_wire,
     write_id_stream,
 )
 from .vocab import load_vocab, read_pretokenized, write_pretokenized
@@ -85,14 +86,9 @@ def _cmd_encode(args) -> int:
         return 0
     data = Path(args.input).read_bytes()
     doc = encode_text(data, key, vocab, strict=args.strict)
-    if doc.retokenization_safe:
-        Path(args.output).write_bytes(doc.rendered)
-    else:
-        print(
-            "warning: rendering is not retokenization-safe; writing ID stream",
-            file=sys.stderr,
-        )
-        write_id_stream(args.output, [doc.ids], key.vocab_fingerprint)
+    if not doc.retokenization_safe:
+        print("warning: rendering is not retokenization-safe; writing ID stream", file=sys.stderr)
+    Path(args.output).write_bytes(to_wire(doc, key))
     return 0
 
 
@@ -107,8 +103,7 @@ def _cmd_decode(args) -> int:
             sequences = read_pretokenized(args.input, vocab)
         write_pretokenized([decode_ids(s, key) for s in sequences], args.output)
         return 0
-    plain = decode_text(data, key, vocab) if data else b""
-    Path(args.output).write_bytes(plain)
+    Path(args.output).write_bytes(decode_text(data, key, vocab))
     return 0
 
 

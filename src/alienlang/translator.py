@@ -4,20 +4,17 @@ The canonical transport form is the token-ID sequence; rendered text is a
 view.  Rendering an ID sequence and re-tokenizing it does not always
 reproduce the same IDs (adjacent alien tokens can merge), so every rendered
 document is checked for that fixpoint and flagged.  Unsafe renderings fall
-back to the ID-stream transport format, so losslessness never depends on
-retokenization behavior.  A rendering that begins with the ID-stream header
-is unsafe too, since decoding would read it as an ID stream.
+back to the ID-stream transport format (:func:`to_wire` makes that choice),
+so losslessness never depends on retokenization behavior.  A rendering that
+begins with the ID-stream header is unsafe too, since decoding would read it
+as an ID stream.
 
-The fixpoint is checked without tokenizing twice.  A token survives
-retokenization unless a longer vocabulary entry matches at its offset, and
-such an entry extends the token, so :func:`~alienlang.vocab.first_merge`
-tests only the tokens that prefix a longer entry, at their own offsets.
-:func:`encode_text` thus tokenizes once, and :attr:`AlienDocument.merge_at`
-records the first token that would merge.  The text path of
-:func:`decode_text` tokenizes once too and accepts when the decoded tokens
-are a fixpoint; otherwise it falls back to the full re-encode check, which
-still accepts a rendering that retokenizes differently but re-encodes to the
-same bytes.
+The fixpoint is checked without tokenizing twice by
+:func:`~alienlang.vocab.first_merge`, the one owner of the retokenization
+rule.  :func:`encode_text` thus tokenizes once, and
+:attr:`AlienDocument.merge_at` records the first token that would merge.  The
+text path of :func:`decode_text` tokenizes once too, and re-encodes in full
+only when the decoded tokens are not a fixpoint.
 """
 
 from __future__ import annotations
@@ -30,7 +27,7 @@ from pathlib import Path
 from typing import Callable, Iterable, Iterator
 
 from .bijection import BijectionKey
-from .errors import ArgumentError, CompatibilityError, FormatError, StabilityError
+from .errors import ArgumentError, CompatibilityError, CoverageError, FormatError, StabilityError
 from .vocab import (
     TokenSequence,
     Vocabulary,
@@ -82,6 +79,12 @@ def decode_ids(z_alien: TokenSequence, key: BijectionKey) -> TokenSequence:
     return encode_ids(z_alien, key)
 
 
+def _translate(x: bytes, key: BijectionKey, vocab: Vocabulary) -> tuple[TokenSequence, bytes]:
+    """The text pipeline both ways: tokenize, map through the key, render."""
+    ids = encode_ids(reference_tokenize(x, vocab), key)
+    return ids, detokenize(ids, vocab)
+
+
 def encode_text(
     x: bytes,
     key: BijectionKey,
@@ -91,31 +94,21 @@ def encode_text(
     """Tokenize, remap, render; verify the retokenization fixpoint."""
     if key.vocab_fingerprint != vocab.fingerprint:
         raise CompatibilityError("key was built for a different vocabulary")
-    ids = encode_ids(reference_tokenize(x, vocab), key)
-    rendered = detokenize(ids, vocab)
+    ids, rendered = _translate(x, key, vocab)
     if rendered.startswith(ID_STREAM_MAGIC.encode("ascii")):
         # decode_text would parse this rendering as an ID stream.
         if strict:
             raise StabilityError("rendered text starts with the ID-stream header", position=0)
         return AlienDocument(ids=ids, rendered=rendered, retokenization_safe=False)
-    pos = first_merge(ids.ids, rendered, vocab)
-    if strict and pos is not None:
-        raise _merge_error(ids.ids, rendered, pos, vocab)
-    return AlienDocument(ids=ids, rendered=rendered, retokenization_safe=pos is None, merge_at=pos)
-
-
-def _merge_error(ids: tuple[int, ...], rendered: bytes, pos: int, vocab: Vocabulary) -> StabilityError:
-    """The StabilityError naming token ``pos`` and the entry that absorbs it:
-    the longest entry matching at the token's offset, which extends the token."""
-    token = vocab.id_to_token[ids[pos]]
-    start = len(detokenize(ids[:pos], vocab))
-    candidates = (rendered[start : start + n] for n in vocab.extension_lengths[ids[pos]])
-    absorbing = max((entry for entry in candidates if entry in vocab.token_to_id), key=len)
-    return StabilityError(
-        f"rendered text does not retokenize to the transmitted ids "
-        f"(first divergence at token {pos}: {token!r} merges into {absorbing!r})",
-        position=pos,
-    )
+    merge = first_merge(ids.ids, rendered, vocab)
+    if strict and merge is not None:
+        raise StabilityError(
+            f"rendered text does not retokenize to the transmitted ids (first divergence "
+            f"at token {merge.index}: {merge.token!r} merges into {merge.entry!r})",
+            position=merge.index,
+        )
+    at = None if merge is None else merge.index
+    return AlienDocument(ids=ids, rendered=rendered, retokenization_safe=at is None, merge_at=at)
 
 
 def decode_text(
@@ -142,19 +135,25 @@ def decode_text(
     if x_alien.startswith(ID_STREAM_MAGIC.encode("ascii")):
         seqs = read_id_stream(x_alien, key.vocab_fingerprint)
         return b"".join(detokenize(decode_ids(s, key), vocab) for s in seqs)
-    plain_ids = decode_ids(reference_tokenize(x_alien, vocab), key)
-    plain = detokenize(plain_ids, vocab)
-    pos = first_merge(plain_ids.ids, plain, vocab)
-    if pos is None:  # a fixpoint re-encodes to exactly x_alien
-        return plain
-    roundtrip = detokenize(encode_ids(reference_tokenize(plain, vocab), key), vocab)
-    if roundtrip != x_alien:
+    plain_ids, plain = _translate(x_alien, key, vocab)  # the key is an involution
+    merge = first_merge(plain_ids.ids, plain, vocab)
+    # a fixpoint re-encodes to exactly x_alien; anything else is re-encoded in full
+    if merge is not None and _translate(plain, key, vocab)[1] != x_alien:
         raise StabilityError(
             "alien text is not a stable rendering (ID form unavailable); "
             "transport the document as an ID stream instead",
-            position=pos,
+            position=merge.index,
         )
     return plain
+
+
+def to_wire(doc: AlienDocument, key: BijectionKey) -> bytes:
+    """A document's wire bytes: its rendering if retokenization-safe, else an ID stream."""
+    if doc.retokenization_safe:
+        return doc.rendered
+    buf = io.StringIO()
+    write_id_stream(buf, [doc.ids], key.vocab_fingerprint)
+    return buf.getvalue().encode("ascii")
 
 
 def write_id_stream(target, sequences: Iterable[Iterable[int]], fingerprint: int) -> None:
@@ -241,7 +240,8 @@ def _map_dataset(input_path, output_path, field_fn: Callable[[str], str]) -> int
                 out = _walk_record(record, field_fn)
             except StabilityError as e:
                 raise DatasetFormatError(lineno, f"unstable rendering: {e}") from e
-            except (FormatError, UnicodeEncodeError) as e:  # lone surrogates from \ud800 escapes
+            except (FormatError, CoverageError, UnicodeEncodeError) as e:
+                # UnicodeEncodeError: a lone surrogate from a \ud800 escape
                 raise DatasetFormatError(lineno, str(e)) from e
             dst.write(json.dumps(out, ensure_ascii=True, sort_keys=False) + "\n")
             records += 1
@@ -267,12 +267,8 @@ def alienize_dataset(
     def translate(text: str) -> str:
         doc = encode_text(text.encode("utf-8", errors="surrogateescape"), key, vocab, strict)
         stats.tokens += len(doc.ids)
-        if doc.retokenization_safe:
-            return doc.rendered.decode("utf-8", errors="surrogateescape")
-        stats.unsafe_renderings += 1
-        buf = io.StringIO()
-        write_id_stream(buf, [doc.ids], key.vocab_fingerprint)
-        return buf.getvalue()
+        stats.unsafe_renderings += not doc.retokenization_safe
+        return to_wire(doc, key).decode("utf-8", errors="surrogateescape")
 
     stats.records = _map_dataset(input_path, output_path, translate)
     return stats

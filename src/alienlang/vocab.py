@@ -13,11 +13,11 @@ import io
 import json
 import re
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from operator import itemgetter
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 from .errors import ArgumentError, CoverageError, FormatError, UnknownTokenError
 
@@ -79,8 +79,6 @@ class Vocabulary:
     token_to_id: dict[bytes, int]
     specials: frozenset[int]
     fingerprint: int
-    # match lengths tried by the greedy tokenizer, longest first
-    _lengths_desc: tuple[int, ...] = field(repr=False, default=())
 
     @classmethod
     def from_entries(
@@ -107,17 +105,20 @@ class Vocabulary:
         missing = specials - id_to_token.keys()
         if missing:
             raise UnknownTokenError(f"special ids not in vocabulary: {sorted(missing)}")
-        lengths = tuple(sorted({len(t) for t in token_to_id}, reverse=True))
         return cls(
             id_to_token=id_to_token,
             token_to_id=token_to_id,
             specials=specials,
             fingerprint=_fingerprint(id_to_token, specials),
-            _lengths_desc=lengths,
         )
 
     def __len__(self) -> int:
         return len(self.id_to_token)
+
+    @cached_property
+    def _lengths_desc(self) -> tuple[int, ...]:
+        """Match lengths tried by the greedy tokenizer, longest first; derived on first use."""
+        return tuple(sorted({len(t) for t in self.token_to_id}, reverse=True))
 
     @cached_property
     def extension_lengths(self) -> dict[int, tuple[int, ...]]:
@@ -265,17 +266,26 @@ def reference_tokenize(text: bytes, vocab: Vocabulary) -> TokenSequence:
     return TokenSequence(ids=tuple(ids), fingerprint=vocab.fingerprint)
 
 
-def first_merge(ids: Iterable[int], rendered: bytes, vocab: Vocabulary) -> int | None:
-    """Index of the first token that retokenizing ``rendered`` would not reproduce.
+class Merge(NamedTuple):
+    """Token ``index``, the string ``token``, is absorbed by ``entry`` on retokenization."""
+
+    index: int
+    token: bytes
+    entry: bytes
+
+
+def first_merge(ids: Iterable[int], rendered: bytes, vocab: Vocabulary) -> Merge | None:
+    """The first token that retokenizing ``rendered`` would not reproduce.
 
     ``rendered`` is the concatenation of the tokens ``ids``.  Greedy longest
     match reproduces token ``t_i`` at its byte offset unless a longer entry
     matches there, and any such entry starts with ``t_i``; so only tokens in
     :attr:`Vocabulary.extension_lengths` are tested, at their own offsets.
     Returns None when ``ids`` is a retokenization fixpoint of ``rendered``;
-    otherwise the first token whose offset greedy matching would cover with a
-    longer entry, which is where ``reference_tokenize(rendered)`` first
-    differs from ``ids``.
+    otherwise the :class:`Merge` of the first token whose offset greedy
+    matching would cover with a longer entry, which is where
+    ``reference_tokenize(rendered)`` first differs from ``ids``, and of the
+    longest entry matching there.
     """
     table = vocab.token_to_id
     tokens = vocab.id_to_token
@@ -285,11 +295,9 @@ def first_merge(ids: Iterable[int], rendered: bytes, vocab: Vocabulary) -> int |
     for i, tid in enumerate(ids):
         longer = extensions.get(tid)
         if longer is not None:
-            for length in longer:
-                if pos + length > n:
-                    break
-                if rendered[pos : pos + length] in table:
-                    return i
+            for length in reversed(longer):  # longest first: the entry greedy matching takes
+                if pos + length <= n and rendered[pos : pos + length] in table:
+                    return Merge(i, tokens[tid], rendered[pos : pos + length])
         pos += len(tokens[tid])
     return None
 

@@ -5,9 +5,9 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 import numpy as np
 import pytest
 
-from alienlang import load_key, save_embeddings, save_vocab
+from alienlang import identity_key, load_key, save_embeddings, save_key, save_vocab
 from alienlang.cli import build_parser, main
-from helpers import byte_complete_vocab, unit_store
+from helpers import byte_complete_vocab, unit_store, vocab_from
 
 
 @pytest.fixture
@@ -396,6 +396,22 @@ class TestExitCodes:
         ]
         assert run(argv) == 1
         assert "line 2" in self._one_error_line(capsys)
+
+    def test_emit_dataset_untokenizable_is_1(self, tmp_path, capsys):
+        vocab = vocab_from([b"a", b"b", b"c", b"x"])
+        save_vocab(vocab, tmp_path / "vocab.json")
+        save_key(identity_key(vocab), tmp_path / "key.json")
+        src = tmp_path / "data.jsonl"
+        src.write_text('{"instruction": "abc"}\n{"instruction": "abz", "response": "x"}\n')
+        argv = [
+            "emit-dataset",
+            "--vocab", str(tmp_path / "vocab.json"),
+            "--key", str(tmp_path / "key.json"),
+            "--in", str(src),
+            "--out", str(tmp_path / "alien.jsonl"),
+        ]
+        assert run(argv) == 1
+        assert self._one_error_line(capsys).startswith("error: line 2: no token matches")
 
     def test_decode_non_hex_fingerprint_is_1(self, workspace, capsys):
         out = workspace["dir"] / "key.json"

@@ -25,7 +25,7 @@ from alienlang import (
     reference_tokenize,
     write_id_stream,
 )
-from alienlang.translator import restore_dataset
+from alienlang.translator import restore_dataset, to_wire
 from helpers import (
     byte_complete_vocab,
     random_vocab,
@@ -464,6 +464,13 @@ class TestAlienizeDataset:
         with pytest.raises(FormatError, match="line 2"):
             alienize_dataset(src, key, vocab, dst)
 
+    def test_untokenizable_record_reports_number(self, tmp_path):
+        vocab = vocab_from([b"a", b"b", b"c", b"x"])
+        src, dst = tmp_path / "in.jsonl", tmp_path / "out.jsonl"
+        write_jsonl(src, [{"instruction": "abc"}, {"instruction": "abz", "response": "x"}])
+        with pytest.raises(FormatError, match="^line 2: no token matches input at byte offset 2"):
+            alienize_dataset(src, identity_key(vocab), vocab, dst)
+
     def test_unknown_shape_rejected(self, tmp_path):
         vocab, key = self._setup()
         src, dst = tmp_path / "in.jsonl", tmp_path / "out.jsonl"
@@ -482,6 +489,21 @@ class TestAlienizeDataset:
         assert out["instruction"].startswith("#alien-ids v1")
         restore_dataset(dst, key, vocab, back)
         assert json.loads(back.read_text().strip()) == {"instruction": "xy", "response": "x"}
+
+    def test_fields_are_the_wire_form_of_their_encoding(self, tmp_path):
+        vocab = vocab_from([b"x", b"y", b"ab", b"a", b"b"])
+        key = key_from_pairs(vocab, [(0, 3), (1, 4)])
+        # "xy" renders "ab", which retokenizes as one token; "yx" renders "ba"
+        record = {"instruction": "xy", "response": "yx", "id": 3}
+        src, dst = tmp_path / "in.jsonl", tmp_path / "out.jsonl"
+        write_jsonl(src, [record])
+        alienize_dataset(src, key, vocab, dst)
+        out = json.loads(dst.read_text().strip())
+        docs = {name: encode_text(record[name].encode(), key, vocab) for name in ("instruction", "response")}
+        assert [doc.retokenization_safe for doc in docs.values()] == [False, True]
+        for name, doc in docs.items():
+            assert out[name] == to_wire(doc, key).decode("ascii")
+        assert out["id"] == 3
 
     def test_header_collision_round_trip(self, tmp_path):
         vocab = byte_complete_vocab()

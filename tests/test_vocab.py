@@ -154,6 +154,18 @@ class TestReferenceTokenize:
             reference_tokenize(b"aaz", vocab)
         assert "2" in str(exc_info.value)
 
+    def test_direct_construction_tokenizes_like_from_entries(self):
+        entries = [(b"a", 0), (b"ab", 1), (b"b", 2)]
+        built = Vocabulary.from_entries(entries)
+        direct = Vocabulary(
+            id_to_token={tid: tok for tok, tid in entries},
+            token_to_id=dict(entries),
+            specials=frozenset(),
+            fingerprint=built.fingerprint,
+        )
+        for text in (b"", b"a", b"abba", b"babab"):
+            assert reference_tokenize(text, direct) == reference_tokenize(text, built)
+
     def test_deterministic(self):
         vocab = byte_complete_vocab(extra_tokens=[b"ab", b"abc"])
         text = b"abcabx" * 7
@@ -201,7 +213,7 @@ class TestFirstMerge:
     def test_index_of_first_absorbed_token(self):
         vocab = vocab_from([b"a", b"ab", b"b", b"c"])
         # "c", "a", "b" renders "cab", which retokenizes as "c", "ab"
-        assert first_merge((3, 0, 2, 0, 2), b"cabab", vocab) == 1
+        assert first_merge((3, 0, 2, 0, 2), b"cabab", vocab) == (1, b"a", b"ab")
 
 
 @settings(max_examples=200, deadline=None)
