@@ -118,12 +118,12 @@ def bucket_index(seed: int, buckets: int, token_id: int) -> int:
     return derive_seed("bucket", seed, token_id) % buckets
 
 
-def _edit_terms(left: list[bytes], right: list[bytes], edit_mode: str) -> np.ndarray:
-    """The edit term of the pair score for each pair ``(left[i], right[i])``."""
+def _edit_terms(surfaces: list[bytes], left, right, edit_mode: str) -> np.ndarray:
+    """The edit term of the pair score for each pair ``(surfaces[left[i]], surfaces[right[i]])``."""
     if edit_mode == "raw":
-        return editdist.levenshtein_batch(left, right).astype(np.float64)
+        return editdist.levenshtein_batch(left, right, surfaces).astype(np.float64)
     if edit_mode == "normalized":
-        return editdist.normalized_batch(left, right)
+        return editdist.normalized_batch(left, right, surfaces)
     raise ArgumentError(f"edit_mode must be one of {EDIT_MODES}")
 
 
@@ -141,7 +141,7 @@ def score_strings(
     a: bytes, b: bytes, ea: np.ndarray, eb: np.ndarray, mu: float, edit_mode: str = "normalized"
 ) -> float:
     """Pair score from raw surfaces and embedding vectors (higher is better)."""
-    return _score(float(_edit_terms([a], [b], edit_mode)[0]), ea, eb, mu)
+    return _score(float(_edit_terms([a, b], [0], [1], edit_mode)[0]), ea, eb, mu)
 
 
 def pair_score(
@@ -203,11 +203,7 @@ def _greedy_pair_cell(
     rows, cols = np.nonzero(nbr_ids >= 0)
     nbr_pos = np.searchsorted(member_arr, nbr_ids[rows, cols])
     surfaces = [vocab.token_of(i) for i in members]
-    edits = _edit_terms(
-        [surfaces[r] for r in rows.tolist()],
-        [surfaces[p] for p in nbr_pos.tolist()],
-        config.edit_mode,
-    )
+    edits = _edit_terms(surfaces, rows, nbr_pos, config.edit_mode)
     scores = np.full((m, width), -np.inf, dtype=np.float64)
     scores[rows, cols] = edits - config.mu * (1.0 - nbr_sims[rows, cols])
 
@@ -293,9 +289,12 @@ def objective_value(key: BijectionKey, vocab: Vocabulary, store: EmbeddingStore)
     if key.vocab_fingerprint != vocab.fingerprint:
         raise CompatibilityError("key was built for a different vocabulary")
     pairs = [(i, j) for i, j in key.mapping.items() if i != j]  # fixed points contribute zero
+    # each paired id is the first member of exactly one entry of ``pairs``
+    pos = {i: p for p, (i, _) in enumerate(pairs)}
     edits = _edit_terms(
         [vocab.token_of(i) for i, _ in pairs],
-        [vocab.token_of(j) for _, j in pairs],
+        np.arange(len(pairs)),
+        [pos[j] for _, j in pairs],
         key.config.edit_mode,
     )
     total = 0.0
@@ -332,18 +331,13 @@ def opacity_report(key: BijectionKey, vocab: Vocabulary) -> OpacityReport:
         raise CompatibilityError("key was built for a different vocabulary")
     if not key.mask:
         return OpacityReport(0, 0, None, None, None, empty_mapping=True)
-    left: list[bytes] = []
-    right: list[bytes] = []
-    unchanged = 0
-    for i in sorted(key.mask):
-        j = key.mapping[i]
-        s_i, s_j = vocab.token_of(i), vocab.token_of(j)
-        if s_i == s_j:
-            unchanged += 1
-        if i < j:
-            left.append(s_i)
-            right.append(s_j)
-    dists = editdist.normalized_batch(left, right).tolist()
+    ids = sorted(key.mask)
+    pos = {i: p for p, i in enumerate(ids)}
+    surfaces = [vocab.token_of(i) for i in ids]
+    partner = [pos[key.mapping[i]] for i in ids]
+    unchanged = sum(surfaces[p] == surfaces[q] for p, q in enumerate(partner))
+    left = [p for p, q in enumerate(partner) if p < q]
+    dists = _edit_terms(surfaces, left, [partner[p] for p in left], "normalized").tolist()
     return OpacityReport(
         pair_count=len(dists),
         fixed_point_count=len(key.fixed_points),

@@ -29,6 +29,9 @@ from .vocab import Vocabulary, reference_tokenize
 _MAGIC = b"AEMB"
 _VERSION = 1
 _NORM_TOL = 1e-5
+# Query rows per top-k selection: each selection holds int64 index arrays as
+# large as its slice of the similarity block.
+_SELECT_ROWS = 64
 
 
 @dataclass(frozen=True)
@@ -283,8 +286,11 @@ def topk_cosine(
     for start in range(0, queries.size, block):
         stop = min(start + block, queries.size)
         sims_block = store.rows[queries[start:stop]] @ cand_rows.T
-        out_ids[start:stop], out_sims[start:stop] = _topk_rows(
-            sims_block, queries[start:stop], cand, width
-        )
+        # Rows select independently; slicing caps the selection's index arrays.
+        for lo in range(start, stop, _SELECT_ROWS):
+            hi = min(lo + _SELECT_ROWS, stop)
+            out_ids[lo:hi], out_sims[lo:hi] = _topk_rows(
+                sims_block[lo - start : hi - start], queries[lo:hi], cand, width
+            )
         del sims_block  # free this block before the next one is computed
     return out_ids, out_sims

@@ -21,6 +21,8 @@ from __future__ import annotations
 
 import io
 import json
+import os
+import secrets
 from contextlib import nullcontext
 from dataclasses import dataclass
 from pathlib import Path
@@ -230,21 +232,41 @@ def _walk_record(record: dict, field_fn: Callable[[str], str]) -> dict:
     return out
 
 
+def _mapped_lines(src, field_fn: Callable[[str], str]) -> Iterator[str]:
+    """Every record of an open JSONL file through ``field_fn``, as output lines."""
+    for lineno, record in read_jsonl(src):
+        try:
+            out = _walk_record(record, field_fn)
+        except StabilityError as e:
+            raise DatasetFormatError(lineno, f"unstable rendering: {e}") from e
+        except (FormatError, CoverageError, UnicodeEncodeError) as e:
+            # UnicodeEncodeError: a lone surrogate from a \ud800 escape
+            raise DatasetFormatError(lineno, str(e)) from e
+        yield json.dumps(out, ensure_ascii=True, sort_keys=False) + "\n"
+
+
 def _map_dataset(input_path, output_path, field_fn: Callable[[str], str]) -> int:
-    """Write every record of a JSONL file through ``field_fn``; returns the record count."""
+    """Write every record of a JSONL file through ``field_fn``; returns the record count.
+
+    The records go to a temp file beside the output, which replaces the output
+    only once every record is written, so a failure leaves the output as it was.
+    """
     records = 0
-    # the input opens first, so a missing input leaves the output untouched
-    with open(input_path, "rb") as src, open(output_path, "w", encoding="utf-8") as dst:
-        for lineno, record in read_jsonl(src):
-            try:
-                out = _walk_record(record, field_fn)
-            except StabilityError as e:
-                raise DatasetFormatError(lineno, f"unstable rendering: {e}") from e
-            except (FormatError, CoverageError, UnicodeEncodeError) as e:
-                # UnicodeEncodeError: a lone surrogate from a \ud800 escape
-                raise DatasetFormatError(lineno, str(e)) from e
-            dst.write(json.dumps(out, ensure_ascii=True, sort_keys=False) + "\n")
-            records += 1
+    output_path = Path(output_path)
+    # the input opens first, so a missing input creates no temp file
+    with open(input_path, "rb") as src:
+        # a plain exclusive open, unlike mkstemp, gives the umask's permissions
+        tmp = output_path.with_name(f".{output_path.name}.{secrets.token_hex(4)}.tmp")
+        dst = open(tmp, "x", encoding="utf-8")
+        try:
+            with dst:
+                for line in _mapped_lines(src, field_fn):
+                    dst.write(line)
+                    records += 1
+            os.replace(tmp, output_path)
+        except BaseException:
+            tmp.unlink(missing_ok=True)
+            raise
     return records
 
 

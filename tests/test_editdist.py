@@ -136,3 +136,96 @@ def test_normalized():
 def test_normalized_batch():
     out = editdist.normalized_batch([b"ab", b"abcd", b""], [b"cd", b"abce", b""])
     assert out.tolist() == [1.0, 0.25, 0.0]
+
+
+# ---------------------------------------------------------------------------
+# The index form: pairs as indices into one list of surfaces
+
+
+def _all_pairs(surfaces):
+    """Every ordered pair of indices, self-pairs included."""
+    n = len(surfaces)
+    return [i for i in range(n) for _ in range(n)], [j for _ in range(n) for j in range(n)]
+
+
+def _assert_index_form(left, right, surfaces):
+    expected = [oracle_levenshtein(surfaces[i], surfaces[j]) for i, j in zip(left, right)]
+    got = editdist.levenshtein_batch(left, right, surfaces)
+    assert got.dtype == np.int32
+    assert got.tolist() == expected
+    # the byte-string form of the same pairs gives the same distances
+    byte_form = editdist.levenshtein_batch(
+        [surfaces[i] for i in left], [surfaces[j] for j in right]
+    )
+    assert byte_form.tolist() == expected
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_index_form_matches_oracle(data):
+    surfaces = data.draw(st.lists(st.binary(max_size=80), min_size=1, max_size=8))
+    index = st.integers(0, len(surfaces) - 1)
+    pairs = data.draw(st.lists(st.tuples(index, index), max_size=24))
+    _assert_index_form([i for i, _ in pairs], [j for _, j in pairs], surfaces)
+
+
+def test_index_form_edge_bytes_and_lengths():
+    # NUL (the old padding byte), bytes >= 0x80, empty surfaces, and shorter
+    # sides on both sides of the 64-byte word.
+    surfaces = [
+        b"",
+        b"\0",
+        b"\0\0a",
+        b"a\0\0",
+        bytes(range(0x80, 0x90)),
+        b"\xff\x80\0" * 3,
+        b"ab\x80\0" * 16,  # 64 bytes
+        b"ab\x80\0" * 16 + b"\0",  # 65 bytes
+        b"\0" * 70,
+        b"\xfe" * 130,
+    ]
+    _assert_index_form(*_all_pairs(surfaces), surfaces)
+
+
+def test_index_form_one_byte_alphabet():
+    surfaces = [b"a" * n for n in range(0, 140, 9)]
+    left, right = _all_pairs(surfaces)
+    _assert_index_form(left, right, surfaces)
+    got = editdist.levenshtein_batch(left, right, surfaces).tolist()
+    assert got == [abs(len(surfaces[i]) - len(surfaces[j])) for i, j in zip(left, right)]
+
+
+def test_index_form_every_byte_value():
+    rng = np.random.default_rng(11)
+    every = bytes(range(256))
+    # windows of all 256 byte values as patterns, plus random full-range strings
+    surfaces = [every[lo : lo + 64] for lo in range(0, 256, 32)]
+    surfaces += [rng.integers(0, 256, size=n, dtype=np.uint8).tobytes() for n in (1, 7, 40, 64, 90)]
+    _assert_index_form(*_all_pairs(surfaces), surfaces)
+
+
+def test_index_form_many_chunks(monkeypatch):
+    monkeypatch.setattr(editdist, "_CHUNK", 5)
+    rng = np.random.default_rng(12)
+    surfaces = _draw_pairs(13, 40, 70)[0]
+    left = rng.integers(0, len(surfaces), size=300).tolist()
+    right = rng.integers(0, len(surfaces), size=300).tolist()
+    _assert_index_form(left, right, surfaces)
+
+
+def test_index_form_accepts_arrays_and_normalizes():
+    surfaces = [b"ab", b"cd", b"abcd", b"abce", b""]
+    left, right = np.array([0, 2, 4, 3]), np.array([1, 3, 4, 3])
+    assert editdist.levenshtein_batch(left, right, surfaces).tolist() == [2, 1, 0, 0]
+    assert editdist.normalized_batch(left, right, surfaces).tolist() == [1.0, 0.25, 0.0, 0.0]
+
+
+@pytest.mark.parametrize("left,right", [([0], [2]), ([-1], [0]), ([0, 1], [1, 2])])
+def test_index_form_rejects_out_of_range(left, right):
+    with pytest.raises(IndexError):
+        editdist.levenshtein_batch(left, right, [b"a", b"b"])
+
+
+def test_index_form_length_mismatch():
+    with pytest.raises(ValueError):
+        editdist.levenshtein_batch([0], [0, 1], [b"a", b"b"])

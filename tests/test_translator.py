@@ -471,6 +471,19 @@ class TestAlienizeDataset:
         with pytest.raises(FormatError, match="^line 2: no token matches input at byte offset 2"):
             alienize_dataset(src, identity_key(vocab), vocab, dst)
 
+    def test_failed_record_leaves_output_untouched(self, tmp_path):
+        vocab = vocab_from([b"a", b"b", b"c", b"x"])
+        src, dst = tmp_path / "in.jsonl", tmp_path / "out.jsonl"
+        write_jsonl(src, [{"instruction": "abc"}, {"instruction": "abz"}])
+        with pytest.raises(FormatError, match="^line 2"):
+            alienize_dataset(src, identity_key(vocab), vocab, dst)
+        assert list(tmp_path.iterdir()) == [src]  # no output and no temp file
+        dst.write_bytes(b'{"instruction": "earlier"}\n')
+        with pytest.raises(FormatError, match="^line 2"):
+            alienize_dataset(src, identity_key(vocab), vocab, dst)
+        assert dst.read_bytes() == b'{"instruction": "earlier"}\n'
+        assert sorted(tmp_path.iterdir()) == [src, dst]
+
     def test_unknown_shape_rejected(self, tmp_path):
         vocab, key = self._setup()
         src, dst = tmp_path / "in.jsonl", tmp_path / "out.jsonl"
