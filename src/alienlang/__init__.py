@@ -21,6 +21,7 @@ from .bijection import (
     BuildConfig,
     OpacityReport,
     build_key,
+    check_key,
     identity_key,
     key_from_pairs,
     key_overlap,

@@ -32,6 +32,7 @@ import numpy as np
 from . import editdist
 from .embeddings import EmbeddingStore, topk_cosine
 from .errors import ArgumentError, CompatibilityError, CoverageError, FormatError, ToolkitError
+from .fileio import atomic_write
 from .seeding import derive_rng, derive_seed
 from .vocab import Vocabulary, _parse_fingerprint
 
@@ -201,7 +202,9 @@ def _greedy_pair_cell(
     # Score every retrieved candidate pair in one batch; the greedy loop then
     # only consults precomputed ranks.
     rows, cols = np.nonzero(nbr_ids >= 0)
-    nbr_pos = np.searchsorted(member_arr, nbr_ids[rows, cols])
+    pos_of = np.empty(member_arr[-1] + 1, dtype=np.int64)  # member id -> its position
+    pos_of[member_arr] = np.arange(m)
+    nbr_pos = pos_of[nbr_ids[rows, cols]]
     surfaces = [vocab.token_of(i) for i in members]
     edits = _edit_terms(surfaces, rows, nbr_pos, config.edit_mode)
     scores = np.full((m, width), -np.inf, dtype=np.float64)
@@ -213,7 +216,7 @@ def _greedy_pair_cell(
     cand_pos[rows, cols] = nbr_pos
     cand_pos[~np.isfinite(scores)] = -1
     ranked = np.take_along_axis(cand_pos, np.lexsort((nbr_ids, -scores), axis=-1), axis=1)
-    del rows, cols, nbr_pos, surfaces, edits, scores, cand_pos, nbr_ids, nbr_sims
+    del rows, cols, pos_of, nbr_pos, surfaces, edits, scores, cand_pos, nbr_ids, nbr_sims
 
     mapping: dict[int, int] = {}
     available = [True] * m
@@ -284,10 +287,26 @@ def build_key(
     return key
 
 
-def objective_value(key: BijectionKey, vocab: Vocabulary, store: EmbeddingStore) -> float:
-    """Summed pair objective over the mask, counting each pair once per direction."""
+def check_key(key: BijectionKey, vocab: Vocabulary) -> None:
+    """Check that a key fits the vocabulary it is applied to; raises CompatibilityError.
+
+    A matching fingerprint is not enough: a key file can still pair a special
+    token or name an id the vocabulary lacks.  The check walks the whole mask,
+    so callers run it once per key and vocabulary, not per document.
+    """
     if key.vocab_fingerprint != vocab.fingerprint:
         raise CompatibilityError("key was built for a different vocabulary")
+    if not key.mapping.keys() <= vocab.id_to_token.keys():  # a subset test copies neither
+        outside = sorted(key.mapping.keys() - vocab.id_to_token.keys())
+        raise CompatibilityError(f"key maps id(s) outside the vocabulary: {outside[:5]}")
+    paired = sorted(i for i in vocab.specials if key.mapping.get(i, i) != i)
+    if paired:
+        raise CompatibilityError(f"key pairs special token id(s) {paired[:5]}")
+
+
+def objective_value(key: BijectionKey, vocab: Vocabulary, store: EmbeddingStore) -> float:
+    """Summed pair objective over the mask, counting each pair once per direction."""
+    check_key(key, vocab)
     pairs = [(i, j) for i, j in key.mapping.items() if i != j]  # fixed points contribute zero
     # each paired id is the first member of exactly one entry of ``pairs``
     pos = {i: p for p, (i, _) in enumerate(pairs)}
@@ -327,8 +346,7 @@ class OpacityReport:
 
 
 def opacity_report(key: BijectionKey, vocab: Vocabulary) -> OpacityReport:
-    if key.vocab_fingerprint != vocab.fingerprint:
-        raise CompatibilityError("key was built for a different vocabulary")
+    check_key(key, vocab)
     if not key.mask:
         return OpacityReport(0, 0, None, None, None, empty_mapping=True)
     ids = sorted(key.mask)
@@ -359,7 +377,8 @@ def save_key(key: BijectionKey, path: str | Path) -> None:
         "mapping": [[i, j] for i, j in pairs],
     }
     blob = json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
-    Path(path).write_bytes(blob.encode("ascii"))
+    with atomic_write(path, "wb") as fp:
+        fp.write(blob.encode("ascii"))
 
 
 # the JSON value types a key file may give a BuildConfig field of each type
@@ -417,16 +436,16 @@ def load_key(path: str | Path) -> BijectionKey:
         raise FormatError(f"key file config: {e}") from e
     if not (isinstance(raw_pairs, list) and isinstance(fixed_points, list)):
         raise FormatError('key file "mapping" and "fixed_points" must be arrays')
-    if not all(type(fp) is int for fp in fixed_points):
-        raise FormatError("key file fixed points must be integers")
+    if not all(type(fp) is int and fp >= 0 for fp in fixed_points):
+        raise FormatError("key file fixed points must be non-negative integers")
 
     def pairs():
         for entry in raw_pairs:
             i, j = entry if isinstance(entry, list) and len(entry) == 2 else (None, None)
             if type(i) is not int or type(j) is not int:
                 raise FormatError(f"malformed mapping entry {entry!r}")
-            if not i < j:
-                raise FormatError(f"mapping pair [{i}, {j}] violates i < j")
+            if not 0 <= i < j:
+                raise FormatError(f"mapping pair [{i}, {j}] violates 0 <= i < j")
             yield i, j
 
     return _assemble(fingerprint, config, pairs(), fixed_points, FormatError)

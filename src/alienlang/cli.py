@@ -16,12 +16,14 @@ from .attacks import frequency_attack, ngram_attack, nn_mapping_attack
 from .bijection import (
     BuildConfig,
     build_key,
+    check_key,
     load_key,
     opacity_report,
     save_key,
 )
 from .embeddings import load_embeddings, normalize
 from .errors import FormatError, ToolkitError
+from .fileio import atomic_write
 from .probe import EndpointConfig, llm_inverse_probe
 from .report import emit_summary, matrix_to_csv, overlap_matrix
 from .translator import (
@@ -47,6 +49,13 @@ def _add_vocab_args(p: argparse.ArgumentParser) -> None:
 
 def _load_vocab(args) -> "Vocabulary":
     return load_vocab(args.vocab, args.specials)
+
+
+def _load_key(args, vocab) -> "BijectionKey":
+    """The ``--key`` file, checked once against the vocabulary it is applied to."""
+    key = load_key(args.key)
+    check_key(key, vocab)
+    return key
 
 
 def _cmd_build_key(args) -> int:
@@ -78,7 +87,7 @@ def _cmd_build_key(args) -> int:
 
 def _cmd_encode(args) -> int:
     vocab = _load_vocab(args)
-    key = load_key(args.key)
+    key = _load_key(args, vocab)
     if args.ids:
         sequences = read_pretokenized(args.input, vocab)
         encoded = [encode_ids(s, key) for s in sequences]
@@ -88,13 +97,14 @@ def _cmd_encode(args) -> int:
     doc = encode_text(data, key, vocab, strict=args.strict)
     if not doc.retokenization_safe:
         print("warning: rendering is not retokenization-safe; writing ID stream", file=sys.stderr)
-    Path(args.output).write_bytes(to_wire(doc, key))
+    with atomic_write(args.output, "wb") as fp:
+        fp.write(to_wire(doc, key))
     return 0
 
 
 def _cmd_decode(args) -> int:
     vocab = _load_vocab(args)
-    key = load_key(args.key)
+    key = _load_key(args, vocab)
     data = Path(args.input).read_bytes()
     if args.ids:
         if data.startswith(ID_STREAM_MAGIC.encode("ascii")):
@@ -103,13 +113,14 @@ def _cmd_decode(args) -> int:
             sequences = read_pretokenized(args.input, vocab)
         write_pretokenized([decode_ids(s, key) for s in sequences], args.output)
         return 0
-    Path(args.output).write_bytes(decode_text(data, key, vocab))
+    with atomic_write(args.output, "wb") as fp:
+        fp.write(decode_text(data, key, vocab))
     return 0
 
 
 def _cmd_emit_dataset(args) -> int:
     vocab = _load_vocab(args)
-    key = load_key(args.key)
+    key = load_key(args.key)  # alienize_dataset checks it against the vocabulary
     summary = alienize_dataset(args.input, key, vocab, args.output, strict=args.strict)
     print(
         f"records={summary.records} tokens={summary.tokens} "
@@ -139,7 +150,7 @@ def _cmd_attack(args) -> int:
     reports = []
     if args.kind == "freq":
         vocab = _load_vocab(args)
-        key = load_key(args.key)
+        key = _load_key(args, vocab)
         alien = [s.ids for s in read_pretokenized(args.alien, vocab)]
         reference = [s.ids for s in read_pretokenized(args.reference, vocab)]
         rep = frequency_attack(alien, reference, key, top_m=args.top_m)
@@ -150,7 +161,7 @@ def _cmd_attack(args) -> int:
         )
     elif args.kind == "ngram":
         vocab = _load_vocab(args)
-        key = load_key(args.key)
+        key = _load_key(args, vocab)
         leaked = _read_records(args.leaked, ("plain", "alien"), _is_id_list)
         eval_pairs = _read_records(args.eval, ("plain", "alien"), _is_id_list)
         reference = None

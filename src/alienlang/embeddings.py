@@ -5,12 +5,15 @@ vocabulary scales this toolkit targets (up to a few hundred thousand rows,
 small d) exact retrieval is affordable and removes approximation as a
 correctness variable; blocking is purely a memory optimization.
 
-Selection works on a whole similarity block at once: each query's own cell
-is set to -inf, one ``argpartition`` takes the k largest of every row, and
-only rows whose k-th value is tied across the cut are repaired, keeping the
-lowest-id ties.  The chosen columns are put in id order and then stably
-sorted by descending cosine, so every row follows the (-cosine, ascending
-id) order of an exhaustive sort whatever the block width.
+Selection works on 64-row slices of a similarity block: each query's own
+cell is set to -inf, one ``argpartition`` takes the k + 1 largest values of
+every row, and that small set is put in id order and stably sorted by
+descending cosine.  Its first k entries are the answer unless its k-th and
+(k + 1)-th values are equal: then ties may lie outside the set, and only
+that row is re-chosen from its full row, keeping the lowest-id ties.  Every
+row thus follows the (-cosine, ascending id) order of an exhaustive sort
+whatever the block width, and no step reads a whole row a second time
+except in a repaired row.
 """
 
 from __future__ import annotations
@@ -199,39 +202,48 @@ def derive_proxy_store(
     return EmbeddingStore(rows=rows)
 
 
+def _by_descending_value(sims: np.ndarray, cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's ``cols`` and their values, by descending value; ties keep column order."""
+    vals = np.take_along_axis(sims, cols, axis=1)
+    order = np.argsort(-vals, axis=1, kind="stable")
+    return np.take_along_axis(cols, order, axis=1), np.take_along_axis(vals, order, axis=1)
+
+
 def _topk_rows(
     sims: np.ndarray, query_ids: np.ndarray, cand_ids: np.ndarray, width: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Exact top-``width`` of every row of a similarity block, (-sim, id) order.
 
     ``sims`` has one row per query and one column per ascending candidate id;
-    it is modified in place (each query's own cell becomes -inf).  Ties at
-    the cut go to the lowest ids, matching an exhaustive sort.  Slots left
-    holding -inf (the query itself, when width covers every candidate) come
-    back as id -1.
+    it is modified in place (each query's own cell becomes -inf).  One
+    ``argpartition`` takes the width + 1 largest values of each row, and only
+    that small set is sorted.  Where its width-th and (width + 1)-th values
+    differ, its first ``width`` entries are the answer.  Where they are equal,
+    the partition may have kept a higher id than a tie it left out, so that
+    row is re-chosen from all its values, ties at the cut going to the lowest
+    ids as in an exhaustive sort.  Slots left holding -inf (the query itself,
+    when width covers every candidate) come back as id -1.
     """
     rows, m = sims.shape
     pos = np.searchsorted(cand_ids, query_ids)
     hit = np.flatnonzero(cand_ids[np.minimum(pos, m - 1)] == query_ids)
     sims[hit, pos[hit]] = -np.inf
     if width < m:
-        chosen = np.argpartition(sims, m - width, axis=1)[:, m - width :]
-        kth = np.take_along_axis(sims, chosen, axis=1).min(axis=1, keepdims=True)
-        # A row needs repair only if values equal to its k-th straddle the cut.
-        straddle = np.flatnonzero((sims >= kth).sum(axis=1) > width)
-        if straddle.size:
-            s, t = sims[straddle], kth[straddle]
+        top = np.argpartition(sims, m - width - 1, axis=1)[:, m - width - 1 :]
+        top.sort(axis=1)  # position order is id order
+    else:
+        top = np.broadcast_to(np.arange(m), (rows, m))
+    chosen, vals = _by_descending_value(sims, top)
+    if width < m:
+        cut = np.flatnonzero(vals[:, width - 1] == vals[:, width])
+        chosen, vals = chosen[:, :width], vals[:, :width]
+        if cut.size:
+            s, t = sims[cut], vals[cut, width - 1 :]
             tied = s == t
             need = width - (s > t).sum(axis=1, keepdims=True)
             keep = (s > t) | (tied & (np.cumsum(tied, axis=1) <= need))
-            chosen[straddle] = np.nonzero(keep)[1].reshape(straddle.size, width)
-        chosen.sort(axis=1)  # position order is id order
-    else:
-        chosen = np.broadcast_to(np.arange(m), (rows, m))
-    vals = np.take_along_axis(sims, chosen, axis=1)
-    order = np.argsort(-vals, axis=1, kind="stable")
-    chosen = np.take_along_axis(chosen, order, axis=1)
-    vals = np.take_along_axis(vals, order, axis=1)
+            cols = np.nonzero(keep)[1].reshape(cut.size, width)
+            chosen[cut], vals[cut] = _by_descending_value(s, cols)
     ids = cand_ids[chosen]
     ids[vals == -np.inf] = -1
     return ids, vals

@@ -26,7 +26,11 @@ class ArgumentError(ToolkitError, ValueError):
 
 
 class CompatibilityError(ToolkitError):
-    """Key and vocabulary (or two keys) have mismatched fingerprints."""
+    """Key and vocabulary (or two keys) do not fit each other.
+
+    Either their fingerprints differ, or a key pairs a special token or maps
+    an id outside the vocabulary.
+    """
 
 
 class DegenerateInputError(ToolkitError):

@@ -11,6 +11,7 @@ from typing import Sequence
 from .attacks import AttackReport
 from .bijection import BijectionKey, OpacityReport, key_overlap
 from .errors import ArgumentError, CompatibilityError, FormatError
+from .fileio import atomic_write
 
 SUMMARY_SCHEMA_VERSION = 1
 
@@ -67,7 +68,7 @@ def overlap_matrix(keys: Sequence[BijectionKey]) -> OverlapMatrix:
 
 def matrix_to_csv(matrix: OverlapMatrix, path: str | Path) -> None:
     """CSV view: header row of seeds, one row per seed."""
-    with open(path, "w", encoding="utf-8", newline="") as fp:
+    with atomic_write(path, encoding="utf-8", newline="") as fp:
         writer = csv.writer(fp)
         writer.writerow(["seed", *matrix.seeds])
         for seed, row in zip(matrix.seeds, matrix.values):
@@ -98,7 +99,8 @@ def emit_summary(reports: Sequence, path: str | Path) -> None:
         "schema_version": SUMMARY_SCHEMA_VERSION,
         "reports": [_serialize_report(r) for r in reports],
     }
-    Path(path).write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n", encoding="utf-8")
+    with atomic_write(path, encoding="utf-8") as fp:
+        fp.write(json.dumps(doc, sort_keys=True, indent=2) + "\n")
 
 
 def read_summary(path: str | Path) -> dict:

@@ -21,15 +21,14 @@ from __future__ import annotations
 
 import io
 import json
-import os
-import secrets
 from contextlib import nullcontext
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterable, Iterator
 
-from .bijection import BijectionKey
+from .bijection import BijectionKey, check_key
 from .errors import ArgumentError, CompatibilityError, CoverageError, FormatError, StabilityError
+from .fileio import atomic_write
 from .vocab import (
     TokenSequence,
     Vocabulary,
@@ -161,7 +160,7 @@ def to_wire(doc: AlienDocument, key: BijectionKey) -> bytes:
 def write_id_stream(target, sequences: Iterable[Iterable[int]], fingerprint: int) -> None:
     """Write the ID-stream transport format (header line plus ID lines)."""
     own = isinstance(target, (str, Path))
-    with open(target, "w", encoding="ascii") if own else nullcontext(target) as fp:
+    with atomic_write(target, encoding="ascii") if own else nullcontext(target) as fp:
         fp.write(f"{ID_STREAM_MAGIC} fingerprint={fingerprint:016x}\n")
         write_id_lines(fp, sequences)
 
@@ -248,25 +247,14 @@ def _mapped_lines(src, field_fn: Callable[[str], str]) -> Iterator[str]:
 def _map_dataset(input_path, output_path, field_fn: Callable[[str], str]) -> int:
     """Write every record of a JSONL file through ``field_fn``; returns the record count.
 
-    The records go to a temp file beside the output, which replaces the output
-    only once every record is written, so a failure leaves the output as it was.
+    The output is written atomically, so a failure leaves it as it was.
     """
     records = 0
-    output_path = Path(output_path)
     # the input opens first, so a missing input creates no temp file
-    with open(input_path, "rb") as src:
-        # a plain exclusive open, unlike mkstemp, gives the umask's permissions
-        tmp = output_path.with_name(f".{output_path.name}.{secrets.token_hex(4)}.tmp")
-        dst = open(tmp, "x", encoding="utf-8")
-        try:
-            with dst:
-                for line in _mapped_lines(src, field_fn):
-                    dst.write(line)
-                    records += 1
-            os.replace(tmp, output_path)
-        except BaseException:
-            tmp.unlink(missing_ok=True)
-            raise
+    with open(input_path, "rb") as src, atomic_write(output_path, encoding="utf-8") as dst:
+        for line in _mapped_lines(src, field_fn):
+            dst.write(line)
+            records += 1
     return records
 
 
@@ -284,6 +272,7 @@ def alienize_dataset(
     lenient mode an unstable rendering is emitted as an embedded ID stream;
     in strict mode it aborts.
     """
+    check_key(key, vocab)
     stats = DatasetSummary(records=0, tokens=0, unsafe_renderings=0)
 
     def translate(text: str) -> str:
@@ -303,6 +292,7 @@ def restore_dataset(
     output_path: str | Path,
 ) -> DatasetSummary:
     """Inverse of :func:`alienize_dataset` for content fields (test utility)."""
+    check_key(key, vocab)
 
     def restore(text: str) -> str:
         plain = decode_text(text.encode("utf-8", errors="surrogateescape"), key, vocab)

@@ -20,6 +20,7 @@ from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple
 
 from .errors import ArgumentError, CoverageError, FormatError, UnknownTokenError
+from .fileio import atomic_write
 
 
 def _surrogate_encode(s: str) -> bytes:
@@ -356,5 +357,5 @@ def read_pretokenized(path: str | Path, vocab: Vocabulary | None = None) -> list
 
 
 def write_pretokenized(sequences: Iterable[Iterable[int]], path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as fp:
+    with atomic_write(path, encoding="utf-8") as fp:
         write_id_lines(fp, sequences)

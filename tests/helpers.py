@@ -6,6 +6,7 @@ from __future__ import annotations
 import numpy as np
 
 from alienlang import (
+    BuildConfig,
     EmbeddingStore,
     StabilityError,
     Vocabulary,
@@ -13,7 +14,10 @@ from alienlang import (
     detokenize,
     encode_ids,
     reference_tokenize,
+    select_mask,
 )
+from alienlang.bijection import bucket_index
+from alienlang.seeding import derive_rng
 from alienlang.translator import ID_STREAM_MAGIC
 
 LOWER = "abcdefghijklmnopqrstuvwxyz"
@@ -86,6 +90,71 @@ def axis_store(rng: np.random.Generator, n: int, d: int) -> EmbeddingStore:
     cosine is exactly -1, 0 or 1 under any summation order: ties are exact."""
     rows = np.eye(d)[rng.integers(0, d, size=n)] * rng.choice([-1.0, 1.0], size=(n, 1))
     return EmbeddingStore(rows=rows, normalized=True)
+
+
+def oracle_levenshtein(a: bytes, b: bytes) -> int:
+    """Textbook full-matrix DP, written independently of the kernel."""
+    m, n = len(a), len(b)
+    dp = [[0] * (n + 1) for _ in range(m + 1)]
+    for i in range(m + 1):
+        dp[i][0] = i
+    for j in range(n + 1):
+        dp[0][j] = j
+    for i in range(1, m + 1):
+        for j in range(1, n + 1):
+            cost = 0 if a[i - 1] == b[j - 1] else 1
+            dp[i][j] = min(dp[i - 1][j] + 1, dp[i][j - 1] + 1, dp[i - 1][j - 1] + cost)
+    return dp[m][n]
+
+
+def reference_greedy_mapping(
+    vocab: Vocabulary, store: EmbeddingStore, config: BuildConfig
+) -> dict[int, int]:
+    """``build_key``'s mapping, the slow way: an oracle for the retrieval -> pairing handoff.
+
+    Per bucket cell, each masked token's candidates are the first ``k`` of all
+    other members sorted by (-cosine, id), each scored
+    ``edit - mu * (1 - cos)`` with :func:`oracle_levenshtein`.  Tokens are
+    walked in ascending order, each pairing with its best-scoring available
+    candidate (ties to the lower id); leftovers are paired by the same seeded
+    shuffle as ``build_key``.  With exact cosines (:func:`axis_store`) float
+    summation order cannot matter, so the mappings must be equal.
+    """
+    mask = select_mask(config.seed, config.rho, vocab.permutable_ids)
+    cells: dict[int, list[int]] = {}
+    for i in sorted(mask):
+        cells.setdefault(bucket_index(config.seed, config.buckets, i), []).append(i)
+
+    def cos(i: int, j: int) -> float:
+        return float(store.rows[i] @ store.rows[j])
+
+    def score(i: int, j: int) -> float:
+        a, b = vocab.token_of(i), vocab.token_of(j)
+        edit = float(oracle_levenshtein(a, b))
+        if config.edit_mode == "normalized":
+            edit /= max(len(a), len(b))
+        return edit - config.mu * (1.0 - cos(i, j))
+
+    mapping: dict[int, int] = {}
+    for cell, members in sorted(cells.items()):
+        available = set(members)
+        for i in members:
+            if i not in available:
+                continue
+            others = sorted((j for j in members if j != i), key=lambda j: (-cos(i, j), j))
+            ranked = sorted(others[: config.k], key=lambda j: (-score(i, j), j))
+            partner = next((j for j in ranked if j in available), None)
+            if partner is not None:
+                mapping[i], mapping[partner] = partner, i
+                available -= {i, partner}
+        leftovers = np.asarray([i for i in members if i in available], dtype=np.int64)
+        shuffled = derive_rng("fallback", config.seed, cell).permutation(leftovers).tolist()
+        if len(shuffled) % 2 == 1:
+            fp = shuffled.pop()
+            mapping[fp] = fp
+        for a, b in zip(shuffled[0::2], shuffled[1::2]):
+            mapping[a], mapping[b] = b, a
+    return mapping
 
 
 def _first_divergence(ids: tuple[int, ...], recheck: tuple[int, ...]) -> int | None:

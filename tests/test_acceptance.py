@@ -35,9 +35,14 @@ from alienlang import (
     rouge_l,
     save_key,
 )
-from helpers import byte_complete_vocab, clustered_store, random_vocab, unit_store
+from helpers import (
+    byte_complete_vocab,
+    clustered_store,
+    oracle_levenshtein,
+    random_vocab,
+    unit_store,
+)
 from test_bijection import TABLE8_CANDIDATES, oracle_best_matching, table8_fixture
-from test_editdist import oracle_levenshtein
 
 
 @contextmanager

@@ -1,16 +1,20 @@
 import hashlib
 import math
+import re
 
 import numpy as np
 import pytest
 
 from alienlang import (
     ArgumentError,
+    BijectionKey,
     BuildConfig,
     CompatibilityError,
     EmbeddingStore,
     FormatError,
+    Vocabulary,
     build_key,
+    check_key,
     identity_key,
     key_from_pairs,
     key_overlap,
@@ -25,12 +29,13 @@ from alienlang.bijection import bucket_index, score_strings
 from helpers import (
     axis_store,
     clustered_store,
+    oracle_levenshtein,
     positive_unit_store,
     random_vocab,
+    reference_greedy_mapping,
     unit_store,
     vocab_from,
 )
-from test_editdist import oracle_levenshtein
 
 TABLE8_CANDIDATES = [
     # (surface, cosine, reference score at mu=2, true Levenshtein from "come")
@@ -291,6 +296,43 @@ class TestBuildKey:
             build_key(vocab, short_store, BuildConfig(k=2))
 
 
+def sparse_vocab(rng, n: int, specials: int) -> Vocabulary:
+    """n random lowercase tokens at sparse, unordered ids; ``specials`` of them,
+    drawn at random, are special, so they interleave with the permutable ids."""
+    tokens = random_vocab(rng, n).id_to_token
+    ids = rng.choice(3 * n, size=n, replace=False)
+    entries = [(tokens[p], int(tid)) for p, tid in enumerate(ids)]
+    special_ids = [int(i) for i in rng.choice(ids, specials, replace=False)]
+    return Vocabulary.from_entries(entries, special_ids)
+
+
+class TestReferenceGreedy:
+    """build_key against the exhaustive reference greedy in tests/helpers.py.
+
+    Axis stores make every cosine exactly -1, 0 or 1, so rows are full of ties
+    at the top-k cut, and the member ids of a cell are sparse: specials sit
+    between them, ``rho < 1`` drops some and ``buckets > 1`` scatters the rest.
+    """
+
+    @pytest.mark.parametrize("trial", range(24))
+    def test_build_key_matches_reference(self, trial):
+        rng = np.random.default_rng(4100 + trial)
+        n = int(rng.integers(8, 70))
+        vocab = sparse_vocab(rng, n, specials=int(rng.integers(1, 6)))
+        store = axis_store(rng, max(vocab.id_to_token) + 1, int(rng.integers(1, 5)))
+        config = BuildConfig(
+            k=int(rng.integers(1, 9)),
+            mu=float(rng.choice([0.0, 0.5, 1.0, 2.0])),
+            rho=float(rng.choice([0.6, 0.85, 1.0])),
+            seed=trial,
+            buckets=int(rng.choice([1, 2, 3, 5])),
+            greedy_batch=int(rng.integers(1, 9)),
+            edit_mode=str(rng.choice(["normalized", "raw"])),
+        )
+        key = build_key(vocab, store, config)
+        assert key.mapping == reference_greedy_mapping(vocab, store, config)
+
+
 def key_sha256(key, tmp_path) -> str:
     path = tmp_path / "key.json"
     save_key(key, path)
@@ -407,6 +449,40 @@ class TestObjective:
             best_value, _ = oracle_best_matching(list(vocab.permutable_ids), score)
             assert best_value > 0
             assert greedy_obj >= 0.8 * best_value
+
+
+class TestCheckKey:
+    VOCAB = vocab_from([b"a", b"b", b"c", b"<s>", b"d"], specials=[b"<s>"])
+
+    def key(self, mapping, fingerprint=None):
+        fingerprint = self.VOCAB.fingerprint if fingerprint is None else fingerprint
+        return BijectionKey(1, fingerprint, BuildConfig(), mapping)
+
+    def test_fitting_key_passes(self):
+        check_key(self.key({0: 1, 1: 0, 2: 4, 4: 2, 3: 3}), self.VOCAB)  # <s> fixed is harmless
+
+    @pytest.mark.parametrize(
+        "mapping, message",
+        [
+            ({1: 3, 3: 1}, "pairs special token id(s) [3]"),
+            ({1: 7, 7: 1}, "outside the vocabulary: [7]"),
+            ({-5: 0, 0: -5}, "outside the vocabulary: [-5]"),
+        ],
+    )
+    def test_unfit_key_rejected(self, mapping, message):
+        with pytest.raises(CompatibilityError, match=re.escape(message)):
+            check_key(self.key(mapping), self.VOCAB)
+
+    def test_fingerprint_mismatch(self):
+        with pytest.raises(CompatibilityError, match="different vocabulary"):
+            check_key(self.key({0: 1, 1: 0}, fingerprint=self.VOCAB.fingerprint ^ 1), self.VOCAB)
+
+    def test_objective_and_opacity_check_the_key(self):
+        store = EmbeddingStore(rows=np.eye(5), normalized=True)
+        with pytest.raises(CompatibilityError):
+            objective_value(self.key({1: 7, 7: 1}), self.VOCAB, store)
+        with pytest.raises(CompatibilityError):
+            opacity_report(self.key({1: 3, 3: 1}), self.VOCAB)
 
 
 class TestOverlap:

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -5,7 +6,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 import numpy as np
 import pytest
 
-from alienlang import identity_key, load_key, save_embeddings, save_key, save_vocab
+from alienlang import BuildConfig, identity_key, load_key, save_embeddings, save_key, save_vocab
 from alienlang.cli import build_parser, main
 from helpers import byte_complete_vocab, unit_store, vocab_from
 
@@ -340,6 +341,82 @@ class TestOverlap:
         assert run(["overlap", "--keys", str(out), str(out)]) == 0
         rows = capsys.readouterr().out.strip().splitlines()
         assert rows and all(row.count("100.000") == 2 for row in rows)
+
+
+def write_key_file(path, fingerprint: int, mapping, fixed_points=()) -> str:
+    """A key file written by hand, so it may hold what ``save_key`` never would."""
+    doc = {
+        "version": 1,
+        "vocab_fingerprint": f"{fingerprint:016x}",
+        "config": dataclasses.asdict(BuildConfig()),
+        "fixed_points": list(fixed_points),
+        "mapping": mapping,
+    }
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+# id 3 is the special <s>; key files give it, or an id the vocabulary lacks, a partner
+FIT_VOCAB = vocab_from([b"a", b"b", b"c", b"<s>", b"d"], specials=[b"<s>"])
+OTHER_VOCAB = vocab_from([b"a", b"b", b"c", b"<s>", b"e"], specials=[b"<s>"])
+UNFIT_KEYS = {  # name: (fingerprint, mapping, error message)
+    "paired special": (FIT_VOCAB.fingerprint, [[1, 3]], "pairs special token id(s) [3]"),
+    "id outside": (FIT_VOCAB.fingerprint, [[1, 7]], "outside the vocabulary: [7]"),
+    "other vocabulary": (OTHER_VOCAB.fingerprint, [[0, 1]], "different vocabulary"),
+    "negative id": (FIT_VOCAB.fingerprint, [[-5, 0]], "violates 0 <= i < j"),
+}
+
+
+KEYED = ("--vocab", "{d}/vocab.json", "--specials", "{d}/specials.json", "--key", "{key}")
+COMMANDS = {
+    "encode": ("encode", *KEYED, "{d}/text.txt", "{out}"),
+    "encode --ids": ("encode", *KEYED, "--ids", "{d}/ids.txt", "{out}"),
+    "decode": ("decode", *KEYED, "{d}/text.txt", "{out}"),
+    "decode --ids": ("decode", *KEYED, "--ids", "{d}/ids.txt", "{out}"),
+    "emit-dataset": ("emit-dataset", *KEYED, "--in", "{d}/data.jsonl", "--out", "{out}"),
+    "attack freq": (
+        "attack", "freq", *KEYED,
+        "--alien", "{d}/ids.txt", "--reference", "{d}/ids.txt", "--report", "{out}",
+    ),
+    "attack ngram": (
+        "attack", "ngram", *KEYED,
+        "--leaked", "{d}/pairs.jsonl", "--eval", "{d}/pairs.jsonl", "--report", "{out}",
+    ),
+}
+
+
+class TestKeyMustFitVocabulary:
+    """Every command that applies a key to a vocabulary checks the pair once."""
+
+    @pytest.fixture
+    def fit(self, tmp_path):
+        save_vocab(FIT_VOCAB, tmp_path / "vocab.json", tmp_path / "specials.json")
+        (tmp_path / "text.txt").write_bytes(b"abc")
+        (tmp_path / "ids.txt").write_text("0 1 2\n")
+        (tmp_path / "data.jsonl").write_text('{"instruction": "abc"}\n')
+        (tmp_path / "pairs.jsonl").write_text('{"plain": [0, 1, 2], "alien": [1, 0, 4]}\n')
+        return tmp_path
+
+    @staticmethod
+    def run_command(command, d, key):
+        return run([arg.format(d=d, key=key, out=d / "out") for arg in COMMANDS[command]])
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    @pytest.mark.parametrize("case", list(UNFIT_KEYS))
+    def test_unfit_key_is_1(self, fit, command, case, capsys):
+        fingerprint, mapping, message = UNFIT_KEYS[case]
+        key = write_key_file(fit / "key.json", fingerprint, mapping)
+        assert self.run_command(command, fit, key) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err and err.count("\n") == 1, err
+        assert not (fit / "out").exists()
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_fit_key_runs(self, fit, command):
+        # the same files with a key that fits: a special as a fixed point is harmless
+        key = write_key_file(fit / "key.json", FIT_VOCAB.fingerprint, [[0, 1], [2, 4]], [3])
+        assert self.run_command(command, fit, key) == 0
+        assert (fit / "out").exists()
 
 
 class TestExitCodes:

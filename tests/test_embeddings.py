@@ -284,6 +284,21 @@ class TestExactTies:
             for k in (1, 2, 3, len(cands), len(cands) + 1):
                 assert knn(store, qid, k, cands) == oracle_knn(store, qid, k, cands)
 
+    def test_tie_at_width_and_next_keeps_lowest_ids(self):
+        # Query 0 = e_0.  Ids 20 and 33 also equal e_0 (cosine 1), ids 1-4 are
+        # -e_0 (cosine -1) and the other 34 ids are e_1 (cosine 0).  For every
+        # k from 3 to 36 the k-th and (k+1)-th values are both 0, and the 0s
+        # left out of the k + 1 largest may have lower ids than ones kept.
+        rows = np.tile([0.0, 1.0], (41, 1))
+        rows[[0, 20, 33]] = [1.0, 0.0]
+        rows[1:5] = [-1.0, 0.0]
+        store = EmbeddingStore(rows=rows, normalized=True)
+        zeros = [i for i in range(5, 41) if i not in (20, 33)]
+        for k in range(1, 41):
+            ids, _ = topk_cosine(store, [0], k, range(41))
+            assert ids[0].tolist() == ([20, 33] + zeros + [1, 2, 3, 4])[:k]
+            assert ids[0].tolist() == oracle_knn(store, 0, k, range(41))
+
     def test_cut_straddles_a_tie(self):
         # query 0 = e_0; ids 2, 4, 6 also equal e_0 and ids 1, 3, 5 are e_1;
         # k=2 cuts through the three cosine-1 ties, which go to the lowest ids

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from alienlang import BuildConfig, ToolkitError, key_from_pairs, load_key, save_key
+from alienlang import BuildConfig, FormatError, ToolkitError, key_from_pairs, load_key, save_key
 from helpers import vocab_from
 
 VOCAB = vocab_from([b"aa", b"bb", b"cc", b"dd", b"ee", b"<s>"], specials=[b"<s>"])
@@ -93,6 +93,19 @@ def test_valid_document_loads(scratch):
     path = scratch / "valid.json"
     path.write_text(json.dumps(valid_document()))
     assert load_key(path).mapping == KEY.mapping
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("mapping", [[-5, 0]]), ("mapping", [[-2, -1]]), ("fixed_points", [-1])],
+)
+def test_negative_ids_rejected(scratch, field, value):
+    doc = valid_document()
+    doc[field] = value
+    path = scratch / "negative.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(FormatError, match="non-negative|0 <= i < j"):
+        load_key(path)
 
 
 @settings(max_examples=300, deadline=None)

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 import alienlang.translator as translator
 from alienlang import (
+    BijectionKey,
     BuildConfig,
     CompatibilityError,
     FormatError,
@@ -483,6 +484,18 @@ class TestAlienizeDataset:
             alienize_dataset(src, identity_key(vocab), vocab, dst)
         assert dst.read_bytes() == b'{"instruction": "earlier"}\n'
         assert sorted(tmp_path.iterdir()) == [src, dst]
+
+    @pytest.mark.parametrize("mapping", [{1: 3, 3: 1}, {1: 7, 7: 1}])
+    @pytest.mark.parametrize("fn", [alienize_dataset, restore_dataset])
+    def test_unfit_key_rejected_before_any_record(self, tmp_path, fn, mapping):
+        # id 3 is the special <s>; id 7 is not in the vocabulary
+        vocab = vocab_from([b"a", b"b", b"c", b"<s>", b"d"], specials=[b"<s>"])
+        key = BijectionKey(1, vocab.fingerprint, BuildConfig(), mapping)
+        src, dst = tmp_path / "in.jsonl", tmp_path / "out.jsonl"
+        write_jsonl(src, [{"instruction": "abc"}])
+        with pytest.raises(CompatibilityError):
+            fn(src, key, vocab, dst)
+        assert list(tmp_path.iterdir()) == [src]
 
     def test_unknown_shape_rejected(self, tmp_path):
         vocab, key = self._setup()
