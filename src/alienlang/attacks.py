@@ -7,22 +7,32 @@ and a ``mask`` of permuted ids.  A key is one; :class:`TruthOracle` wraps a
 bare callback.  That seam is what lets tests prove the key cannot leak into
 the inference path.
 
-A corpus is a sequence whose items are token ids or sequences of ids
-(tuples, lists, :class:`~alienlang.vocab.TokenSequence` objects).
+A corpus is a sequence whose items are token ids (Python or numpy integers,
+not bools) or sequences of ids (tuples, lists, 1-D arrays,
+:class:`~alienlang.vocab.TokenSequence` objects); any other item raises
+:class:`~alienlang.errors.ArgumentError` naming it.  Inference turns each
+corpus into one int64 array and runs as array operations.
 """
 
 from __future__ import annotations
 
 import math
+import reprlib
 from collections import Counter
 from dataclasses import asdict, dataclass, field
-from typing import Callable, Iterable, Sequence
+from itertools import chain
+from typing import Callable, Sequence
 
 import numpy as np
 from scipy import sparse
 
 from .embeddings import EmbeddingStore
 from .errors import ArgumentError, CoverageError, FormatError
+from .vocab import TokenSequence
+
+
+# Rows per dense scoring block, in nn_hypotheses and ngram_hypotheses alike.
+_BLOCK_ROWS = 1024
 
 
 @dataclass
@@ -62,22 +72,60 @@ class TruthOracle:
     mask: frozenset[int]
 
 
-def _flatten(corpus) -> list[int]:
-    out: list[int] = []
-    for item in corpus:
-        if isinstance(item, int):
-            out.append(item)
-        elif isinstance(item, Iterable):  # a sequence of ids
-            out.extend(map(int, item))
-        else:  # an id of another integer type, such as numpy's
-            out.append(int(item))
-    return out
+def _is_id_type(t: type) -> bool:
+    return issubclass(t, (int, np.integer)) and t is not bool
 
 
-def _rank_by_frequency(tokens: Sequence[int]) -> list[int]:
-    """Token ids ranked by descending frequency, ties by ascending id."""
-    counts = Counter(tokens)
-    return sorted(counts, key=lambda t: (-counts[t], t))
+def _all_ids(values) -> bool:
+    return all(map(_is_id_type, set(map(type, values))))
+
+
+def _ids_of(item) -> list | tuple | None:
+    """The ids a sequence item holds, unchecked, or None if it is not a sequence."""
+    if isinstance(item, TokenSequence):
+        return item.ids
+    if isinstance(item, np.ndarray):
+        return item.tolist() if item.ndim == 1 else None
+    return item if isinstance(item, (list, tuple)) else None
+
+
+def _int64(ids, count: int) -> np.ndarray:
+    try:
+        return np.fromiter(ids, dtype=np.int64, count=count)
+    except OverflowError:
+        raise ArgumentError("corpus holds an id outside the int64 range") from None
+
+
+def _id_arrays(items) -> tuple[np.ndarray, np.ndarray]:
+    """The ids of ``items`` concatenated into one int64 array, and each item's length.
+
+    An item is a token id (a Python or numpy integer, not a bool) or a list,
+    tuple, 1-D array or :class:`~alienlang.vocab.TokenSequence` of ids; any
+    other item raises :class:`ArgumentError` naming it.
+    """
+    items = list(items)
+    seqs = [(item,) if _is_id_type(type(item)) else _ids_of(item) for item in items]
+    if None in seqs or not _all_ids(chain.from_iterable(seqs)):
+        bad = next(item for item, s in zip(items, seqs) if s is None or not _all_ids(s))
+        raise ArgumentError(
+            f"corpus item {reprlib.repr(bad)} is not a token id or a sequence of ids"
+        )
+    lengths = np.fromiter(map(len, seqs), dtype=np.int64, count=len(seqs))
+    return _int64(chain.from_iterable(seqs), int(lengths.sum())), lengths
+
+
+def _corpus_ids(corpus) -> np.ndarray:
+    """A corpus's ids in order as one int64 array; a flat id sequence skips the per-item walk."""
+    flat = _ids_of(corpus)
+    if flat is not None and _all_ids(flat):
+        return _int64(flat, len(flat))
+    return _id_arrays(corpus)[0]
+
+
+def _rank_by_frequency(ids: np.ndarray) -> np.ndarray:
+    """Distinct ids ranked by descending frequency, ties by ascending id."""
+    values, counts = np.unique(ids, return_counts=True)
+    return values[np.lexsort((values, -counts))]
 
 
 def frequency_hypotheses(
@@ -87,15 +135,15 @@ def frequency_hypotheses(
 
     Pure inference: no key involved.
     """
-    alien = _flatten(alien_corpus)
-    reference = _flatten(reference_corpus)
-    if not alien or not reference:
+    alien = _corpus_ids(alien_corpus)
+    reference = _corpus_ids(reference_corpus)
+    if not alien.size or not reference.size:
         raise ArgumentError("corpora must be non-empty")
     if top_m < 1:
         raise ArgumentError("top_m must be >= 1")
     alien_ranks = _rank_by_frequency(alien)[:top_m]
-    ref_ranks = _rank_by_frequency(reference)[: len(alien_ranks)]
-    return list(zip(alien_ranks, ref_ranks))
+    ref_ranks = _rank_by_frequency(reference)[: alien_ranks.size]
+    return list(zip(alien_ranks.tolist(), ref_ranks.tolist()))
 
 
 def frequency_attack(alien_corpus, reference_corpus, truth, top_m: int) -> AttackReport:
@@ -122,36 +170,65 @@ def frequency_attack(alien_corpus, reference_corpus, truth, top_m: int) -> Attac
     )
 
 
-def _context_signatures(
-    sequences: list[list[int]],
-    radius: int,
-    translate: dict[int, int] | None,
-    targets: set[int] | None,
-) -> dict[int, Counter]:
-    """Multiset context signatures within a symmetric window.
+def _signatures(
+    ids: np.ndarray, lengths: np.ndarray, row_of: np.ndarray, col_of: np.ndarray, radius: int, shape
+) -> sparse.csr_matrix:
+    """Multiset context signatures within a symmetric window, as counts in a CSR matrix.
 
-    ``translate`` restricts contexts to known-mapped neighbors and maps them
-    into plaintext id space; ``targets`` limits which center tokens collect
-    signatures.
+    Position ``i`` of the concatenated sequences is a center in row
+    ``row_of[i]`` and a neighbor in column ``col_of[i]``; -1 leaves it out.
+    Windows do not cross sequence boundaries.
     """
-    sigs: dict[int, Counter] = {}
-    for ids in sequences:
-        n = len(ids)
-        for t, center in enumerate(ids):
-            if targets is not None and center not in targets:
-                continue
-            sig = sigs.setdefault(center, Counter())
-            lo = max(0, t - radius)
-            hi = min(n, t + radius + 1)
-            for u in range(lo, hi):
-                if u == t:
-                    continue
-                neighbor = ids[u]
-                if translate is None:
-                    sig[neighbor] += 1
-                elif neighbor in translate:
-                    sig[translate[neighbor]] += 1
-    return sigs
+    seq = np.repeat(np.arange(lengths.size), lengths)
+    rows, cols = [], []
+    for d in range(1, radius + 1):
+        same = seq[d:] == seq[:-d]
+        left, right = slice(None, -d), slice(d, None)
+        for center, neighbor in ((left, right), (right, left)):
+            r, c = row_of[center], col_of[neighbor]
+            keep = same & (r >= 0) & (c >= 0)
+            rows.append(r[keep])
+            cols.append(c[keep])
+    rows, cols = np.concatenate(rows), np.concatenate(cols)
+    counts = sparse.csr_matrix((np.ones(rows.size, dtype=np.int64), (rows, cols)), shape=shape)
+    counts.sum_duplicates()
+    return counts
+
+
+def _with_data(matrix: sparse.csr_matrix, data: np.ndarray) -> sparse.csr_matrix:
+    """``matrix``'s pattern holding ``data``, with the entries that became zero dropped."""
+    out = matrix.copy()
+    out.data = data
+    out.eliminate_zeros()
+    return out
+
+
+def _overlap(alien: sparse.csr_matrix, plain_t: sparse.csr_matrix) -> np.ndarray:
+    """Dense ``S[a, c] = sum_v min(alien[a, v], plain_t[v, c])``.
+
+    With ``t_1 < ... < t_k`` the distinct counts in ``alien`` and ``t_0 = 0``,
+    ``min(x, y) = sum_j [x >= t_j] * (min(y, t_j) - min(y, t_{j-1}))`` for
+    every ``x`` among them, so ``S`` is one sparse product of the stacked
+    threshold indicators with the stacked clipped bands of ``plain_t``.
+    """
+    indicators, bands = [], []
+    floor = 0
+    for t in np.unique(alien.data).tolist():
+        indicators.append(_with_data(alien, (alien.data >= t).astype(np.int64)))
+        bands.append(_with_data(plain_t, np.clip(plain_t.data - floor, 0, t - floor)))
+        floor = t
+    if not indicators:
+        return np.zeros((alien.shape[0], plain_t.shape[1]), dtype=np.int64)
+    product = sparse.hstack(indicators, format="csr") @ sparse.vstack(bands, format="csr")
+    return product.toarray()
+
+
+def _lookup(sorted_keys: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Positions of ``values`` in ``sorted_keys`` and whether each is present."""
+    pos = np.searchsorted(sorted_keys, values)
+    found = pos < sorted_keys.size
+    found[found] = sorted_keys[pos[found]] == values[found]
+    return pos, found
 
 
 def ngram_hypotheses(
@@ -172,62 +249,60 @@ def ngram_hypotheses(
     consumed by known mappings are excluded, since the attacker knows the
     mapping is a bijection.  Each unseen token gets the candidate with the
     largest context overlap, ties (and an empty signature) going to the more
-    frequent candidate, then the lower id.  Pure inference: no key involved.
+    frequent candidate, then the lower id.  Unseen tokens are scored in
+    blocks of ``_BLOCK_ROWS`` rows, so one dense int64 block of rows by
+    candidates bounds the extra memory.  Pure inference: no key involved.
     """
     if n < 2:
         raise ArgumentError("n-gram order must be >= 2")
 
-    leaked = [(list(plain), list(alien)) for plain, alien in leaked_pairs]
-    eval_alien = [list(alien) for _, alien in eval_corpus]
-
-    known: dict[int, int] = {}
-    for p_seq, a_seq in leaked:
-        if len(p_seq) != len(a_seq):
-            raise FormatError("leaked pairs must be positionally aligned (equal lengths)")
-        known.update(zip(a_seq, p_seq))
+    leaked_plain, plain_lengths = _id_arrays([plain for plain, _ in leaked_pairs])
+    leaked_alien, alien_lengths = _id_arrays([alien for _, alien in leaked_pairs])
+    if not np.array_equal(plain_lengths, alien_lengths):
+        raise FormatError("leaked pairs must be positionally aligned (equal lengths)")
+    eval_ids, eval_lengths = _id_arrays([alien for _, alien in eval_corpus])
+    known = dict(zip(leaked_alien.tolist(), leaked_plain.tolist()))
+    known_alien = np.fromiter(known, np.int64, len(known))
+    known_plain = np.fromiter(known.values(), np.int64, len(known))
 
     if reference_corpus is None:
-        reference = [p_seq for p_seq, _ in leaked]
+        ref_ids, ref_lengths = leaked_plain, plain_lengths
     else:
-        reference = [list(seq) for seq in reference_corpus]
-    ref_freq = Counter(t for seq in reference for t in seq)
-    consumed = set(known.values())
+        ref_ids, ref_lengths = _id_arrays(reference_corpus)
+    # contexts are the reference's distinct ids; candidates those no known mapping consumed
+    contexts, ref_col, ref_freq = np.unique(ref_ids, return_inverse=True, return_counts=True)
+    free = np.flatnonzero(~np.isin(contexts, known_plain))
     # candidate order is the tie-break: more frequent first, then lower id
-    candidates = sorted((t for t in ref_freq if t not in consumed), key=lambda t: (-ref_freq[t], t))
-    radius = n - 1
-
-    unseen_targets = {t for seq in eval_alien for t in seq if t not in known}
-    alien_sigs = _context_signatures(eval_alien, radius, translate=known, targets=unseen_targets)
-    plain_sigs = _context_signatures(reference, radius, translate=None, targets=set(candidates))
-
+    free = free[np.lexsort((contexts[free], -ref_freq[free]))]
+    candidates = contexts[free]
     guesses: dict[int, int] = {}
-    if not candidates:
+    if not candidates.size:
         return known, guesses
-
-    # Sparse candidate-by-context matrix for fast multiset intersections.
-    cand_index = {c: idx for idx, c in enumerate(candidates)}
-    context_values = sorted({v for sig in plain_sigs.values() for v in sig})
-    ctx_index = {v: idx for idx, v in enumerate(context_values)}
-    rows, cols, data = [], [], []
-    for cand, sig in plain_sigs.items():
-        r = cand_index[cand]
-        for v, cnt in sig.items():
-            rows.append(r)
-            cols.append(ctx_index[v])
-            data.append(cnt)
-    matrix = sparse.csc_matrix(
-        (data, (rows, cols)), shape=(len(candidates), max(len(context_values), 1))
+    cand_row = np.full(contexts.size, -1, dtype=np.int64)
+    cand_row[free] = np.arange(free.size)
+    radius = n - 1
+    plain_sigs = _signatures(
+        ref_ids, ref_lengths, cand_row[ref_col], ref_col, radius, (candidates.size, contexts.size)
     )
 
-    for alien_tok in sorted(unseen_targets):
-        scores = np.zeros(len(candidates), dtype=np.int64)
-        for v, cnt in alien_sigs[alien_tok].items():
-            col = ctx_index.get(v)
-            if col is not None:
-                start, stop = matrix.indptr[col], matrix.indptr[col + 1]
-                scores[matrix.indices[start:stop]] += np.minimum(matrix.data[start:stop], cnt)
+    order = np.argsort(known_alien)
+    pos, is_known = _lookup(known_alien[order], eval_ids)
+    unseen, unseen_row = np.unique(eval_ids[~is_known], return_inverse=True)
+    eval_row = np.full(eval_ids.size, -1, dtype=np.int64)
+    eval_row[~is_known] = unseen_row
+    eval_col = np.full(eval_ids.size, -1, dtype=np.int64)
+    col, in_reference = _lookup(contexts, known_plain[order[pos[is_known]]])
+    eval_col[np.flatnonzero(is_known)[in_reference]] = col[in_reference]
+    alien_sigs = _signatures(
+        eval_ids, eval_lengths, eval_row, eval_col, radius, (unseen.size, contexts.size)
+    )
+
+    plain_t = plain_sigs.T.tocsr()
+    for start in range(0, unseen.size, _BLOCK_ROWS):
+        stop = min(start + _BLOCK_ROWS, unseen.size)
+        scores = _overlap(alien_sigs[start:stop], plain_t)
         # argmax takes the first maximum: candidate 0 when nothing overlaps
-        guesses[alien_tok] = candidates[int(scores.argmax())]
+        guesses.update(zip(unseen[start:stop].tolist(), candidates[scores.argmax(axis=1)].tolist()))
     return known, guesses
 
 
@@ -272,13 +347,13 @@ def ngram_attack(
 
 
 def nn_hypotheses(
-    store: EmbeddingStore, masked: Sequence[int], block: int = 1024
+    store: EmbeddingStore, masked: Sequence[int], block: int = _BLOCK_ROWS
 ) -> dict[int, int]:
     """O3 inference: each masked token's top-1 cosine neighbor within the mask."""
     if not store.normalized:
         raise ArgumentError("nn attack requires a normalized store")
-    ids = np.asarray(sorted(masked), dtype=np.int64)
-    if ids.size and ids[-1] >= store.n:
+    ids = np.asarray(sorted(set(masked)), dtype=np.int64)
+    if ids.size and (ids[0] < 0 or ids[-1] >= store.n):
         raise CoverageError("mask contains ids without embedding rows")
     guesses: dict[int, int] = {}
     if ids.size < 2:

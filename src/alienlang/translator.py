@@ -70,7 +70,7 @@ def encode_ids(z: TokenSequence, key: BijectionKey) -> TokenSequence:
     _check_fingerprint(z, key)
     mapping = key.mapping
     return TokenSequence(
-        ids=tuple(mapping.get(i, i) for i in z.ids),
+        ids=tuple(map(mapping.get, z.ids, z.ids)),
         fingerprint=key.vocab_fingerprint,
     )
 

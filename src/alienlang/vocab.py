@@ -334,7 +334,7 @@ def parse_id_line(line: str, lineno: int) -> tuple[int, ...]:
     """Parse one line of space-separated decimal token IDs."""
     if line.isascii():  # int() and str.split() also take non-ASCII digits and spaces
         try:
-            return tuple(int(tok) for tok in line.split())
+            return tuple(map(int, line.split()))
         except ValueError:
             pass
     raise FormatError(f"line {lineno}: not a space-separated ID list")
@@ -343,7 +343,7 @@ def parse_id_line(line: str, lineno: int) -> tuple[int, ...]:
 def write_id_lines(fp, sequences: Iterable[Iterable[int]]) -> None:
     """Write each sequence to a text file object as one line of space-separated IDs."""
     for seq in sequences:
-        fp.write(" ".join(str(i) for i in seq) + "\n")
+        fp.write(" ".join(map(str, seq)) + "\n")
 
 
 def read_pretokenized(path: str | Path, vocab: Vocabulary | None = None) -> list[TokenSequence]:

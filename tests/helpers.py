@@ -3,6 +3,8 @@ reference oracles."""
 
 from __future__ import annotations
 
+from collections import Counter
+
 import numpy as np
 
 from alienlang import (
@@ -105,6 +107,27 @@ def oracle_levenshtein(a: bytes, b: bytes) -> int:
             cost = 0 if a[i - 1] == b[j - 1] else 1
             dp[i][j] = min(dp[i - 1][j] + 1, dp[i][j - 1] + 1, dp[i - 1][j - 1] + cost)
     return dp[m][n]
+
+
+def reference_frequency_hypotheses(
+    alien_corpus, reference_corpus, top_m: int
+) -> list[tuple[int, int]]:
+    """``frequency_hypotheses`` the slow way: flatten item by item, count with a
+    Counter and rank by (-count, id); the r-th alien id pairs with the r-th
+    reference id."""
+
+    def ranked(corpus) -> list[int]:
+        tokens: list[int] = []
+        for item in corpus:
+            if isinstance(item, (int, np.integer)):
+                tokens.append(int(item))
+            else:
+                tokens.extend(int(i) for i in item)
+        counts = Counter(tokens)
+        return sorted(counts, key=lambda t: (-counts[t], t))
+
+    alien = ranked(alien_corpus)[:top_m]
+    return list(zip(alien, ranked(reference_corpus)[: len(alien)]))
 
 
 def reference_greedy_mapping(

@@ -8,8 +8,10 @@ from alienlang import (
     ArgumentError,
     AttackReport,
     BuildConfig,
+    CoverageError,
     EmbeddingStore,
     FormatError,
+    TokenSequence,
     TruthOracle,
     bleu,
     build_key,
@@ -21,8 +23,9 @@ from alienlang import (
     nn_mapping_attack,
     rouge_l,
 )
+from alienlang import attacks
 from alienlang.attacks import frequency_hypotheses, ngram_hypotheses, nn_hypotheses
-from helpers import axis_store, random_vocab, unit_store, vocab_from
+from helpers import axis_store, random_vocab, reference_frequency_hypotheses, unit_store, vocab_from
 
 
 def sample_corpus(rng, vocab, positions, zipf_a=1.1):
@@ -309,6 +312,19 @@ class TestAttackReport:
             AttackReport(attack_name="x", parameters={}, bleu=101.0)
 
 
+def test_nn_hypotheses_rejects_negative_ids():
+    store = EmbeddingStore(np.eye(4), normalized=True)
+    with pytest.raises(CoverageError):
+        nn_hypotheses(store, [-1, 0, 1])
+    with pytest.raises(CoverageError):
+        nn_hypotheses(store, [0, 4])
+
+
+def test_nn_hypotheses_never_guesses_a_repeated_id_as_its_own_partner():
+    store = EmbeddingStore(np.eye(4), normalized=True)
+    assert nn_hypotheses(store, [1, 1, 2]) == nn_hypotheses(store, [1, 2]) == {1: 2, 2: 1}
+
+
 class TestNnHypothesesTies:
     @pytest.mark.parametrize("block", [1, 2, 3, 7, 1024])
     def test_ties_break_to_lowest_id(self, block):
@@ -358,6 +374,15 @@ def reference_ngram_guesses(leaked, evals, n, reference):
     return {a: max(candidates, key=lambda c: rank(a, c)) for a in unseen}
 
 
+def as_form(seq, form):
+    """A list of ids in one of the accepted sequence forms."""
+    if form == "token_sequence":
+        return TokenSequence(ids=tuple(seq))
+    if form == "numpy":
+        return np.asarray(seq, dtype=np.int32 if len(seq) % 2 else np.int64)
+    return seq
+
+
 class TestNgramHypothesesTies:
     @pytest.mark.parametrize("seed", range(40))
     def test_matches_loop_reference(self, seed):
@@ -380,5 +405,145 @@ class TestNgramHypothesesTies:
         reference = None
         if seed % 3:
             reference = seqs(4, 9)
-        _, guesses = ngram_hypotheses(leaked, evals, n, reference)
-        assert guesses == reference_ngram_guesses(leaked, evals, n, reference)
+        expected = reference_ngram_guesses(leaked, evals, n, reference)
+        for form in ("list", "token_sequence", "numpy"):
+            leaked_in = [(as_form(p, form), as_form(a, form)) for p, a in leaked]
+            evals_in = [(as_form(p, form), as_form(a, form)) for p, a in evals]
+            reference_in = None if reference is None else [as_form(r, form) for r in reference]
+            _, guesses = ngram_hypotheses(leaked_in, evals_in, n, reference_in)
+            assert guesses == expected, form
+
+    def test_overlaps_of_three_or_more_sum_several_thresholds(self):
+        # unseen alien 200 sees known context 10 three times and 11 five times;
+        # overlaps: 20 -> 3 + 4 = 7, 21 -> 3 + 1 = 4, 22 -> 1 + 5 = 6, 23 -> 3 + 3 = 6.
+        # Thresholding both sides at the alien counts alone (3 and 5) would
+        # score 20 and 23 both 6 and pick 23, the more frequent.
+        leaked = [((10, 11), (110, 111))]
+        evals = [((), (110, 200))] * 3 + [((), (200, 111))] * 5
+
+        def around(cand, left, right):
+            return [(10, cand)] * left + [(cand, 11)] * right
+
+        reference = around(20, 4, 4) + around(21, 6, 1) + around(22, 1, 9) + around(23, 3, 3)
+        reference += [(23, 99)] * 3
+        known, guesses = ngram_hypotheses(leaked, evals, 2, reference)
+        assert known == {110: 10, 111: 11}
+        assert guesses == {200: 20}
+        assert guesses == reference_ngram_guesses(leaked, evals, 2, reference)
+
+    def test_alien_id_leaked_with_two_plaintexts_keeps_the_last(self):
+        leaked = [((5, 7), (50, 70)), ((6,), (50,))]
+        evals = [((), (50, 80, 70)), ((), (80, 50))]
+        reference = [(5, 9, 7), (9, 6), (6, 5)]
+        known, guesses = ngram_hypotheses(leaked, evals, 2, reference)
+        assert known == {50: 6, 70: 7}
+        # 5 is no longer consumed, so it stays a candidate
+        assert guesses == reference_ngram_guesses(leaked, evals, 2, reference)
+        assert guesses[80] in (5, 9)
+
+    @pytest.mark.parametrize("rows", [1, 3])
+    def test_row_blocks_do_not_change_guesses(self, rows, monkeypatch):
+        rng = np.random.default_rng(7)
+        perm = rng.permutation(40)
+        plain = [rng.integers(0, 40, size=12).tolist() for _ in range(30)]
+        pairs = [(p, [int(perm[t]) for t in p]) for p in plain]
+        leaked, evals = pairs[:6], pairs[6:]
+        whole = ngram_hypotheses(leaked, evals, 3, plain)
+        assert len(whole[1]) > rows
+        monkeypatch.setattr(attacks, "_BLOCK_ROWS", rows)
+        assert ngram_hypotheses(leaked, evals, 3, plain) == whole
+
+
+def mixed_corpus(rng, ids: int, items: int) -> list:
+    """Items in every accepted form (Python and numpy int ids; tuples, lists,
+    TokenSequences and arrays of ids, ragged or empty) over few distinct ids,
+    so frequencies tie often."""
+    corpus = []
+    for _ in range(items):
+        values = rng.integers(-2, ids, size=int(rng.integers(0, 6)))
+        form = int(rng.integers(0, 6))
+        if form == 0:
+            corpus.append(int(rng.integers(-2, ids)))
+        elif form == 1:
+            corpus.append(np.int32(rng.integers(-2, ids)))
+        elif form == 2:
+            corpus.append(tuple(values.tolist()))
+        elif form == 3:
+            corpus.append([np.int64(v) if i % 2 else int(v) for i, v in enumerate(values)])
+        elif form == 4:
+            corpus.append(TokenSequence(ids=tuple(values.tolist())))
+        else:
+            corpus.append(values.astype(np.int16))
+    return corpus
+
+
+class TestFrequencyHypothesesReference:
+    @pytest.mark.parametrize("seed", range(30))
+    def test_matches_loop_reference(self, seed):
+        rng = np.random.default_rng(100 + seed)
+        ids = int(rng.integers(2, 25))
+        alien = mixed_corpus(rng, ids, int(rng.integers(1, 60)))
+        reference = mixed_corpus(rng, ids, int(rng.integers(1, 60)))
+        top_m = int(rng.integers(1, ids + 4))
+        expected = reference_frequency_hypotheses(alien, reference, top_m)
+        if not expected:  # a corpus of empty sequences
+            with pytest.raises(ArgumentError, match="non-empty"):
+                frequency_hypotheses(alien, reference, top_m)
+            return
+        got = frequency_hypotheses(alien, reference, top_m)
+        assert got == expected
+        assert all(type(a) is int and type(p) is int for a, p in got)
+
+    @pytest.mark.parametrize(
+        "wrap",
+        [tuple, list, lambda ids: TokenSequence(ids=tuple(ids)), np.asarray],
+        ids=["tuple", "list", "token_sequence", "array"],
+    )
+    def test_flat_corpus_forms(self, wrap):
+        rng = np.random.default_rng(5)
+        alien = rng.integers(0, 9, size=400).tolist()
+        reference = rng.integers(0, 9, size=300).tolist()
+        expected = reference_frequency_hypotheses(alien, reference, 6)
+        assert frequency_hypotheses(wrap(alien), wrap(reference), 6) == expected
+        rows = np.asarray(alien).reshape(20, 20)  # a 2-D array is a corpus of rows
+        assert frequency_hypotheses(rows, reference, 6) == expected
+
+
+class TestMalformedCorpora:
+    @pytest.mark.parametrize(
+        "corpus, named",
+        [
+            (["12", 3], "'12'"),
+            ([b"ab", 1.9, True], "b'ab'"),
+            ([1.9, 2.2, 2.7], "1.9"),
+            ([3, True], "True"),
+            ([np.True_], "True"),
+            ([[1, True]], "[1, True]"),
+            ([(1, 2.5)], "(1, 2.5)"),
+            ([np.asarray([1.0, 2.0])], "array"),
+            ([np.zeros((2, 2), dtype=np.int64)], "array"),
+            ([{1, 2}], "{1, 2}"),
+            ([None], "None"),
+            ([[[1, 2]]], "[[1, 2]]"),
+            ([TokenSequence(ids=("1",))], "TokenSequence"),
+        ],
+    )
+    def test_frequency_rejects_and_names_the_item(self, corpus, named):
+        with pytest.raises(ArgumentError, match="corpus item") as err:
+            frequency_hypotheses(corpus, [5, 5, 6], 3)
+        assert named in str(err.value)
+        with pytest.raises(ArgumentError, match="corpus item"):
+            frequency_hypotheses([5, 5, 6], corpus, 3)
+
+    def test_ngram_rejects_character_sequences(self):
+        with pytest.raises(ArgumentError, match="'12'"):
+            ngram_hypotheses([("12", "34")], [((1,), (5,))], 2)
+        with pytest.raises(ArgumentError, match="'56'"):
+            ngram_hypotheses([((1,), (2,))], [((1,), "56")], 2)
+        with pytest.raises(ArgumentError, match="1.5"):
+            ngram_hypotheses([((1,), (2,))], [((1,), (5,))], 2, [(1, 1.5)])
+
+    def test_ids_outside_int64_rejected(self):
+        with pytest.raises(ArgumentError, match="int64"):
+            frequency_hypotheses([2**63], [1], 1)
+
