@@ -346,9 +346,7 @@ def ngram_attack(
     )
 
 
-def nn_hypotheses(
-    store: EmbeddingStore, masked: Sequence[int], block: int = _BLOCK_ROWS
-) -> dict[int, int]:
+def nn_hypotheses(store: EmbeddingStore, masked: Sequence[int]) -> dict[int, int]:
     """O3 inference: each masked token's top-1 cosine neighbor within the mask."""
     if not store.normalized:
         raise ArgumentError("nn attack requires a normalized store")
@@ -359,8 +357,8 @@ def nn_hypotheses(
     if ids.size < 2:
         return guesses
     rows = store.rows[ids]
-    for start in range(0, ids.size, block):
-        stop = min(start + block, ids.size)
+    for start in range(0, ids.size, _BLOCK_ROWS):
+        stop = min(start + _BLOCK_ROWS, ids.size)
         sims = rows[start:stop] @ rows.T
         local = np.arange(stop - start)
         sims[local, start + local] = -np.inf  # exclude self

@@ -21,7 +21,6 @@ from __future__ import annotations
 import json
 import math
 import statistics
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, fields, replace
 from functools import cached_property
 from pathlib import Path
@@ -128,21 +127,26 @@ def _edit_terms(surfaces: list[bytes], left, right, edit_mode: str) -> np.ndarra
     raise ArgumentError(f"edit_mode must be one of {EDIT_MODES}")
 
 
-def _score(edit: float, ea: np.ndarray, eb: np.ndarray, mu: float) -> float:
-    """Pair score from its edit term and the two embedding vectors."""
-    na = float(np.linalg.norm(ea))
-    nb = float(np.linalg.norm(eb))
-    if na == 0.0 or nb == 0.0:
+def _pair_scores(edits: np.ndarray, cos: np.ndarray, mu: float) -> np.ndarray:
+    """The pair score of each pair from its edit term and its cosine (higher is better)."""
+    return edits - mu * (1.0 - cos)
+
+
+def _cosines(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The cosine of each row of ``a`` with the same row of ``b``."""
+    na = np.linalg.norm(a, axis=1)
+    nb = np.linalg.norm(b, axis=1)
+    if not (na.all() and nb.all()):
         raise ArgumentError("cannot score a zero embedding vector")
-    cos = float(np.dot(ea, eb)) / (na * nb)
-    return edit - mu * (1.0 - cos)
+    return np.einsum("ij,ij->i", a, b) / (na * nb)
 
 
 def score_strings(
     a: bytes, b: bytes, ea: np.ndarray, eb: np.ndarray, mu: float, edit_mode: str = "normalized"
 ) -> float:
     """Pair score from raw surfaces and embedding vectors (higher is better)."""
-    return _score(float(_edit_terms([a, b], [0], [1], edit_mode)[0]), ea, eb, mu)
+    edit = _edit_terms([a, b], [0], [1], edit_mode)
+    return float(_pair_scores(edit, _cosines(np.atleast_2d(ea), np.atleast_2d(eb)), mu)[0])
 
 
 def pair_score(
@@ -208,7 +212,7 @@ def _greedy_pair_cell(
     surfaces = [vocab.token_of(i) for i in members]
     edits = _edit_terms(surfaces, rows, nbr_pos, config.edit_mode)
     scores = np.full((m, width), -np.inf, dtype=np.float64)
-    scores[rows, cols] = edits - config.mu * (1.0 - nbr_sims[rows, cols])
+    scores[rows, cols] = _pair_scores(edits, nbr_sims[rows, cols], config.mu)
 
     # Candidate member positions per row, best score first, ties to the lower
     # token id; -1 marks a missing or non-finite candidate and ends the row.
@@ -254,8 +258,10 @@ def build_key(
 ) -> BijectionKey:
     """Construct a key: mask, bucket, retrieve, greedily pair, fall back.
 
-    Deterministic in (vocab, store, config); bucket cells are independent, so
-    the result does not depend on how many threads build them.
+    Deterministic in (vocab, store, config).  Bucket cells are paired one by
+    one in ascending order on the calling thread; BLAS threads the similarity
+    matmul.  ``threads`` is accepted and ignored; ROADMAP item 6 deletes it
+    together with the benchmark's ``threads=`` argument.
     """
     if not store.normalized:
         raise ArgumentError("build_key requires a normalized store")
@@ -268,19 +274,9 @@ def build_key(
     cells: dict[int, list[int]] = {}
     for i in sorted(mask):
         cells.setdefault(bucket_index(config.seed, config.buckets, i), []).append(i)
-
-    def pair_cell(cell: int) -> dict[int, int]:
-        return _greedy_pair_cell(cells[cell], vocab, store, config, cell)
-
-    order = sorted(cells)
-    if threads and threads > 1 and len(order) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            fragments = list(pool.map(pair_cell, order))
-    else:
-        fragments = map(pair_cell, order)
     mapping: dict[int, int] = {}
-    for frag in fragments:
-        mapping.update(frag)
+    for cell in sorted(cells):
+        mapping.update(_greedy_pair_cell(cells[cell], vocab, store, config, cell))
 
     key = BijectionKey(KEY_FORMAT_VERSION, vocab.fingerprint, config, mapping)
     key.validate()
@@ -307,19 +303,16 @@ def check_key(key: BijectionKey, vocab: Vocabulary) -> None:
 def objective_value(key: BijectionKey, vocab: Vocabulary, store: EmbeddingStore) -> float:
     """Summed pair objective over the mask, counting each pair once per direction."""
     check_key(key, vocab)
-    pairs = [(i, j) for i, j in key.mapping.items() if i != j]  # fixed points contribute zero
-    # each paired id is the first member of exactly one entry of ``pairs``
-    pos = {i: p for p, (i, _) in enumerate(pairs)}
+    # fixed points contribute zero, and a pair scores the same in both directions
+    pairs = np.array(sorted(p for p in key.mapping.items() if p[0] < p[1]), np.int64).reshape(-1, 2)
+    if pairs.size and pairs.max() >= store.n:
+        raise CoverageError(f"no embedding row for token id {int(pairs.max())}")
+    left = np.arange(0, pairs.size, 2)
     edits = _edit_terms(
-        [vocab.token_of(i) for i, _ in pairs],
-        np.arange(len(pairs)),
-        [pos[j] for _, j in pairs],
-        key.config.edit_mode,
+        [vocab.token_of(i) for i in pairs.ravel().tolist()], left, left + 1, key.config.edit_mode
     )
-    total = 0.0
-    for (i, j), edit in zip(pairs, edits.tolist()):
-        total += _score(edit, store.row(i), store.row(j), key.config.mu)
-    return total
+    cos = _cosines(store.rows[pairs[:, 0]], store.rows[pairs[:, 1]])
+    return 2.0 * float(_pair_scores(edits, cos, key.config.mu).sum())
 
 
 def key_overlap(a: BijectionKey, b: BijectionKey) -> float:
@@ -353,7 +346,6 @@ def opacity_report(key: BijectionKey, vocab: Vocabulary) -> OpacityReport:
     pos = {i: p for p, i in enumerate(ids)}
     surfaces = [vocab.token_of(i) for i in ids]
     partner = [pos[key.mapping[i]] for i in ids]
-    unchanged = sum(surfaces[p] == surfaces[q] for p, q in enumerate(partner))
     left = [p for p, q in enumerate(partner) if p < q]
     dists = _edit_terms(surfaces, left, [partner[p] for p in left], "normalized").tolist()
     return OpacityReport(
@@ -361,7 +353,8 @@ def opacity_report(key: BijectionKey, vocab: Vocabulary) -> OpacityReport:
         fixed_point_count=len(key.fixed_points),
         mean_normalized_edit=statistics.fmean(dists) if dists else None,
         median_normalized_edit=statistics.median(dists) if dists else None,
-        unchanged_fraction=unchanged / len(key.mask),
+        # token strings are distinct, so only a fixed point keeps its surface
+        unchanged_fraction=len(key.fixed_points) / len(key.mask),
         empty_mapping=False,
     )
 

@@ -72,7 +72,7 @@ def _cmd_build_key(args) -> int:
     store = normalize(load_embeddings(args.embeddings))
     if config.rho == 0.0:
         print("warning: rho=0 produces an identity key", file=sys.stderr)
-    key = build_key(vocab, store, config, threads=args.threads)
+    key = build_key(vocab, store, config)
     save_key(key, args.out)
     rep = opacity_report(key, vocab)
     print(f"key written to {args.out}")
@@ -242,7 +242,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--buckets", type=int, default=1)
     p.add_argument("--greedy-batch", type=int, default=50, help="kNN query batching width")
     p.add_argument("--edit-mode", choices=["normalized", "raw"], default="normalized")
-    p.add_argument("--threads", type=int, default=os.cpu_count())
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_build_key)
 

@@ -27,6 +27,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import ArgumentError, CoverageError, DegenerateInputError, FormatError
+from .fileio import atomic_write
 from .vocab import Vocabulary, reference_tokenize
 
 _MAGIC = b"AEMB"
@@ -100,8 +101,6 @@ def _load_binary(path: Path) -> EmbeddingStore:
     if len(data) != expected:
         raise FormatError(f"expected {expected} bytes, file has {len(data)}")
     rows = np.frombuffer(data, dtype="<f4", offset=16).reshape(n, d)
-    if not np.isfinite(rows).all():
-        raise FormatError("embedding matrix contains non-finite values")
     return EmbeddingStore(rows=rows.astype(np.float64))
 
 
@@ -143,20 +142,17 @@ def _load_text(path: Path) -> EmbeddingStore:
         raise FormatError(f"text file declared {n} rows but provided {len(ids)}")
     rows = np.empty((n, d), dtype=np.float64)
     rows[ids] = np.frombuffer(values, dtype=np.float64).reshape(n, d)
-    if not np.isfinite(rows).all():
-        raise FormatError("embedding matrix contains non-finite values")
     return EmbeddingStore(rows=rows)
 
 
 def save_embeddings(store: EmbeddingStore, path: str | Path, fmt: str = "binary") -> None:
-    path = Path(path)
     if fmt == "binary":
         f32 = store.rows.astype("<f4")
-        with open(path, "wb") as fp:
+        with atomic_write(path, "wb") as fp:
             fp.write(struct.pack("<4sIII", _MAGIC, _VERSION, store.n, store.d))
             fp.write(f32.tobytes())
     elif fmt == "text":
-        with open(path, "w", encoding="utf-8") as fp:
+        with atomic_write(path, encoding="utf-8") as fp:
             fp.write(f"{store.n} {store.d}\n")
             for tid in range(store.n):
                 vals = " ".join(repr(float(v)) for v in store.rows[tid])

@@ -18,6 +18,7 @@ import requests
 
 from .attacks import AttackReport, bleu, rouge_l
 from .errors import ArgumentError, ProtocolError, TransportError
+from .fileio import atomic_write
 
 DEFAULT_PROMPT = (
     "The following text is written in a substitution-encoded language. "
@@ -123,7 +124,7 @@ def llm_inverse_probe(
     corpus_rouge = rouge_l(guesses, references)
 
     if transcript_path is not None:
-        with open(transcript_path, "w", encoding="utf-8") as fp:
+        with atomic_write(transcript_path, encoding="utf-8") as fp:
             for (alien_text, ref), guess in zip(items, guesses):
                 fp.write(
                     json.dumps(

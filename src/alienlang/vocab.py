@@ -19,6 +19,8 @@ from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple
 
+import numpy as np
+
 from .errors import ArgumentError, CoverageError, FormatError, UnknownTokenError
 from .fileio import atomic_write
 
@@ -94,6 +96,10 @@ class Vocabulary:
                 tok = _surrogate_encode(tok)
             if len(tok) == 0:
                 raise FormatError("empty token string is not allowed")
+            if type(tid) is not int:  # a bool is an int too, but not an id
+                if isinstance(tid, bool) or not isinstance(tid, (int, np.integer)):
+                    raise FormatError(f"token id {tid!r} of {tok!r} is not an integer")
+                tid = int(tid)
             if tid < 0:
                 raise FormatError(f"negative token id {tid}")
             if tid in id_to_token:
@@ -197,11 +203,7 @@ def load_vocab(path: str | Path, specials_path: str | Path | None = None) -> Voc
         raise FormatError(f"vocab file is not valid JSON: {e}") from e
     if not isinstance(obj, dict):
         raise FormatError("vocab file must be a JSON object mapping token to id")
-    entries = []
-    for tok_str, tid in obj.items():
-        if not isinstance(tid, int) or isinstance(tid, bool):
-            raise FormatError(f"token id for {tok_str!r} is not an integer")
-        entries.append((_surrogate_encode(tok_str), tid))
+    entries = [(_surrogate_encode(tok_str), tid) for tok_str, tid in obj.items()]
 
     special_ids: list[int] = []
     if specials_path is not None:
@@ -228,10 +230,12 @@ def load_vocab(path: str | Path, specials_path: str | Path | None = None) -> Voc
 def save_vocab(vocab: Vocabulary, path: str | Path, specials_path: str | Path | None = None) -> None:
     """Write a vocabulary (and optionally its specials) back to JSON files."""
     obj = {_surrogate_decode(tok): tid for tid, tok in sorted(vocab.id_to_token.items())}
-    Path(path).write_text(json.dumps(obj, ensure_ascii=True, indent=0) + "\n", encoding="utf-8")
+    with atomic_write(path, encoding="utf-8") as fp:
+        fp.write(json.dumps(obj, ensure_ascii=True, indent=0) + "\n")
     if specials_path is not None:
         names = [_surrogate_decode(vocab.id_to_token[tid]) for tid in sorted(vocab.specials)]
-        Path(specials_path).write_text(json.dumps(names, ensure_ascii=True) + "\n", encoding="utf-8")
+        with atomic_write(specials_path, encoding="utf-8") as fp:
+            fp.write(json.dumps(names, ensure_ascii=True) + "\n")
 
 
 def reference_tokenize(text: bytes, vocab: Vocabulary) -> TokenSequence:

@@ -3,6 +3,7 @@ reference oracles."""
 
 from __future__ import annotations
 
+import builtins
 from collections import Counter
 
 import numpy as np
@@ -23,6 +24,29 @@ from alienlang.seeding import derive_rng
 from alienlang.translator import ID_STREAM_MAGIC
 
 LOWER = "abcdefghijklmnopqrstuvwxyz"
+
+
+class HalfWrite:
+    """A file whose first write stores half its data, then fails as a full disk would."""
+
+    def __init__(self, fp):
+        self.fp = fp
+
+    def write(self, data):
+        self.fp.write(data[: len(data) // 2])
+        self.fp.flush()
+        raise OSError(28, "No space left on device")
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fp.close()
+
+
+def half_write_open(*args, **kwargs) -> HalfWrite:
+    """``open`` whose file fails at its first write; patch it over ``fileio.open``."""
+    return HalfWrite(builtins.open(*args, **kwargs))
 
 
 def vocab_from(tokens: list[bytes], specials: list[bytes] = ()) -> Vocabulary:

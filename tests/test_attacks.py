@@ -327,12 +327,13 @@ def test_nn_hypotheses_never_guesses_a_repeated_id_as_its_own_partner():
 
 class TestNnHypothesesTies:
     @pytest.mark.parametrize("block", [1, 2, 3, 7, 1024])
-    def test_ties_break_to_lowest_id(self, block):
+    def test_ties_break_to_lowest_id(self, block, monkeypatch):
         rng = np.random.default_rng(31 + block)
         store = axis_store(rng, 60, 4)
         rows = store.rows
         masked = sorted(int(i) for i in rng.choice(60, size=40, replace=False))
-        guesses = nn_hypotheses(store, masked, block=block)
+        monkeypatch.setattr(attacks, "_BLOCK_ROWS", block)
+        guesses = nn_hypotheses(store, masked)
         assert sorted(guesses) == masked
         for i in masked:
             others = [j for j in masked if j != i]

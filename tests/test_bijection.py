@@ -1,6 +1,7 @@
 import hashlib
 import math
 import re
+import threading
 
 import numpy as np
 import pytest
@@ -25,6 +26,7 @@ from alienlang import (
     save_key,
     select_mask,
 )
+from alienlang import bijection
 from alienlang.bijection import bucket_index, score_strings
 from helpers import (
     axis_store,
@@ -263,13 +265,21 @@ class TestBuildKey:
         save_key(build_key(vocab, store, config), p2)
         assert p1.read_bytes() == p2.read_bytes()
 
-    def test_threaded_build_matches_serial(self):
+    def test_cells_pair_in_order_on_calling_thread(self, monkeypatch):
         vocab, store = build_instance(8, 80)
         config = BuildConfig(k=5, seed=5, buckets=4)
-        serial = build_key(vocab, store, config, threads=1)
-        threaded = build_key(vocab, store, config, threads=4)
-        assert serial.mapping == threaded.mapping
-        assert serial.fixed_points == threaded.fixed_points
+        expected = build_key(vocab, store, config)
+        calls = []
+        pair_cell = bijection._greedy_pair_cell
+
+        def recording(members, vocab, store, config, cell):
+            calls.append((cell, threading.get_ident()))
+            return pair_cell(members, vocab, store, config, cell)
+
+        monkeypatch.setattr(bijection, "_greedy_pair_cell", recording)
+        key = build_key(vocab, store, config, threads=4)  # accepted and ignored
+        assert calls == [(cell, threading.get_ident()) for cell in range(4)]
+        assert key.mapping == expected.mapping
 
     def test_embedding_scaling_leaves_key_unchanged(self, tmp_path):
         vocab, store = build_instance(9, 40)
@@ -408,6 +418,32 @@ class TestObjective:
         expected = 2.0 * pair_score(0, 1, vocab, store, mu=key.config.mu)
         assert objective_value(key, vocab, store) == pytest.approx(expected)
 
+    @pytest.mark.parametrize(
+        "config",
+        [BuildConfig(k=5, mu=0.7, seed=1, rho=0.9, buckets=3),
+         BuildConfig(k=5, mu=2.0, seed=2, edit_mode="raw")],
+        ids=["normalized", "raw"],
+    )
+    def test_matches_loop_over_pair_scores(self, config):
+        vocab, store = build_instance(4, 61)
+        key = build_key(vocab, store, config)
+        loop = sum(
+            pair_score(i, j, vocab, store, mu=config.mu, edit_mode=config.edit_mode)
+            for i, j in key.mapping.items()
+            if i != j
+        )
+        # float64 sums of ~60 terms of magnitude ~1, in another order
+        assert objective_value(key, vocab, store) == pytest.approx(loop, rel=1e-12, abs=1e-12)
+
+    def test_zero_embedding_rejected(self):
+        vocab, store = build_instance(5, 4)
+        rows = store.rows.copy()
+        rows[1] = 0.0
+        with pytest.raises(ArgumentError, match="zero embedding"):
+            objective_value(key_from_pairs(vocab, [(0, 1)]), vocab, EmbeddingStore(rows=rows))
+        with pytest.raises(ArgumentError, match="zero embedding"):
+            score_strings(b"a", b"b", rows[0], rows[1], mu=1.0)
+
     def test_fingerprint_mismatch(self):
         vocab, store = build_instance(2, 10)
         other_vocab, _ = build_instance(3, 10)
@@ -520,6 +556,12 @@ class TestOpacityReport:
         rep = opacity_report(key, vocab)
         assert rep.unchanged_fraction == 0.0
         assert rep.fixed_point_count == 0
+
+    def test_only_fixed_points_are_unchanged(self):
+        vocab = vocab_from([b"aa", b"bb", b"cc", b"dd"])
+        rep = opacity_report(key_from_pairs(vocab, [(0, 1)], fixed_points=[2, 3]), vocab)
+        assert rep.unchanged_fraction == 0.5
+        assert rep.fixed_point_count == 2
 
     def test_rho_zero_flags_empty(self):
         vocab = vocab_from([b"a", b"b"])

@@ -297,7 +297,7 @@ class TestProbeCommand:
     def test_oracle_stub_bleu_100(self, workspace, capsys, monkeypatch):
         server = ThreadingHTTPServer(("127.0.0.1", 0), OracleStub)
         server.oracle = {"zz yy": "hello world", "qq pp": "good bye now"}
-        threading.Thread(target=server.serve_forever, daemon=True).start()
+        threading.Thread(target=server.serve_forever, args=(0.01,), daemon=True).start()
         try:
             eval_path = workspace["dir"] / "eval.jsonl"
             with open(eval_path, "w") as fp:
@@ -311,6 +311,7 @@ class TestProbeCommand:
             assert "bleu=100.00" in capsys.readouterr().out
         finally:
             server.shutdown()
+            server.server_close()
 
 
 class TestOverlap:
@@ -423,6 +424,11 @@ class TestExitCodes:
     def test_usage_error_is_2(self):
         with pytest.raises(SystemExit) as exc_info:
             run(["build-key"])  # missing required flags
+        assert exc_info.value.code == 2
+
+    def test_build_key_threads_flag_is_2(self, workspace):
+        with pytest.raises(SystemExit) as exc_info:
+            build_key_cli(workspace, workspace["dir"] / "key.json", extra=["--threads", "2"])
         assert exc_info.value.code == 2
 
     def test_unknown_subcommand_is_2(self):

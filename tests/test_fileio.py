@@ -1,15 +1,17 @@
 """Atomic output: a write that fails midway leaves the previous file as it was."""
 
-import builtins
 import json
 
+import numpy as np
 import pytest
 
 import alienlang.fileio as fileio
 from alienlang import (
     BuildConfig,
+    EmbeddingStore,
     emit_summary,
     key_from_pairs,
+    save_embeddings,
     save_key,
     save_vocab,
     write_pretokenized,
@@ -17,29 +19,12 @@ from alienlang import (
 from alienlang.cli import main
 from alienlang.fileio import atomic_write
 from alienlang.translator import alienize_dataset
-from helpers import vocab_from
+from helpers import half_write_open, vocab_from
 
 VOCAB = vocab_from([b"a", b"b", b"c", b"d"])
 KEY = key_from_pairs(VOCAB, [(0, 1)], BuildConfig(k=3))
+STORE = EmbeddingStore(rows=np.eye(4))
 PREVIOUS = b"previous contents\n"
-
-
-class HalfWrite:
-    """A file whose first write stores half its data, then fails as a full disk would."""
-
-    def __init__(self, fp):
-        self.fp = fp
-
-    def write(self, data):
-        self.fp.write(data[: len(data) // 2])
-        self.fp.flush()
-        raise OSError(28, "No space left on device")
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        self.fp.close()
 
 
 def test_failed_block_leaves_previous_file(tmp_path):
@@ -72,6 +57,9 @@ WRITERS = {
     "save_key": lambda d, out: save_key(KEY, out),
     "emit_summary": lambda d, out: emit_summary([{"records": 1}], out),
     "write_pretokenized": lambda d, out: write_pretokenized([[0, 1], [2]], out),
+    "save_vocab": lambda d, out: save_vocab(VOCAB, out),
+    "save_embeddings binary": lambda d, out: save_embeddings(STORE, out),
+    "save_embeddings text": lambda d, out: save_embeddings(STORE, out, "text"),
     "alienize_dataset": lambda d, out: alienize_dataset(d / "data.jsonl", KEY, VOCAB, out),
     "cli encode": _cli("encode", *VOCAB_KEY, "{d}/text.txt", "{out}"),
     "cli encode --ids": _cli("encode", *VOCAB_KEY, "--ids", "{d}/ids.txt", "{out}"),
@@ -90,8 +78,7 @@ def test_write_failing_midway_leaves_previous_file(tmp_path, monkeypatch, writer
     inputs = sorted(tmp_path.iterdir())
     out = tmp_path / "out"
     out.write_bytes(PREVIOUS)
-    half_write = lambda *a, **kw: HalfWrite(builtins.open(*a, **kw))  # noqa: E731
-    monkeypatch.setattr(fileio, "open", half_write, raising=False)
+    monkeypatch.setattr(fileio, "open", half_write_open, raising=False)
     if writer.startswith("cli"):
         assert WRITERS[writer](tmp_path, out) == 1  # the CLI reports the OSError
     else:

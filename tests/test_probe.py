@@ -6,8 +6,10 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
 
+import alienlang.fileio as fileio
 from alienlang import ArgumentError, EndpointConfig, TransportError, llm_inverse_probe
 from alienlang.errors import ProtocolError
+from helpers import half_write_open
 
 
 class StubHandler(BaseHTTPRequestHandler):
@@ -60,10 +62,11 @@ def stub_server():
     server.mode = "echo"
     server.oracle = {}
     server.requests = []
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread = threading.Thread(target=server.serve_forever, args=(0.01,), daemon=True)
     thread.start()
     yield server
     server.shutdown()
+    server.server_close()
 
 
 def endpoint_for(server, **kwargs) -> EndpointConfig:
@@ -141,6 +144,20 @@ class TestProbe:
         assert len(lines) == 4
         assert set(lines[0]) == {"shots", "alien", "guess", "reference", "bleu_sentence"}
         assert lines[0]["guess"] == lines[0]["reference"]
+
+    def test_transcript_failing_midway_leaves_previous_file(
+        self, stub_server, tmp_path, monkeypatch
+    ):
+        stub_server.mode = "echo"
+        path = tmp_path / "transcript.jsonl"
+        path.write_bytes(b"previous transcript\n")
+        monkeypatch.setattr(fileio, "open", half_write_open, raising=False)
+        with pytest.raises(OSError):
+            llm_inverse_probe(
+                endpoint_for(stub_server), shots=0, eval_set=EVAL_SET, transcript_path=path
+            )
+        assert path.read_bytes() == b"previous transcript\n"
+        assert list(tmp_path.iterdir()) == [path]  # no temp file left behind
 
     def test_bad_template_rejected(self, stub_server):
         with pytest.raises(ArgumentError):

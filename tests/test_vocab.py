@@ -70,6 +70,25 @@ class TestLoadVocab:
         with pytest.raises(FormatError):
             Vocabulary.from_entries([(b"a", 0), (b"b", 0)])
 
+    @pytest.mark.parametrize("tid", [True, 1.5, "1", None], ids=["bool", "float", "str", "none"])
+    def test_non_integer_id_rejected(self, tid):
+        with pytest.raises(FormatError, match=r"token id .* of b'b' is not an integer"):
+            Vocabulary.from_entries([(b"a", 0), (b"b", tid)])
+
+    def test_numpy_integer_id_stored_as_int(self, tmp_path):
+        vocab = Vocabulary.from_entries([(b"a", np.int64(0)), (b"b", np.uint8(1))])
+        assert all(type(tid) is int for tid in vocab.id_to_token)
+        assert vocab.fingerprint == vocab_from([b"a", b"b"]).fingerprint
+        save_vocab(vocab, tmp_path / "vocab.json")
+        assert load_vocab(tmp_path / "vocab.json").id_to_token == vocab.id_to_token
+
+    @pytest.mark.parametrize("text", ['{"a": true}', '{"a": 1.5}', '{"a": "1"}', '{"a": null}'])
+    def test_vocab_file_non_integer_id_rejected(self, tmp_path, text):
+        path = tmp_path / "vocab.json"
+        path.write_text(text, encoding="ascii")
+        with pytest.raises(FormatError, match="is not an integer"):
+            load_vocab(path)
+
     def test_duplicate_string_rejected(self, tmp_path):
         path = tmp_path / "vocab.json"
         path.write_text('{"a": 0, "a": 1}', encoding="utf-8")
