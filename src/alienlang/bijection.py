@@ -21,6 +21,7 @@ from __future__ import annotations
 import json
 import math
 import statistics
+import sys
 from dataclasses import asdict, dataclass, fields, replace
 from functools import cached_property
 from pathlib import Path
@@ -39,6 +40,9 @@ KEY_FORMAT_VERSION = 1
 
 EDIT_MODES = ("normalized", "raw")
 
+# the values a BuildConfig field of each annotated type accepts, as a key file's JSON
+_FIELD_TYPES = {"int": int, "float": (int, float), "str": str}
+
 
 @dataclass(frozen=True)
 class BuildConfig:
@@ -53,16 +57,21 @@ class BuildConfig:
     edit_mode: str = "normalized"
 
     def __post_init__(self):
-        if self.k < 1:
-            raise ArgumentError("k must be >= 1")
+        for f in fields(self):  # types before ranges
+            value = getattr(self, f.name)
+            # a bool is an int, but JSON true/false must not load as 1/0
+            if isinstance(value, bool) or not isinstance(value, _FIELD_TYPES[f.type]):
+                raise ArgumentError(f"{f.name} must be {f.type}, not {type(value).__name__}")
+            # JSON numbers interoperate within the range of a float64
+            if isinstance(value, int) and abs(value) > sys.float_info.max:
+                raise ArgumentError(f"{f.name} is too large for a key file number")
+        for name in ("k", "buckets", "greedy_batch"):
+            if getattr(self, name) < 1:
+                raise ArgumentError(f"{name} must be >= 1")
         if not (math.isfinite(self.mu) and self.mu >= 0):
             raise ArgumentError("mu must be finite and >= 0")
         if not 0.0 <= self.rho <= 1.0:
             raise ArgumentError("rho must lie in [0, 1]")
-        if self.buckets < 1:
-            raise ArgumentError("buckets must be >= 1")
-        if self.greedy_batch < 1:
-            raise ArgumentError("greedy_batch must be >= 1")
         if self.edit_mode not in EDIT_MODES:
             raise ArgumentError(f"edit_mode must be one of {EDIT_MODES}")
 
@@ -374,10 +383,6 @@ def save_key(key: BijectionKey, path: str | Path) -> None:
         fp.write(blob.encode("ascii"))
 
 
-# the JSON value types a key file may give a BuildConfig field of each type
-_JSON_TYPES = {"int": (int,), "float": (int, float), "str": (str,)}
-
-
 def _assemble(
     fingerprint: int,
     config: BuildConfig,
@@ -419,13 +424,9 @@ def load_key(path: str | Path) -> BijectionKey:
     except (KeyError, TypeError) as e:
         raise FormatError(f"key file missing or malformed field: {e}") from e
     fingerprint = _parse_fingerprint(fingerprint, "key file vocab_fingerprint")
-    # type() rather than isinstance() below: JSON true/false load as bool, an int subclass
-    for f in fields(BuildConfig):
-        if type(cfg[f.name]) not in _JSON_TYPES[f.type]:
-            raise FormatError(f"key file config {f.name}={cfg[f.name]!r} is not a valid {f.type}")
     try:
         config = BuildConfig(**cfg)
-    except (ArgumentError, OverflowError) as e:  # a range check; an int too large for a float
+    except ArgumentError as e:
         raise FormatError(f"key file config: {e}") from e
     if not (isinstance(raw_pairs, list) and isinstance(fixed_points, list)):
         raise FormatError('key file "mapping" and "fixed_points" must be arrays')

@@ -9,11 +9,14 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import asdict, fields
+from functools import partial
 from pathlib import Path
 
 from . import __version__
 from .attacks import frequency_attack, ngram_attack, nn_mapping_attack
 from .bijection import (
+    EDIT_MODES,
     BuildConfig,
     build_key,
     check_key,
@@ -24,7 +27,7 @@ from .bijection import (
 from .embeddings import load_embeddings, normalize
 from .errors import FormatError, ToolkitError
 from .fileio import atomic_write
-from .probe import EndpointConfig, llm_inverse_probe
+from .probe import DEFAULT_PROMPT, SHOT_BUDGETS, EndpointConfig, llm_inverse_probe
 from .report import emit_summary, matrix_to_csv, overlap_matrix
 from .translator import (
     ID_STREAM_MAGIC,
@@ -59,15 +62,7 @@ def _load_key(args, vocab) -> "BijectionKey":
 
 
 def _cmd_build_key(args) -> int:
-    config = BuildConfig(
-        k=args.k,
-        mu=args.mu,
-        rho=args.rho,
-        seed=args.seed,
-        buckets=args.buckets,
-        greedy_batch=args.greedy_batch,
-        edit_mode=args.edit_mode,
-    )
+    config = BuildConfig(**{f.name: getattr(args, f.name) for f in fields(BuildConfig)})
     vocab = _load_vocab(args)
     store = normalize(load_embeddings(args.embeddings))
     if config.rho == 0.0:
@@ -129,21 +124,22 @@ def _cmd_emit_dataset(args) -> int:
     return 0
 
 
-def _read_records(path: str, names: tuple[str, str], valid) -> list[tuple]:
+def _read_records(path: str, names: tuple[str, str], valid, what: str) -> list[tuple]:
     """Read a JSONL file whose records hold the named fields, each passing ``valid``."""
     rows = []
     try:
         for lineno, record in read_jsonl(path):
             if not all(valid(record.get(name)) for name in names):
-                raise DatasetFormatError(lineno, f"record needs well-formed {' and '.join(names)}")
+                raise DatasetFormatError(lineno, f"record needs {' and '.join(names)} as {what}")
             rows.append(tuple(record[name] for name in names))
     except FormatError as e:
         raise FormatError(f"{path}: {e}") from e
     return rows
 
 
-def _is_id_list(value) -> bool:
-    return isinstance(value, list) and all(type(i) is int for i in value)
+def _is_id_list(value, vocab) -> bool:
+    # type() before membership: a bool would pass as 0 or 1
+    return isinstance(value, list) and all(type(i) is int and i in vocab.id_to_token for i in value)
 
 
 def _cmd_attack(args) -> int:
@@ -162,8 +158,9 @@ def _cmd_attack(args) -> int:
     elif args.kind == "ngram":
         vocab = _load_vocab(args)
         key = _load_key(args, vocab)
-        leaked = _read_records(args.leaked, ("plain", "alien"), _is_id_list)
-        eval_pairs = _read_records(args.eval, ("plain", "alien"), _is_id_list)
+        known, what = partial(_is_id_list, vocab=vocab), "lists of known token ids"
+        leaked = _read_records(args.leaked, ("plain", "alien"), known, what)
+        eval_pairs = _read_records(args.eval, ("plain", "alien"), known, what)
         reference = None
         if args.reference:
             reference = [s.ids for s in read_pretokenized(args.reference, vocab)]
@@ -182,8 +179,10 @@ def _cmd_attack(args) -> int:
         token = args.token or os.environ.get("ALIEN_TOKEN", "")
         if not endpoint:
             raise FormatError("no endpoint: pass --endpoint or set ALIEN_ENDPOINT")
-        eval_set = _read_records(args.eval, ("alien", "reference"), lambda v: isinstance(v, str))
-        template = None
+        eval_set = _read_records(
+            args.eval, ("alien", "reference"), lambda v: isinstance(v, str), "strings"
+        )
+        template = DEFAULT_PROMPT
         if args.template:
             try:
                 template = Path(args.template).read_text(encoding="utf-8")
@@ -196,10 +195,9 @@ def _cmd_attack(args) -> int:
             timeout=args.timeout,
             concurrency=args.concurrency,
         )
-        kwargs = {"transcript_path": args.transcript} if args.transcript else {}
-        if template:
-            kwargs["prompt_template"] = template
-        rep = llm_inverse_probe(config, args.shots, eval_set, **kwargs)
+        rep = llm_inverse_probe(
+            config, args.shots, eval_set, prompt_template=template, transcript_path=args.transcript
+        )
         reports.append(rep)
         print(f"probe(shots={args.shots}): bleu={rep.bleu:.2f} rouge_l={rep.rouge_l:.4f}")
     if args.report:
@@ -235,15 +233,16 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("build-key", help="construct a key from a vocabulary and embeddings")
     _add_vocab_args(p)
     p.add_argument("--embeddings", required=True, help="embedding file (AEMB binary or text)")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--rho", type=float, default=1.0, help="alienization ratio in [0,1]")
-    p.add_argument("--mu", type=float, default=1.0, help="similarity trade-off weight")
-    p.add_argument("--k", type=int, default=100, help="neighbor count for candidate reduction")
-    p.add_argument("--buckets", type=int, default=1)
-    p.add_argument("--greedy-batch", type=int, default=50, help="kNN query batching width")
-    p.add_argument("--edit-mode", choices=["normalized", "raw"], default="normalized")
+    p.add_argument("--seed", type=int)
+    p.add_argument("--rho", type=float, help="alienization ratio in [0,1]")
+    p.add_argument("--mu", type=float, help="similarity trade-off weight")
+    p.add_argument("--k", type=int, help="neighbor count for candidate reduction")
+    p.add_argument("--buckets", type=int)
+    p.add_argument("--greedy-batch", type=int, help="kNN query batching width")
+    p.add_argument("--edit-mode", choices=EDIT_MODES)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_build_key)
+    # every BuildConfig flag defaults to the class's own default
+    p.set_defaults(func=_cmd_build_key, **asdict(BuildConfig()))
 
     p = sub.add_parser("encode", help="plaintext -> alien")
     _add_vocab_args(p)
@@ -305,12 +304,14 @@ def build_parser() -> argparse.ArgumentParser:
     q = kind.add_parser("probe", help="LLM inverse-translation probe (O2, network)")
     q.add_argument("--endpoint", default=None, help="chat endpoint base URL (or ALIEN_ENDPOINT)")
     q.add_argument("--token", default=None, help="bearer token (or ALIEN_TOKEN)")
-    q.add_argument("--model", default="default")
-    q.add_argument("--shots", type=int, default=0, choices=[0, 1, 5, 20])
+    q.add_argument("--model", default=EndpointConfig.model)
+    q.add_argument("--shots", type=int, default=SHOT_BUDGETS[0], choices=SHOT_BUDGETS)
     q.add_argument("--eval", required=True, help='JSONL of {"alien": str, "reference": str}')
     q.add_argument("--template", default=None, help="prompt template file with {alien}")
-    q.add_argument("--timeout", type=float, default=30.0)
-    q.add_argument("--concurrency", type=int, default=4, help="max in-flight requests")
+    q.add_argument("--timeout", type=float, default=EndpointConfig.timeout)
+    q.add_argument(
+        "--concurrency", type=int, default=EndpointConfig.concurrency, help="max in-flight requests"
+    )
     q.add_argument("--transcript", default=None)
     q.add_argument("--report", default=None)
     q.set_defaults(func=_cmd_attack)

@@ -8,6 +8,7 @@ Optional by design: everything is testable offline against a stub server.
 from __future__ import annotations
 
 import json
+import math
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -36,6 +37,15 @@ class EndpointConfig:
     max_attempts: int = 3
     backoff: float = 0.5
     concurrency: int = 4
+
+    def __post_init__(self):
+        if not 0 < self.timeout < math.inf:
+            raise ArgumentError("timeout must be a finite number of seconds > 0")
+        if not 0 <= self.backoff < math.inf:
+            raise ArgumentError("backoff must be a finite number of seconds >= 0")
+        for name in ("max_attempts", "concurrency"):
+            if getattr(self, name) < 1:
+                raise ArgumentError(f"{name} must be >= 1")
 
 
 def _chat(config: EndpointConfig, messages: list[dict]) -> str:
@@ -85,38 +95,28 @@ def llm_inverse_probe(
     shots: int,
     eval_set: Sequence[tuple[str, str]],
     prompt_template: str = DEFAULT_PROMPT,
-    shot_pairs: Sequence[tuple[str, str]] | None = None,
     transcript_path: str | Path | None = None,
 ) -> AttackReport:
     """Prompt an endpoint to invert alien text; score with BLEU and ROUGE-L.
 
-    ``eval_set`` holds (alien_text, reference_plaintext) pairs.  When no
-    separate ``shot_pairs`` are given, the first ``shots`` evaluation pairs
-    become the examples and are removed from evaluation.  The transcript
-    (JSONL) records every exchange for audit.
+    ``eval_set`` holds (alien_text, reference_plaintext) pairs.  The first
+    ``shots`` pairs become the examples and are removed from evaluation.  The
+    transcript (JSONL) records every exchange for audit.
     """
     if shots < 0:
         raise ArgumentError("shots must be >= 0")
     if "{alien}" not in prompt_template:
         raise ArgumentError("prompt template must contain an {alien} placeholder")
     items = list(eval_set)
-    if shot_pairs is None:
-        if shots > len(items) - 1:
-            raise ArgumentError("not enough evaluation pairs to carve shot examples from")
-        shot_pairs = items[:shots]
-        items = items[shots:]
-    else:
-        shot_pairs = list(shot_pairs)[:shots]
-        if len(shot_pairs) < shots:
-            raise ArgumentError(f"requested {shots} shots but only {len(shot_pairs)} pairs given")
-    if not items:
-        raise ArgumentError("evaluation set is empty")
+    if shots > len(items) - 1:
+        raise ArgumentError("not enough evaluation pairs to carve shot examples from")
+    shot_pairs, items = items[:shots], items[shots:]
 
     def run(item: tuple[str, str]) -> str:
         alien_text, _ = item
         return _chat(endpoint, _build_messages(prompt_template, shot_pairs, alien_text))
 
-    with ThreadPoolExecutor(max_workers=max(1, endpoint.concurrency)) as pool:
+    with ThreadPoolExecutor(max_workers=endpoint.concurrency) as pool:
         guesses = list(pool.map(run, items))
 
     references = [ref for _, ref in items]

@@ -10,7 +10,7 @@ from typing import Sequence
 
 from .attacks import AttackReport
 from .bijection import BijectionKey, OpacityReport, key_overlap
-from .errors import ArgumentError, CompatibilityError, FormatError
+from .errors import ArgumentError, FormatError
 from .fileio import atomic_write
 
 SUMMARY_SCHEMA_VERSION = 1
@@ -49,9 +49,6 @@ def overlap_matrix(keys: Sequence[BijectionKey]) -> OverlapMatrix:
     """Pairwise overlap percentages across keys sharing one vocabulary."""
     if not keys:
         raise ArgumentError("need at least one key")
-    fingerprint = keys[0].vocab_fingerprint
-    if any(k.vocab_fingerprint != fingerprint for k in keys):
-        raise CompatibilityError("keys belong to different vocabularies")
     n = len(keys)
     values = [[0.0] * n for _ in range(n)]
     for i in range(n):

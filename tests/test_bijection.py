@@ -585,6 +585,26 @@ class TestOpacityReport:
         assert rep.unchanged_fraction == pytest.approx(1 / 3)
 
 
+# config values of a type a key file cannot hold; BuildConfig and load_key refuse each
+MALFORMED_CONFIG_VALUES = [
+    ("k", 2.5),
+    ("k", True),
+    ("k", "3"),
+    ("seed", "x"),
+    ("seed", 1.0),
+    ("seed", None),
+    ("buckets", True),
+    ("buckets", [2]),
+    ("greedy_batch", 50.0),
+    ("mu", "1"),
+    ("mu", False),
+    ("rho", None),
+    ("rho", {"v": 1}),
+    ("edit_mode", 1),
+    ("edit_mode", None),
+]
+
+
 class TestSerialization:
     def test_round_trip_on_built_key(self, tmp_path):
         vocab, store = build_instance(5, 120)
@@ -659,26 +679,7 @@ class TestSerialization:
         with pytest.raises(FormatError):
             load_key(path)
 
-    @pytest.mark.parametrize(
-        "field, value",
-        [
-            ("k", 2.5),
-            ("k", True),
-            ("k", "3"),
-            ("seed", "x"),
-            ("seed", 1.0),
-            ("seed", None),
-            ("buckets", True),
-            ("buckets", [2]),
-            ("greedy_batch", 50.0),
-            ("mu", "1"),
-            ("mu", False),
-            ("rho", None),
-            ("rho", {"v": 1}),
-            ("edit_mode", 1),
-            ("edit_mode", None),
-        ],
-    )
+    @pytest.mark.parametrize("field, value", MALFORMED_CONFIG_VALUES)
     def test_malformed_config_types_rejected(self, tmp_path, field, value):
         import json as json_mod
 
@@ -839,3 +840,21 @@ class TestConfigValidation:
     def test_non_finite_mu_rejected(self, mu):
         with pytest.raises(ArgumentError):
             BuildConfig(mu=mu)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        MALFORMED_CONFIG_VALUES
+        + [
+            ("buckets", 2.5),
+            ("seed", 1.5),
+            ("seed", True),
+            ("seed", np.int64(3)),
+            pytest.param("mu", 10**400, id="mu-huge-int"),  # an int too large for a float
+            pytest.param("rho", -(10**400), id="rho-huge-negative-int"),
+            # past the int/str conversion limit, so neither JSON nor the seeding could read it
+            pytest.param("seed", 10**5000, id="seed-5001-digits"),
+        ],
+    )
+    def test_malformed_types_rejected_on_construction(self, field, value):
+        with pytest.raises(ArgumentError, match=rf"^{field} (must be \w+, not|is too large)"):
+            BuildConfig(**{field: value})

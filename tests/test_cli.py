@@ -1,3 +1,4 @@
+import argparse
 import dataclasses
 import json
 import threading
@@ -6,8 +7,18 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 import numpy as np
 import pytest
 
-from alienlang import BuildConfig, identity_key, load_key, save_embeddings, save_key, save_vocab
+from alienlang import (
+    BuildConfig,
+    EndpointConfig,
+    identity_key,
+    load_key,
+    save_embeddings,
+    save_key,
+    save_vocab,
+)
+from alienlang.bijection import EDIT_MODES
 from alienlang.cli import build_parser, main
+from alienlang.probe import SHOT_BUDGETS
 from helpers import byte_complete_vocab, unit_store, vocab_from
 
 
@@ -33,6 +44,14 @@ def workspace(tmp_path):
 
 def run(argv):
     return main(argv)
+
+
+def subparser(parser, *command):
+    """The parser of a (nested) subcommand."""
+    for name in command:
+        action = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        parser = action.choices[name]
+    return parser
 
 
 def build_key_cli(ws, out, seed=0, rho=1.0, extra=()):
@@ -78,6 +97,25 @@ class TestBuildKey:
         assert args.k == 100
         assert args.mu == 1.0
         assert args.greedy_batch == 50
+
+    def test_build_key_flags_default_to_build_config(self):
+        parser = build_parser()
+        args = parser.parse_args(["build-key", "--vocab", "v", "--embeddings", "e", "--out", "o"])
+        for f in dataclasses.fields(BuildConfig):
+            assert getattr(args, f.name) == f.default, f.name
+            assert type(getattr(args, f.name)) is type(f.default), f.name
+        args = parser.parse_args(["attack", "probe", "--eval", "e"])
+        for name in ("model", "timeout", "concurrency"):
+            assert getattr(args, name) == getattr(EndpointConfig, name), name
+        assert args.shots == SHOT_BUDGETS[0]
+        # the choices are the library's own tuples, not restated lists
+        choices = {
+            a.dest: a.choices
+            for command in (["build-key"], ["attack", "probe"])
+            for a in subparser(parser, *command)._actions
+        }
+        assert choices["edit_mode"] is EDIT_MODES
+        assert choices["shots"] is SHOT_BUDGETS
 
 
 class TestEncodeDecode:
@@ -556,6 +594,45 @@ class TestExitCodes:
         ]
         assert run(argv) == 1
         assert "specials" in self._one_error_line(capsys)
+
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--timeout", "-1"), ("--timeout", "nan"), ("--concurrency", "0")],
+    )
+    def test_probe_bad_endpoint_setting_is_1(self, workspace, capsys, monkeypatch, flag, value):
+        posts = []
+        monkeypatch.setattr("alienlang.probe.requests.post", lambda *a, **kw: posts.append(a))
+        eval_path = workspace["dir"] / "eval.jsonl"
+        eval_path.write_text('{"alien": "x", "reference": "y"}\n')
+        argv = [
+            "attack", "probe",
+            "--endpoint", "http://127.0.0.1:9",
+            "--eval", str(eval_path),
+            flag, value,
+        ]
+        assert run(argv) == 1
+        assert flag[2:] in self._one_error_line(capsys)
+        assert posts == []
+
+    def test_attack_ngram_unknown_id_is_1(self, workspace, capsys):
+        out = workspace["dir"] / "key.json"
+        build_key_cli(workspace, out)
+        leaked = workspace["dir"] / "leaked.jsonl"
+        leaked.write_text('{"plain": [1, 2], "alien": [1, 2]}\n')
+        eval_path = workspace["dir"] / "eval.jsonl"
+        eval_path.write_text('{"plain": [3], "alien": [3]}\n{"plain": [123456], "alien": [3]}\n')
+        capsys.readouterr()
+        argv = [
+            "attack", "ngram",
+            "--vocab", workspace["vocab_path"],
+            "--specials", workspace["specials_path"],
+            "--key", str(out),
+            "--leaked", str(leaked),
+            "--eval", str(eval_path),
+        ]
+        assert run(argv) == 1
+        err = self._one_error_line(capsys)
+        assert str(eval_path) in err and "line 2" in err and "known token ids" in err
 
     def test_probe_non_utf8_template_is_1(self, workspace, capsys):
         eval_path = workspace["dir"] / "eval.jsonl"

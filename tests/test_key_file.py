@@ -2,16 +2,27 @@
 
 Inputs are a valid key document with up to three fields replaced or
 removed, and arbitrary bytes.  A document that does load must be an involution whose
-save/load round trip is stable.
+save/load round trip is stable.  Any config that BuildConfig accepts must save
+and reload to an equal config.
 """
 
 import json
+from dataclasses import fields
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from alienlang import BuildConfig, FormatError, ToolkitError, key_from_pairs, load_key, save_key
+from alienlang import (
+    ArgumentError,
+    BuildConfig,
+    FormatError,
+    ToolkitError,
+    key_from_pairs,
+    load_key,
+    save_key,
+)
 from helpers import vocab_from
 
 VOCAB = vocab_from([b"aa", b"bb", b"cc", b"dd", b"ee", b"<s>"], specials=[b"<s>"])
@@ -125,3 +136,33 @@ def test_load_key_fuzz(scratch, data):
         key.config,
         key.vocab_fingerprint,
     )
+
+
+FIELD_VALUES = st.one_of(
+    st.integers(-2, 200),
+    st.integers(),
+    st.sampled_from([10**400, 10**5000]),  # past float64, past the int/str conversion limit
+    st.floats(),  # nan and both infinities included
+    st.floats(0, 1),
+    st.booleans(),
+    st.none(),
+    st.text(max_size=8),
+    st.sampled_from(["raw", "normalized"]),
+    st.integers(-(2**63), 2**63 - 1).map(np.int64),
+    st.floats(0, 1).map(np.float64),
+)
+CONFIG_KWARGS = st.fixed_dictionaries(
+    {}, optional={f.name: FIELD_VALUES for f in fields(BuildConfig)}
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(CONFIG_KWARGS)
+def test_any_config_that_constructs_round_trips(scratch, kwargs):
+    try:
+        config = BuildConfig(**kwargs)
+    except ArgumentError:
+        return
+    path = scratch / "config.json"
+    save_key(key_from_pairs(VOCAB, [(0, 3)], config), path)
+    assert load_key(path).config == config

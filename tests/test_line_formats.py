@@ -6,6 +6,7 @@ not UTF-8, broken headers) as well as arbitrary binary.
 """
 
 import json
+from functools import partial
 
 import pytest
 from hypothesis import given, settings
@@ -138,5 +139,8 @@ def test_dataset_walkers_fuzz(scratch, data):
 def test_cli_record_files_fuzz(scratch, data):
     path = scratch / "records.jsonl"
     path.write_bytes(data)
-    only_toolkit_errors(_read_records, str(path), ("plain", "alien"), _is_id_list)
-    only_toolkit_errors(_read_records, str(path), ("alien", "reference"), lambda v: isinstance(v, str))
+    known = partial(_is_id_list, vocab=VOCAB)
+    only_toolkit_errors(_read_records, str(path), ("plain", "alien"), known, "ids")
+    only_toolkit_errors(
+        _read_records, str(path), ("alien", "reference"), lambda v: isinstance(v, str), "strings"
+    )

@@ -1,6 +1,7 @@
 """Probe tests against local stub chat endpoints (no real network)."""
 
 import json
+import math
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
@@ -168,3 +169,24 @@ class TestProbe:
     def test_too_many_shots_rejected(self, stub_server):
         with pytest.raises(ArgumentError):
             llm_inverse_probe(endpoint_for(stub_server), shots=20, eval_set=EVAL_SET)
+
+
+class TestEndpointConfig:
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("timeout", 0.0),
+            ("timeout", -1.0),
+            ("timeout", math.nan),
+            ("timeout", math.inf),
+            ("backoff", -0.1),
+            ("backoff", math.nan),
+            ("backoff", math.inf),
+            ("max_attempts", 0),
+            ("concurrency", 0),
+            ("concurrency", -2),
+        ],
+    )
+    def test_out_of_range_rejected(self, field, value):
+        with pytest.raises(ArgumentError, match=f"^{field} must be"):
+            EndpointConfig(base_url="http://127.0.0.1:9", **{field: value})
