@@ -36,7 +36,6 @@ from .editdist import BACKEND, levenshtein, normalized_levenshtein
 from .embeddings import (
     EmbeddingStore,
     derive_proxy_store,
-    knn,
     load_embeddings,
     normalize,
     proxy_embed,

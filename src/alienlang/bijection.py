@@ -40,8 +40,21 @@ KEY_FORMAT_VERSION = 1
 
 EDIT_MODES = ("normalized", "raw")
 
-# the values a BuildConfig field of each annotated type accepts, as a key file's JSON
+# the values a config field of each annotated type accepts; for BuildConfig these
+# are also the JSON types of a key file
 _FIELD_TYPES = {"int": int, "float": (int, float), "str": str}
+
+
+def _check_field_types(config) -> None:
+    """Raise ArgumentError naming the first field whose value its annotation refuses."""
+    for f in fields(config):
+        value = getattr(config, f.name)
+        # a bool is an int, but True is no count, and JSON true/false must not load as 1/0
+        if isinstance(value, bool) or not isinstance(value, _FIELD_TYPES[f.type]):
+            raise ArgumentError(f"{f.name} must be {f.type}, not {type(value).__name__}")
+        # JSON numbers interoperate within the range of a float64, and so do timeouts
+        if isinstance(value, int) and abs(value) > sys.float_info.max:
+            raise ArgumentError(f"{f.name} is too large for a float")
 
 
 @dataclass(frozen=True)
@@ -57,14 +70,7 @@ class BuildConfig:
     edit_mode: str = "normalized"
 
     def __post_init__(self):
-        for f in fields(self):  # types before ranges
-            value = getattr(self, f.name)
-            # a bool is an int, but JSON true/false must not load as 1/0
-            if isinstance(value, bool) or not isinstance(value, _FIELD_TYPES[f.type]):
-                raise ArgumentError(f"{f.name} must be {f.type}, not {type(value).__name__}")
-            # JSON numbers interoperate within the range of a float64
-            if isinstance(value, int) and abs(value) > sys.float_info.max:
-                raise ArgumentError(f"{f.name} is too large for a key file number")
+        _check_field_types(self)  # types before ranges
         for name in ("k", "buckets", "greedy_batch"):
             if getattr(self, name) < 1:
                 raise ArgumentError(f"{name} must be >= 1")
@@ -98,13 +104,6 @@ class BijectionKey:
     def fixed_points(self) -> tuple[int, ...]:
         """The masked ids that map to themselves, ascending."""
         return tuple(sorted(i for i, j in self.mapping.items() if i == j))
-
-    @cached_property
-    def bucket_of(self) -> dict[int, int]:
-        """The bucket layout used during construction, derived from (seed, buckets, id)."""
-        return {
-            i: bucket_index(self.config.seed, self.config.buckets, i) for i in sorted(self.mask)
-        }
 
     def apply(self, token_id: int) -> int:
         return self.mapping.get(token_id, token_id)
@@ -150,14 +149,6 @@ def _cosines(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.einsum("ij,ij->i", a, b) / (na * nb)
 
 
-def score_strings(
-    a: bytes, b: bytes, ea: np.ndarray, eb: np.ndarray, mu: float, edit_mode: str = "normalized"
-) -> float:
-    """Pair score from raw surfaces and embedding vectors (higher is better)."""
-    edit = _edit_terms([a, b], [0], [1], edit_mode)
-    return float(_pair_scores(edit, _cosines(np.atleast_2d(ea), np.atleast_2d(eb)), mu)[0])
-
-
 def pair_score(
     i: int,
     j: int,
@@ -171,9 +162,9 @@ def pair_score(
         raise ArgumentError("pair_score requires two distinct tokens")
     if i in vocab.specials or j in vocab.specials:
         raise ArgumentError("special tokens cannot be paired")
-    return score_strings(
-        vocab.token_of(i), vocab.token_of(j), store.row(i), store.row(j), mu, edit_mode
-    )
+    edit = _edit_terms([vocab.token_of(i), vocab.token_of(j)], [0], [1], edit_mode)
+    cos = _cosines(np.atleast_2d(store.row(i)), np.atleast_2d(store.row(j)))
+    return float(_pair_scores(edit, cos, mu)[0])
 
 
 def select_mask(seed: int, rho: float, permutable: Iterable[int]) -> frozenset[int]:
@@ -309,17 +300,24 @@ def check_key(key: BijectionKey, vocab: Vocabulary) -> None:
         raise CompatibilityError(f"key pairs special token id(s) {paired[:5]}")
 
 
+def _key_pairs(
+    key: BijectionKey, vocab: Vocabulary, edit_mode: str
+) -> tuple[np.ndarray, np.ndarray]:
+    """A fitting key's pairs ``(i, j)``, ``i < j``, by ascending ``i`` as an (n, 2)
+    array, and the edit term of each pair."""
+    check_key(key, vocab)
+    pairs = np.array(sorted(p for p in key.mapping.items() if p[0] < p[1]), np.int64).reshape(-1, 2)
+    left = np.arange(0, pairs.size, 2)
+    surfaces = [vocab.token_of(i) for i in pairs.ravel().tolist()]
+    return pairs, _edit_terms(surfaces, left, left + 1, edit_mode)
+
+
 def objective_value(key: BijectionKey, vocab: Vocabulary, store: EmbeddingStore) -> float:
     """Summed pair objective over the mask, counting each pair once per direction."""
-    check_key(key, vocab)
     # fixed points contribute zero, and a pair scores the same in both directions
-    pairs = np.array(sorted(p for p in key.mapping.items() if p[0] < p[1]), np.int64).reshape(-1, 2)
+    pairs, edits = _key_pairs(key, vocab, key.config.edit_mode)
     if pairs.size and pairs.max() >= store.n:
         raise CoverageError(f"no embedding row for token id {int(pairs.max())}")
-    left = np.arange(0, pairs.size, 2)
-    edits = _edit_terms(
-        [vocab.token_of(i) for i in pairs.ravel().tolist()], left, left + 1, key.config.edit_mode
-    )
     cos = _cosines(store.rows[pairs[:, 0]], store.rows[pairs[:, 1]])
     return 2.0 * float(_pair_scores(edits, cos, key.config.mu).sum())
 
@@ -348,15 +346,9 @@ class OpacityReport:
 
 
 def opacity_report(key: BijectionKey, vocab: Vocabulary) -> OpacityReport:
-    check_key(key, vocab)
+    dists = _key_pairs(key, vocab, "normalized")[1].tolist()
     if not key.mask:
         return OpacityReport(0, 0, None, None, None, empty_mapping=True)
-    ids = sorted(key.mask)
-    pos = {i: p for p, i in enumerate(ids)}
-    surfaces = [vocab.token_of(i) for i in ids]
-    partner = [pos[key.mapping[i]] for i in ids]
-    left = [p for p, q in enumerate(partner) if p < q]
-    dists = _edit_terms(surfaces, left, [partner[p] for p in left], "normalized").tolist()
     return OpacityReport(
         pair_count=len(dists),
         fixed_point_count=len(key.fixed_points),

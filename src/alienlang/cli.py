@@ -238,7 +238,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mu", type=float, help="similarity trade-off weight")
     p.add_argument("--k", type=int, help="neighbor count for candidate reduction")
     p.add_argument("--buckets", type=int)
-    p.add_argument("--greedy-batch", type=int, help="kNN query batching width")
+    p.add_argument("--greedy-batch", type=int, help="top-k query batching width")
     p.add_argument("--edit-mode", choices=EDIT_MODES)
     p.add_argument("--out", required=True)
     # every BuildConfig flag defaults to the class's own default

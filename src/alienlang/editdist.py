@@ -1,10 +1,9 @@
 """Levenshtein distance over byte strings, batched.
 
-``levenshtein_batch`` and ``normalized_batch`` score a batch of pairs.  A
-pair is two byte strings or, given ``surfaces``, two indices into that list;
-the byte-string form is the index form over ``left + right``.  A key build
-scores about k pairs per token but holds one surface per token, so all
-per-string work is done once per surface:
+``levenshtein_batch`` and ``normalized_batch`` score a batch of pairs, each
+given as two indices into one list of ``surfaces``.  A key build scores
+about k pairs per token but holds one surface per token, so all per-string
+work is done once per surface:
 
 * the bytes of every surface are mapped to a compact code (A is the number
   of distinct bytes present) and concatenated into one code array;
@@ -108,13 +107,10 @@ class _MatchTable:
         return score
 
 
-def _distances(left, right, surfaces: Sequence[bytes] | None) -> tuple[np.ndarray, np.ndarray]:
+def _distances(left, right, surfaces: Sequence[bytes]) -> tuple[np.ndarray, np.ndarray]:
     """Levenshtein distance and longer length of each pair, both int32."""
     if len(left) != len(right):
         raise ValueError("paired batches must have equal length")
-    if surfaces is None:
-        surfaces = [*left, *right]
-        left, right = np.arange(len(left)), np.arange(len(left), len(surfaces))
     left = np.asarray(left, dtype=np.intp)
     right = np.asarray(right, dtype=np.intp)
     if left.size and (
@@ -145,21 +141,17 @@ def _distances(left, right, surfaces: Sequence[bytes] | None) -> tuple[np.ndarra
     return out, longer
 
 
-def levenshtein_batch(left, right, surfaces: Sequence[bytes] | None = None) -> np.ndarray:
-    """Levenshtein distance of each pair as int32.
-
-    Without ``surfaces`` the pairs are ``(left[i], right[i])``, two lists of
-    byte strings; with it they are ``(surfaces[left[i]], surfaces[right[i]])``.
-    """
+def levenshtein_batch(left, right, surfaces: Sequence[bytes]) -> np.ndarray:
+    """Levenshtein distance of each pair ``(surfaces[left[i]], surfaces[right[i]])`` as int32."""
     return _distances(left, right, surfaces)[0]
 
 
 def levenshtein(a: bytes, b: bytes) -> int:
     """Levenshtein distance between two byte strings."""
-    return int(levenshtein_batch([a], [b])[0])
+    return int(levenshtein_batch([0], [1], [a, b])[0])
 
 
-def normalized_batch(left, right, surfaces: Sequence[bytes] | None = None) -> np.ndarray:
+def normalized_batch(left, right, surfaces: Sequence[bytes]) -> np.ndarray:
     """Distance divided by the longer length, 0.0 for two empties; pairs as in
     :func:`levenshtein_batch`."""
     dist, longer = _distances(left, right, surfaces)
@@ -170,4 +162,4 @@ def normalized_batch(left, right, surfaces: Sequence[bytes] | None = None) -> np
 
 def normalized_levenshtein(a: bytes, b: bytes) -> float:
     """Levenshtein distance divided by max(|a|, |b|); 0.0 for two empties."""
-    return float(normalized_batch([a], [b])[0])
+    return float(normalized_batch([0], [1], [a, b])[0])

@@ -1,4 +1,4 @@
-"""Token embedding stores: loading, normalization, proxy synthesis, exact kNN.
+"""Token embedding stores: loading, normalization, proxy synthesis, exact top-k.
 
 Retrieval is exact top-k cosine via blocked dense inner products.  At the
 vocabulary scales this toolkit targets (up to a few hundred thousand rows,
@@ -145,20 +145,12 @@ def _load_text(path: Path) -> EmbeddingStore:
     return EmbeddingStore(rows=rows)
 
 
-def save_embeddings(store: EmbeddingStore, path: str | Path, fmt: str = "binary") -> None:
-    if fmt == "binary":
-        f32 = store.rows.astype("<f4")
-        with atomic_write(path, "wb") as fp:
-            fp.write(struct.pack("<4sIII", _MAGIC, _VERSION, store.n, store.d))
-            fp.write(f32.tobytes())
-    elif fmt == "text":
-        with atomic_write(path, encoding="utf-8") as fp:
-            fp.write(f"{store.n} {store.d}\n")
-            for tid in range(store.n):
-                vals = " ".join(repr(float(v)) for v in store.rows[tid])
-                fp.write(f"{tid} {vals}\n")
-    else:
-        raise ArgumentError(f"unknown embedding format {fmt!r}")
+def save_embeddings(store: EmbeddingStore, path: str | Path) -> None:
+    """Write the binary ("AEMB") format; rows are stored as little-endian float32."""
+    f32 = store.rows.astype("<f4")
+    with atomic_write(path, "wb") as fp:
+        fp.write(struct.pack("<4sIII", _MAGIC, _VERSION, store.n, store.d))
+        fp.write(f32.tobytes())
 
 
 def normalize(store: EmbeddingStore) -> EmbeddingStore:
@@ -243,21 +235,6 @@ def _topk_rows(
     ids = cand_ids[chosen]
     ids[vals == -np.inf] = -1
     return ids, vals
-
-
-def knn(
-    store: EmbeddingStore,
-    query_id: int,
-    k: int,
-    candidate_set: Iterable[int],
-) -> list[int]:
-    """Exact top-k cosine neighbors of a token among a candidate set.
-
-    The query token itself is excluded from results.  Requires a normalized
-    store (cosine equals the dot product).  Ties break by ascending token id.
-    """
-    ids, _ = topk_cosine(store, [query_id], k, candidate_set)
-    return [i for i in ids[0].tolist() if i >= 0]
 
 
 def topk_cosine(

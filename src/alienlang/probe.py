@@ -18,6 +18,7 @@ from typing import Sequence
 import requests
 
 from .attacks import AttackReport, bleu, rouge_l
+from .bijection import _check_field_types
 from .errors import ArgumentError, ProtocolError, TransportError
 from .fileio import atomic_write
 
@@ -26,6 +27,11 @@ DEFAULT_PROMPT = (
     "Translate it back to plain English.\n\n{alien}"
 )
 SHOT_BUDGETS = (0, 1, 5, 20)
+# A request that fails in transport or with a 5xx status is sent up to
+# MAX_ATTEMPTS times, waiting BACKOFF seconds before the first retry and twice
+# as long before each later one.
+MAX_ATTEMPTS = 3
+BACKOFF = 0.5
 
 
 @dataclass(frozen=True)
@@ -34,18 +40,14 @@ class EndpointConfig:
     auth_token: str = ""
     model: str = "default"
     timeout: float = 30.0
-    max_attempts: int = 3
-    backoff: float = 0.5
     concurrency: int = 4
 
     def __post_init__(self):
+        _check_field_types(self)  # types before ranges
         if not 0 < self.timeout < math.inf:
             raise ArgumentError("timeout must be a finite number of seconds > 0")
-        if not 0 <= self.backoff < math.inf:
-            raise ArgumentError("backoff must be a finite number of seconds >= 0")
-        for name in ("max_attempts", "concurrency"):
-            if getattr(self, name) < 1:
-                raise ArgumentError(f"{name} must be >= 1")
+        if self.concurrency < 1:
+            raise ArgumentError("concurrency must be >= 1")
 
 
 def _chat(config: EndpointConfig, messages: list[dict]) -> str:
@@ -55,7 +57,7 @@ def _chat(config: EndpointConfig, messages: list[dict]) -> str:
         headers["Authorization"] = f"Bearer {config.auth_token}"
     payload = {"model": config.model, "messages": messages}
     last_error: Exception | None = None
-    for attempt in range(config.max_attempts):
+    for attempt in range(MAX_ATTEMPTS):
         try:
             resp = requests.post(url, json=payload, headers=headers, timeout=config.timeout)
             if resp.status_code >= 500:
@@ -74,9 +76,9 @@ def _chat(config: EndpointConfig, messages: list[dict]) -> str:
             raise
         except (requests.RequestException, TransportError) as e:
             last_error = e
-            if attempt + 1 < config.max_attempts:
-                time.sleep(config.backoff * (2**attempt))
-    raise TransportError(f"endpoint unreachable after {config.max_attempts} attempts: {last_error}")
+            if attempt + 1 < MAX_ATTEMPTS:
+                time.sleep(BACKOFF * (2**attempt))
+    raise TransportError(f"endpoint unreachable after {MAX_ATTEMPTS} attempts: {last_error}")
 
 
 def _build_messages(
@@ -108,8 +110,12 @@ def llm_inverse_probe(
     if "{alien}" not in prompt_template:
         raise ArgumentError("prompt template must contain an {alien} placeholder")
     items = list(eval_set)
-    if shots > len(items) - 1:
-        raise ArgumentError("not enough evaluation pairs to carve shot examples from")
+    if not items:
+        raise ArgumentError("the evaluation set is empty")
+    if shots >= len(items):
+        raise ArgumentError(
+            f"{shots} shot example(s) leave none of the {len(items)} evaluation pairs to score"
+        )
     shot_pairs, items = items[:shots], items[shots:]
 
     def run(item: tuple[str, str]) -> str:

@@ -231,33 +231,6 @@ def _walk_record(record: dict, field_fn: Callable[[str], str]) -> dict:
     return out
 
 
-def _mapped_lines(src, field_fn: Callable[[str], str]) -> Iterator[str]:
-    """Every record of an open JSONL file through ``field_fn``, as output lines."""
-    for lineno, record in read_jsonl(src):
-        try:
-            out = _walk_record(record, field_fn)
-        except StabilityError as e:
-            raise DatasetFormatError(lineno, f"unstable rendering: {e}") from e
-        except (FormatError, CoverageError, UnicodeEncodeError) as e:
-            # UnicodeEncodeError: a lone surrogate from a \ud800 escape
-            raise DatasetFormatError(lineno, str(e)) from e
-        yield json.dumps(out, ensure_ascii=True, sort_keys=False) + "\n"
-
-
-def _map_dataset(input_path, output_path, field_fn: Callable[[str], str]) -> int:
-    """Write every record of a JSONL file through ``field_fn``; returns the record count.
-
-    The output is written atomically, so a failure leaves it as it was.
-    """
-    records = 0
-    # the input opens first, so a missing input creates no temp file
-    with open(input_path, "rb") as src, atomic_write(output_path, encoding="utf-8") as dst:
-        for line in _mapped_lines(src, field_fn):
-            dst.write(line)
-            records += 1
-    return records
-
-
 def alienize_dataset(
     input_path: str | Path,
     key: BijectionKey,
@@ -270,7 +243,8 @@ def alienize_dataset(
     Supported record shapes: {"instruction", "response"} and {"messages":
     [{"role", "content"}, ...]}.  Unknown fields pass through unchanged.  In
     lenient mode an unstable rendering is emitted as an embedded ID stream;
-    in strict mode it aborts.
+    in strict mode it aborts.  The output is written atomically, so a failure
+    leaves it as it was.
     """
     check_key(key, vocab)
     stats = DatasetSummary(records=0, tokens=0, unsafe_renderings=0)
@@ -281,22 +255,16 @@ def alienize_dataset(
         stats.unsafe_renderings += not doc.retokenization_safe
         return to_wire(doc, key).decode("utf-8", errors="surrogateescape")
 
-    stats.records = _map_dataset(input_path, output_path, translate)
+    # the input opens first, so a missing input creates no temp file
+    with open(input_path, "rb") as src, atomic_write(output_path, encoding="utf-8") as dst:
+        for lineno, record in read_jsonl(src):
+            try:
+                out = _walk_record(record, translate)
+            except StabilityError as e:
+                raise DatasetFormatError(lineno, f"unstable rendering: {e}") from e
+            except (FormatError, CoverageError, UnicodeEncodeError) as e:
+                # UnicodeEncodeError: a lone surrogate from a \ud800 escape
+                raise DatasetFormatError(lineno, str(e)) from e
+            dst.write(json.dumps(out, ensure_ascii=True, sort_keys=False) + "\n")
+            stats.records += 1
     return stats
-
-
-def restore_dataset(
-    input_path: str | Path,
-    key: BijectionKey,
-    vocab: Vocabulary,
-    output_path: str | Path,
-) -> DatasetSummary:
-    """Inverse of :func:`alienize_dataset` for content fields (test utility)."""
-    check_key(key, vocab)
-
-    def restore(text: str) -> str:
-        plain = decode_text(text.encode("utf-8", errors="surrogateescape"), key, vocab)
-        return plain.decode("utf-8", errors="surrogateescape")
-
-    records = _map_dataset(input_path, output_path, restore)
-    return DatasetSummary(records=records, tokens=0, unsafe_renderings=0)

@@ -174,6 +174,8 @@ class Vocabulary:
         """Wrap raw IDs as a TokenSequence, validating membership."""
         ids = tuple(ids)
         for tid in ids:
+            if type(tid) is not int:  # a bool or 2.0 would look up as the id it equals
+                raise ArgumentError(f"token id {tid!r} is not an int")
             if tid not in self.id_to_token:
                 raise UnknownTokenError(f"unknown token id {tid}")
         return TokenSequence(ids=ids, fingerprint=self.fingerprint)
@@ -350,14 +352,12 @@ def write_id_lines(fp, sequences: Iterable[Iterable[int]]) -> None:
         fp.write(" ".join(map(str, seq)) + "\n")
 
 
-def read_pretokenized(path: str | Path, vocab: Vocabulary | None = None) -> list[TokenSequence]:
+def read_pretokenized(path: str | Path, vocab: Vocabulary) -> list[TokenSequence]:
     """Read a pretokenized stream: one sequence of space-separated IDs per line.
 
-    When a vocabulary is given, IDs are validated against it and sequences
-    carry its fingerprint.
+    IDs are validated against the vocabulary, and sequences carry its fingerprint.
     """
-    wrap = TokenSequence if vocab is None else vocab.sequence
-    return [wrap(parse_id_line(line, lineno)) for lineno, line in read_lines(path)]
+    return [vocab.sequence(parse_id_line(line, lineno)) for lineno, line in read_lines(path)]
 
 
 def write_pretokenized(sequences: Iterable[Iterable[int]], path: str | Path) -> None:

@@ -35,6 +35,7 @@ from alienlang import (
     rouge_l,
     save_key,
 )
+from alienlang.bijection import bucket_index
 from helpers import (
     byte_complete_vocab,
     clustered_store,
@@ -206,10 +207,10 @@ def test_c03_key_invariants_twenty_random_configs(tmp_path):
 
             cells: dict[int, list[int]] = {}
             for i in key.mask:
-                cells.setdefault(key.bucket_of[i], []).append(i)
+                cells.setdefault(bucket_index(config.seed, config.buckets, i), []).append(i)
             seen_cells = set()
             for fp in key.fixed_points:
-                cell = key.bucket_of[fp]
+                cell = bucket_index(config.seed, config.buckets, fp)
                 assert cell not in seen_cells, "two fixed points in one bucket"
                 seen_cells.add(cell)
                 assert len(cells[cell]) % 2 == 1, "fixed point in an even bucket"

@@ -27,7 +27,7 @@ from alienlang import (
     select_mask,
 )
 from alienlang import bijection
-from alienlang.bijection import bucket_index, score_strings
+from alienlang.bijection import bucket_index
 from helpers import (
     axis_store,
     clustered_store,
@@ -96,8 +96,11 @@ class TestPairScore:
             assert pair_score(0, j, vocab, store, mu=1.3) == pair_score(j, 0, vocab, store, mu=1.3)
 
     def test_identical_strings_and_embeddings_score_zero(self):
-        e = np.array([0.6, 0.8])
-        assert score_strings(b"tok", b"tok", e, e, mu=5.0) == pytest.approx(0.0)
+        # distinct tokens never share a surface, so the score's terms are checked directly
+        e = np.array([[0.6, 0.8]])
+        edit = bijection._edit_terms([b"tok"], [0], [0], "normalized")
+        score = bijection._pair_scores(edit, bijection._cosines(e, e), mu=5.0)
+        assert score.tolist() == [pytest.approx(0.0)]
 
     def test_normalized_mode_hand_computed(self):
         # edit("ab","cd") = 2, normalized by max length 2 -> 1; orthogonal
@@ -249,10 +252,10 @@ class TestBuildKey:
             # at most one fixed point per bucket, only in odd cells
             cells = {}
             for i in key.mask:
-                cells.setdefault(key.bucket_of[i], []).append(i)
+                cells.setdefault(bucket_index(config.seed, config.buckets, i), []).append(i)
             fixed_by_cell = {}
             for fp in key.fixed_points:
-                cell = key.bucket_of[fp]
+                cell = bucket_index(config.seed, config.buckets, fp)
                 assert cell not in fixed_by_cell
                 fixed_by_cell[cell] = fp
                 assert len(cells[cell]) % 2 == 1
@@ -442,7 +445,7 @@ class TestObjective:
         with pytest.raises(ArgumentError, match="zero embedding"):
             objective_value(key_from_pairs(vocab, [(0, 1)]), vocab, EmbeddingStore(rows=rows))
         with pytest.raises(ArgumentError, match="zero embedding"):
-            score_strings(b"a", b"b", rows[0], rows[1], mu=1.0)
+            pair_score(0, 1, vocab, EmbeddingStore(rows=rows))
 
     def test_fingerprint_mismatch(self):
         vocab, store = build_instance(2, 10)
@@ -617,7 +620,6 @@ class TestSerialization:
         assert back.config == key.config
         assert back.vocab_fingerprint == key.vocab_fingerprint
         assert back.fixed_points == key.fixed_points
-        assert back.bucket_of == key.bucket_of
 
     def test_tampered_involution_rejected(self, tmp_path):
         import json as json_mod
@@ -813,7 +815,7 @@ class TestSerialization:
             key_from_pairs(vocab, pairs, fixed_points=fixed_points)
 
     def test_bucket_assignment_reconstructible(self):
-        # bucket_of never hits the key file; it must be a pure function
+        # the bucket layout is not in the key file; it must be a pure function
         for tid in (0, 17, 123456):
             assert bucket_index(42, 7, tid) == bucket_index(42, 7, tid)
             assert 0 <= bucket_index(42, 7, tid) < 7

@@ -28,6 +28,12 @@ KNOWN_CASES = [
 ]
 
 
+def by_bytes(batch, left, right):
+    """``batch`` over the pairs ``(left[i], right[i])`` of two lists of byte strings."""
+    n = len(left)
+    return batch(np.arange(n), np.arange(n, n + len(right)), [*left, *right])
+
+
 @pytest.mark.parametrize("a,b,expected", KNOWN_CASES)
 def test_known_distances(a, b, expected):
     assert editdist.levenshtein(a, b) == expected
@@ -47,7 +53,7 @@ def test_mixed_batch_matches_oracle(pairs):
     left = [a for a, _ in pairs]
     right = [b for _, b in pairs]
     expected = [oracle_levenshtein(a, b) for a, b in pairs]
-    assert editdist.levenshtein_batch(left, right).tolist() == expected
+    assert by_bytes(editdist.levenshtein_batch, left, right).tolist() == expected
 
 
 def test_word_boundary_lengths_in_one_batch():
@@ -67,7 +73,7 @@ def test_word_boundary_lengths_in_one_batch():
             right.append(draw(lb))
     left.append(b"\0" * 64)
     right.append(b"\0" * 130)
-    got = editdist.levenshtein_batch(left, right)
+    got = by_bytes(editdist.levenshtein_batch, left, right)
     assert got.dtype == np.int32
     assert got.tolist() == [oracle_levenshtein(a, b) for a, b in zip(left, right)]
 
@@ -89,7 +95,7 @@ def _draw_pairs(seed, count, max_len):
 
 def test_batch_matches_scalar():
     left, right = _draw_pairs(7, 200, 70)
-    batch = editdist.levenshtein_batch(left, right)
+    batch = by_bytes(editdist.levenshtein_batch, left, right)
     assert batch.tolist() == [oracle_levenshtein(a, b) for a, b in zip(left, right)]
     assert batch.tolist() == [editdist.levenshtein(a, b) for a, b in zip(left, right)]
 
@@ -99,18 +105,18 @@ def test_many_chunks_match_oracle(monkeypatch):
     # pairs; every distance must still land at its own index.
     monkeypatch.setattr(editdist, "_CHUNK", 7)
     left, right = _draw_pairs(8, 200, 70)
-    batch = editdist.levenshtein_batch(left, right)
+    batch = by_bytes(editdist.levenshtein_batch, left, right)
     assert batch.tolist() == [oracle_levenshtein(a, b) for a, b in zip(left, right)]
 
 
 def test_empty_batch():
-    assert editdist.levenshtein_batch([], []).shape == (0,)
-    assert editdist.normalized_batch([], []).shape == (0,)
+    assert editdist.levenshtein_batch([], [], []).shape == (0,)
+    assert editdist.normalized_batch([], [], []).shape == (0,)
 
 
 def test_batch_length_mismatch():
     with pytest.raises(ValueError):
-        editdist.levenshtein_batch([b"a"], [b"a", b"b"])
+        by_bytes(editdist.levenshtein_batch, [b"a"], [b"a", b"b"])
 
 
 def test_normalized():
@@ -120,7 +126,7 @@ def test_normalized():
 
 
 def test_normalized_batch():
-    out = editdist.normalized_batch([b"ab", b"abcd", b""], [b"cd", b"abce", b""])
+    out = by_bytes(editdist.normalized_batch, [b"ab", b"abcd", b""], [b"cd", b"abce", b""])
     assert out.tolist() == [1.0, 0.25, 0.0]
 
 
@@ -139,9 +145,9 @@ def _assert_index_form(left, right, surfaces):
     got = editdist.levenshtein_batch(left, right, surfaces)
     assert got.dtype == np.int32
     assert got.tolist() == expected
-    # the byte-string form of the same pairs gives the same distances
-    byte_form = editdist.levenshtein_batch(
-        [surfaces[i] for i in left], [surfaces[j] for j in right]
+    # the same pairs laid out as one surface per pair side give the same distances
+    byte_form = by_bytes(
+        editdist.levenshtein_batch, [surfaces[i] for i in left], [surfaces[j] for j in right]
     )
     assert byte_form.tolist() == expected
 

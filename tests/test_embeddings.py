@@ -8,7 +8,6 @@ from alienlang import (
     EmbeddingStore,
     FormatError,
     derive_proxy_store,
-    knn,
     load_embeddings,
     normalize,
     proxy_embed,
@@ -37,12 +36,13 @@ class TestLoadStore:
         assert np.array_equal(store.rows, [[1, 2, 3], [4, 5, 6]])
 
     def test_text_round_trip(self, tmp_path):
+        # rows written with repr() load back bit for bit
         rng = np.random.default_rng(11)
-        store = EmbeddingStore(rows=rng.standard_normal((5, 3)))
+        rows = rng.standard_normal((5, 3))
         path = tmp_path / "emb.txt"
-        save_embeddings(store, path, fmt="text")
-        back = load_embeddings(path)
-        assert np.array_equal(back.rows, store.rows)
+        lines = [f"{tid} " + " ".join(map(repr, row.tolist())) for tid, row in enumerate(rows)]
+        path.write_text("5 3\n" + "\n".join(lines) + "\n", encoding="utf-8")
+        assert np.array_equal(load_embeddings(path).rows, rows)
 
     def test_text_rows_in_any_order(self, tmp_path):
         path = tmp_path / "emb.txt"
@@ -163,6 +163,12 @@ class TestProxyEmbed:
         assert np.allclose(derived.rows[1], [1.0, 0.0])
 
 
+def nearest(store, query_id, k, candidates):
+    """One query's neighbours from a one-row topk_cosine call, empty slots dropped."""
+    ids, _ = topk_cosine(store, [query_id], k, candidates)
+    return [i for i in ids[0].tolist() if i >= 0]
+
+
 def oracle_knn(store, query_id, k, candidates):
     """Exhaustive sort by (-cosine, id)."""
     scored = []
@@ -179,26 +185,26 @@ class TestKnn:
     def test_k_zero_rejected(self):
         store = unit_store(np.random.default_rng(0), 4, 3)
         with pytest.raises(ArgumentError):
-            knn(store, 0, 0, {0, 1})
+            nearest(store, 0, 0, {0, 1})
 
     def test_requires_normalized(self):
         store = EmbeddingStore(rows=np.eye(3) * 2.0)
         with pytest.raises(ArgumentError):
-            knn(store, 0, 1, {0, 1, 2})
+            nearest(store, 0, 1, {0, 1, 2})
 
     def test_candidate_set_of_only_query(self):
         store = unit_store(np.random.default_rng(1), 4, 3)
-        assert knn(store, 2, 5, {2}) == []
+        assert nearest(store, 2, 5, {2}) == []
 
     def test_orthonormal_tie_break_ascending(self):
         store = EmbeddingStore(rows=np.eye(6), normalized=True)
-        assert knn(store, 1, 3, set(range(6))) == [0, 2, 3]
+        assert nearest(store, 1, 3, set(range(6))) == [0, 2, 3]
 
     def test_random_store_matches_exhaustive_oracle(self):
         rng = np.random.default_rng(2024)
         store = unit_store(rng, 200, 16)
         for qid in [0, 7, 150, 199]:
-            assert knn(store, qid, 10, range(200)) == oracle_knn(store, qid, 10, range(200))
+            assert nearest(store, qid, 10, range(200)) == oracle_knn(store, qid, 10, range(200))
 
     def test_oracle_equality_various_sizes(self):
         rng = np.random.default_rng(99)
@@ -207,13 +213,13 @@ class TestKnn:
             cands = set(int(i) for i in rng.choice(n, size=max(3, n // 2), replace=False))
             qid = int(next(iter(cands)))
             for k in (1, 5, n):
-                assert knn(store, qid, k, cands) == oracle_knn(store, qid, k, cands)
+                assert nearest(store, qid, k, cands) == oracle_knn(store, qid, k, cands)
 
     def test_descending_cosine_invariant(self):
         rng = np.random.default_rng(17)
         store = unit_store(rng, 64, 5)
         q = store.rows[3]
-        result = knn(store, 3, 20, range(64))
+        result = nearest(store, 3, 20, range(64))
         sims = [float(np.dot(q, store.rows[i])) for i in result]
         assert all(a >= b for a, b in zip(sims, sims[1:]))
 
@@ -228,7 +234,7 @@ class TestIdRange:
         with pytest.raises(CoverageError):
             topk_cosine(store, [0, query], 2, candidates)
         with pytest.raises(CoverageError):
-            knn(store, query, 2, candidates)
+            nearest(store, query, 2, candidates)
 
 
 class TestTopkBatched:
@@ -282,7 +288,7 @@ class TestExactTies:
             cands = set(int(i) for i in rng.choice(n, size=size, replace=False))
             qid = int(rng.integers(0, n))
             for k in (1, 2, 3, len(cands), len(cands) + 1):
-                assert knn(store, qid, k, cands) == oracle_knn(store, qid, k, cands)
+                assert nearest(store, qid, k, cands) == oracle_knn(store, qid, k, cands)
 
     def test_tie_at_width_and_next_keeps_lowest_ids(self):
         # Query 0 = e_0.  Ids 20 and 33 also equal e_0 (cosine 1), ids 1-4 are
@@ -308,4 +314,4 @@ class TestExactTies:
         assert ids.tolist() == [[2, 4]] and sims.tolist() == [[1.0, 1.0]]
         ids, _ = topk_cosine(store, [0], 5, range(7))
         assert ids.tolist() == [[2, 4, 6, 1, 3]]
-        assert knn(store, 0, 4, range(7)) == [2, 4, 6, 1]
+        assert nearest(store, 0, 4, range(7)) == [2, 4, 6, 1]

@@ -59,7 +59,6 @@ WRITERS = {
     "write_pretokenized": lambda d, out: write_pretokenized([[0, 1], [2]], out),
     "save_vocab": lambda d, out: save_vocab(VOCAB, out),
     "save_embeddings binary": lambda d, out: save_embeddings(STORE, out),
-    "save_embeddings text": lambda d, out: save_embeddings(STORE, out, "text"),
     "alienize_dataset": lambda d, out: alienize_dataset(d / "data.jsonl", KEY, VOCAB, out),
     "cli encode": _cli("encode", *VOCAB_KEY, "{d}/text.txt", "{out}"),
     "cli encode --ids": _cli("encode", *VOCAB_KEY, "--ids", "{d}/ids.txt", "{out}"),

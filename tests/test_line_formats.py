@@ -21,7 +21,7 @@ from alienlang import (
     read_pretokenized,
 )
 from alienlang.cli import _is_id_list, _read_records
-from alienlang.translator import ID_STREAM_MAGIC, restore_dataset
+from alienlang.translator import ID_STREAM_MAGIC
 from helpers import byte_complete_vocab
 
 VOCAB = byte_complete_vocab(extra_tokens=[b"ab", b"the"])
@@ -104,7 +104,6 @@ def only_toolkit_errors(fn, *args):
 def test_read_pretokenized_fuzz(scratch, data):
     path = scratch / "ids.txt"
     path.write_bytes(data)
-    only_toolkit_errors(read_pretokenized, path)
     only_toolkit_errors(read_pretokenized, path, VOCAB)
 
 
@@ -131,7 +130,6 @@ def test_dataset_walkers_fuzz(scratch, data):
     src.write_bytes(data)
     only_toolkit_errors(alienize_dataset, src, KEY, VOCAB, dst)
     only_toolkit_errors(alienize_dataset, src, KEY, VOCAB, dst, True)
-    only_toolkit_errors(restore_dataset, src, KEY, VOCAB, dst)
 
 
 @settings(max_examples=150, deadline=None)

@@ -8,6 +8,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 import pytest
 
 import alienlang.fileio as fileio
+import alienlang.probe as probe
 from alienlang import ArgumentError, EndpointConfig, TransportError, llm_inverse_probe
 from alienlang.errors import ProtocolError
 from helpers import half_write_open
@@ -117,18 +118,19 @@ class TestProbe:
         llm_inverse_probe(endpoint_for(stub_server), shots=0, eval_set=EVAL_SET[:2])
         assert all(r["auth"] == "Bearer sekrit" for r in stub_server.requests)
 
-    def test_retries_through_transient_500s(self, stub_server):
+    def test_retries_through_transient_500s(self, stub_server, monkeypatch):
         stub_server.mode = "flaky"
-        config = endpoint_for(stub_server, backoff=0.01, concurrency=1)
+        monkeypatch.setattr(probe, "BACKOFF", 0.01)
+        config = endpoint_for(stub_server, concurrency=1)
         report = llm_inverse_probe(config, shots=0, eval_set=EVAL_SET[:1] + EVAL_SET[1:2])
         assert report.evaluated_count == 2
         assert len(stub_server.requests) >= 4  # two failures plus retries
 
-    def test_transport_error_after_exhausted_retries(self):
-        config = EndpointConfig(
-            base_url="http://127.0.0.1:9", timeout=0.2, backoff=0.01, max_attempts=2
-        )
-        with pytest.raises(TransportError):
+    def test_transport_error_after_exhausted_retries(self, monkeypatch):
+        monkeypatch.setattr(probe, "MAX_ATTEMPTS", 2)
+        monkeypatch.setattr(probe, "BACKOFF", 0.01)
+        config = EndpointConfig(base_url="http://127.0.0.1:9", timeout=0.2)
+        with pytest.raises(TransportError, match="after 2 attempts"):
             llm_inverse_probe(config, shots=0, eval_set=EVAL_SET[:1])
 
     def test_malformed_response_is_protocol_error(self, stub_server):
@@ -170,6 +172,15 @@ class TestProbe:
         with pytest.raises(ArgumentError):
             llm_inverse_probe(endpoint_for(stub_server), shots=20, eval_set=EVAL_SET)
 
+    def test_empty_eval_set_rejected_before_any_request(self, monkeypatch):
+        posts = []
+        monkeypatch.setattr(probe.requests, "post", lambda *a, **kw: posts.append(a))
+        with pytest.raises(ArgumentError, match="evaluation set is empty"):
+            llm_inverse_probe(EndpointConfig("http://127.0.0.1:9"), 0, [])
+        with pytest.raises(ArgumentError, match="1 shot example.* of the 1 evaluation pairs"):
+            llm_inverse_probe(EndpointConfig("http://127.0.0.1:9"), 1, EVAL_SET[:1])
+        assert posts == []
+
 
 class TestEndpointConfig:
     @pytest.mark.parametrize(
@@ -179,10 +190,6 @@ class TestEndpointConfig:
             ("timeout", -1.0),
             ("timeout", math.nan),
             ("timeout", math.inf),
-            ("backoff", -0.1),
-            ("backoff", math.nan),
-            ("backoff", math.inf),
-            ("max_attempts", 0),
             ("concurrency", 0),
             ("concurrency", -2),
         ],
@@ -190,3 +197,33 @@ class TestEndpointConfig:
     def test_out_of_range_rejected(self, field, value):
         with pytest.raises(ArgumentError, match=f"^{field} must be"):
             EndpointConfig(base_url="http://127.0.0.1:9", **{field: value})
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("base_url", None),
+            ("base_url", b"http://127.0.0.1:9"),
+            ("auth_token", None),
+            ("model", 7),
+            ("timeout", None),
+            ("timeout", "5"),
+            ("timeout", True),
+            ("concurrency", 2.5),
+            ("concurrency", True),
+            ("concurrency", "4"),
+        ],
+    )
+    def test_wrong_type_rejected(self, field, value):
+        kwargs = {"base_url": "http://127.0.0.1:9", field: value}
+        with pytest.raises(ArgumentError, match=f"^{field} must be (str|float|int), not "):
+            EndpointConfig(**kwargs)
+
+    @pytest.mark.parametrize("field", ["timeout", "concurrency"])
+    def test_int_past_float_range_rejected(self, field):
+        # 10**400 passes a comparison with inf, then overflows inside requests
+        kwargs = {"base_url": "http://127.0.0.1:9", field: 10**400}
+        with pytest.raises(ArgumentError, match=f"^{field} is too large"):
+            EndpointConfig(**kwargs)
+
+    def test_int_timeout_accepted(self):
+        assert EndpointConfig("http://127.0.0.1:9", timeout=5).timeout == 5

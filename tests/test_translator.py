@@ -26,7 +26,7 @@ from alienlang import (
     reference_tokenize,
     write_id_stream,
 )
-from alienlang.translator import restore_dataset, to_wire
+from alienlang.translator import to_wire
 from helpers import (
     byte_complete_vocab,
     random_vocab,
@@ -392,6 +392,19 @@ def write_jsonl(path, records):
             fp.write(json.dumps(rec) + "\n")
 
 
+def restored_records(path, key, vocab):
+    """An alienized JSONL file's instruction/response records, fields through decode_text."""
+
+    def back(text):
+        raw = text.encode("utf-8", errors="surrogateescape")
+        return decode_text(raw, key, vocab).decode("utf-8", errors="surrogateescape")
+
+    records = [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()]
+    for rec in records:
+        rec.update({f: back(rec[f]) for f in ("instruction", "response") if f in rec})
+    return records
+
+
 class TestAlienizeDataset:
     def _setup(self, seed=0, rho=1.0):
         vocab = byte_complete_vocab(extra_tokens=[b"the", b"and", b"ing"])
@@ -439,7 +452,6 @@ class TestAlienizeDataset:
         vocab, key = self._setup(seed=2)
         src = tmp_path / "in.jsonl"
         mid = tmp_path / "alien.jsonl"
-        back = tmp_path / "back.jsonl"
         rng = np.random.default_rng(9)
         records = []
         for i in range(100):
@@ -454,9 +466,7 @@ class TestAlienizeDataset:
         write_jsonl(src, records)
         summary = alienize_dataset(src, key, vocab, mid)
         assert summary.records == 100
-        restore_dataset(mid, key, vocab, back)
-        restored = [json.loads(line) for line in back.read_text().splitlines()]
-        assert restored == records
+        assert restored_records(mid, key, vocab) == records
 
     def test_malformed_line_reports_number(self, tmp_path):
         vocab, key = self._setup()
@@ -486,7 +496,7 @@ class TestAlienizeDataset:
         assert sorted(tmp_path.iterdir()) == [src, dst]
 
     @pytest.mark.parametrize("mapping", [{1: 3, 3: 1}, {1: 7, 7: 1}])
-    @pytest.mark.parametrize("fn", [alienize_dataset, restore_dataset])
+    @pytest.mark.parametrize("fn", [alienize_dataset])
     def test_unfit_key_rejected_before_any_record(self, tmp_path, fn, mapping):
         # id 3 is the special <s>; id 7 is not in the vocabulary
         vocab = vocab_from([b"a", b"b", b"c", b"<s>", b"d"], specials=[b"<s>"])
@@ -507,14 +517,13 @@ class TestAlienizeDataset:
     def test_unsafe_rendering_embedded_as_id_stream(self, tmp_path):
         vocab = vocab_from([b"x", b"y", b"ab", b"a", b"b"])
         key = key_from_pairs(vocab, [(0, 3), (1, 4)])
-        src, dst, back = tmp_path / "in.jsonl", tmp_path / "out.jsonl", tmp_path / "back.jsonl"
+        src, dst = tmp_path / "in.jsonl", tmp_path / "out.jsonl"
         write_jsonl(src, [{"instruction": "xy", "response": "x"}])
         summary = alienize_dataset(src, key, vocab, dst)
         assert summary.unsafe_renderings == 1
         out = json.loads(dst.read_text().strip())
         assert out["instruction"].startswith("#alien-ids v1")
-        restore_dataset(dst, key, vocab, back)
-        assert json.loads(back.read_text().strip()) == {"instruction": "xy", "response": "x"}
+        assert restored_records(dst, key, vocab) == [{"instruction": "xy", "response": "x"}]
 
     def test_fields_are_the_wire_form_of_their_encoding(self, tmp_path):
         vocab = vocab_from([b"x", b"y", b"ab", b"a", b"b"])
@@ -535,14 +544,13 @@ class TestAlienizeDataset:
         vocab = byte_complete_vocab()
         key = identity_key(vocab)
         record = {"instruction": "#alien-ids v1 hello", "response": "#alien-ids v1x"}
-        src, dst, back = tmp_path / "in.jsonl", tmp_path / "out.jsonl", tmp_path / "back.jsonl"
+        src, dst = tmp_path / "in.jsonl", tmp_path / "out.jsonl"
         write_jsonl(src, [record])
         summary = alienize_dataset(src, key, vocab, dst)
         assert summary.unsafe_renderings == 2
         out = json.loads(dst.read_text().strip())
         assert out["instruction"].startswith("#alien-ids v1 fingerprint=")
-        restore_dataset(dst, key, vocab, back)
-        assert json.loads(back.read_text().strip()) == record
+        assert restored_records(dst, key, vocab) == [record]
 
     def test_strict_mode_aborts_on_unsafe(self, tmp_path):
         vocab = vocab_from([b"x", b"y", b"ab", b"a", b"b"])

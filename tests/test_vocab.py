@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from alienlang import (
+    ArgumentError,
     FormatError,
     TokenSequence,
     UnknownTokenError,
@@ -256,9 +257,16 @@ class TestPretokenizedStreams:
         path = tmp_path / "ids.txt"
         path.write_text("1 2\nx y\n", encoding="utf-8")
         with pytest.raises(FormatError, match="line 2"):
-            read_pretokenized(path)
+            read_pretokenized(path, vocab_from([b"a", b"b", b"c"]))
 
     def test_sequence_validates_membership(self):
         vocab = vocab_from([b"a"])
         with pytest.raises(UnknownTokenError):
             vocab.sequence([0, 7])
+
+    @pytest.mark.parametrize("bad", [True, 2.0, np.int64(1), "1"])
+    def test_sequence_refuses_ids_that_are_not_int(self, bad):
+        # True and 2.0 hash as 1 and 2, so a membership test alone admits them
+        vocab = vocab_from([b"a", b"b", b"c"])
+        with pytest.raises(ArgumentError, match="is not an int"):
+            vocab.sequence([0, bad])
