@@ -70,7 +70,6 @@ from .vocab import (
     Vocabulary,
     detokenize,
     load_vocab,
-    read_pretokenized,
     reference_tokenize,
     save_vocab,
     write_pretokenized,

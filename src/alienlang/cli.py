@@ -30,7 +30,6 @@ from .fileio import atomic_write
 from .probe import DEFAULT_PROMPT, SHOT_BUDGETS, EndpointConfig, llm_inverse_probe
 from .report import emit_summary, matrix_to_csv, overlap_matrix
 from .translator import (
-    ID_STREAM_MAGIC,
     DatasetFormatError,
     alienize_dataset,
     decode_ids,
@@ -42,7 +41,7 @@ from .translator import (
     to_wire,
     write_id_stream,
 )
-from .vocab import load_vocab, read_pretokenized, write_pretokenized
+from .vocab import load_vocab, write_pretokenized
 
 
 def _add_vocab_args(p: argparse.ArgumentParser) -> None:
@@ -84,8 +83,7 @@ def _cmd_encode(args) -> int:
     vocab = _load_vocab(args)
     key = _load_key(args, vocab)
     if args.ids:
-        sequences = read_pretokenized(args.input, vocab)
-        encoded = [encode_ids(s, key) for s in sequences]
+        encoded = [encode_ids(s, key) for s in read_id_stream(args.input, vocab)]
         write_id_stream(args.output, encoded, key.vocab_fingerprint)
         return 0
     data = Path(args.input).read_bytes()
@@ -100,14 +98,11 @@ def _cmd_encode(args) -> int:
 def _cmd_decode(args) -> int:
     vocab = _load_vocab(args)
     key = _load_key(args, vocab)
-    data = Path(args.input).read_bytes()
     if args.ids:
-        if data.startswith(ID_STREAM_MAGIC.encode("ascii")):
-            sequences = read_id_stream(data, key.vocab_fingerprint)
-        else:
-            sequences = read_pretokenized(args.input, vocab)
+        sequences = read_id_stream(args.input, vocab)
         write_pretokenized([decode_ids(s, key) for s in sequences], args.output)
         return 0
+    data = Path(args.input).read_bytes()
     with atomic_write(args.output, "wb") as fp:
         fp.write(decode_text(data, key, vocab))
     return 0
@@ -124,22 +119,29 @@ def _cmd_emit_dataset(args) -> int:
     return 0
 
 
-def _read_records(path: str, names: tuple[str, str], valid, what: str) -> list[tuple]:
-    """Read a JSONL file whose records hold the named fields, each passing ``valid``."""
-    rows = []
+def _named(path: str, read, *args):
+    """``read(path, *args)``, its errors naming the file, for commands that read several."""
     try:
-        for lineno, record in read_jsonl(path):
-            if not all(valid(record.get(name)) for name in names):
-                raise DatasetFormatError(lineno, f"record needs {' and '.join(names)} as {what}")
-            rows.append(tuple(record[name] for name in names))
-    except FormatError as e:
+        return read(path, *args)
+    except ToolkitError as e:
         raise FormatError(f"{path}: {e}") from e
+
+
+def _read_records(path: str, names: tuple[str, str], read, what: str) -> list[tuple]:
+    """Read a JSONL file whose records hold the named fields, each kept as ``read`` returns it."""
+    rows = []
+    for lineno, record in read_jsonl(path):
+        try:
+            rows.append(tuple(read(record.get(name)) for name in names))
+        except ToolkitError:
+            raise DatasetFormatError(lineno, f"record needs {' and '.join(names)} as {what}")
     return rows
 
 
-def _is_id_list(value, vocab) -> bool:
-    # type() before membership: a bool would pass as 0 or 1
-    return isinstance(value, list) and all(type(i) is int and i in vocab.id_to_token for i in value)
+def _of_type(kind: type, value):
+    if not isinstance(value, kind):
+        raise FormatError(f"{value!r} is not a {kind.__name__}")
+    return value
 
 
 def _cmd_attack(args) -> int:
@@ -147,8 +149,8 @@ def _cmd_attack(args) -> int:
     if args.kind == "freq":
         vocab = _load_vocab(args)
         key = _load_key(args, vocab)
-        alien = [s.ids for s in read_pretokenized(args.alien, vocab)]
-        reference = [s.ids for s in read_pretokenized(args.reference, vocab)]
+        alien = _named(args.alien, read_id_stream, vocab)
+        reference = _named(args.reference, read_id_stream, vocab)
         rep = frequency_attack(alien, reference, key, top_m=args.top_m)
         reports.append(rep)
         print(
@@ -158,12 +160,13 @@ def _cmd_attack(args) -> int:
     elif args.kind == "ngram":
         vocab = _load_vocab(args)
         key = _load_key(args, vocab)
-        known, what = partial(_is_id_list, vocab=vocab), "lists of known token ids"
-        leaked = _read_records(args.leaked, ("plain", "alien"), known, what)
-        eval_pairs = _read_records(args.eval, ("plain", "alien"), known, what)
+        what = "lists of known token ids"
+        pairs = ("plain", "alien"), lambda v: vocab.sequence(_of_type(list, v)), what
+        leaked = _named(args.leaked, _read_records, *pairs)
+        eval_pairs = _named(args.eval, _read_records, *pairs)
         reference = None
         if args.reference:
-            reference = [s.ids for s in read_pretokenized(args.reference, vocab)]
+            reference = _named(args.reference, read_id_stream, vocab)
         rep = ngram_attack(leaked, eval_pairs, n=args.n, truth=key, reference_corpus=reference)
         reports.append(rep)
         br = "n/a" if rep.bijection_recovery is None else f"{rep.bijection_recovery:.6f}"
@@ -179,9 +182,8 @@ def _cmd_attack(args) -> int:
         token = args.token or os.environ.get("ALIEN_TOKEN", "")
         if not endpoint:
             raise FormatError("no endpoint: pass --endpoint or set ALIEN_ENDPOINT")
-        eval_set = _read_records(
-            args.eval, ("alien", "reference"), lambda v: isinstance(v, str), "strings"
-        )
+        string = partial(_of_type, str)
+        eval_set = _named(args.eval, _read_records, ("alien", "reference"), string, "strings")
         template = DEFAULT_PROMPT
         if args.template:
             try:
@@ -206,12 +208,7 @@ def _cmd_attack(args) -> int:
 
 
 def _cmd_overlap(args) -> int:
-    keys = []
-    for path in args.keys:  # several key files: name the one that fails
-        try:
-            keys.append(load_key(path))
-        except FormatError as e:
-            raise FormatError(f"{path}: {e}") from e
+    keys = [_named(path, load_key) for path in args.keys]
     matrix = overlap_matrix(keys)
     if args.out:
         emit_summary([matrix], args.out)
@@ -248,7 +245,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_vocab_args(p)
     p.add_argument("--key", required=True)
     p.add_argument("--strict", action="store_true", help="fail on unstable renderings")
-    p.add_argument("--ids", action="store_true", help="input is pretokenized ID lines")
+    p.add_argument("--ids", action="store_true", help="input is an ID file")
     p.add_argument("input")
     p.add_argument("output")
     p.set_defaults(func=_cmd_encode)
@@ -275,8 +272,8 @@ def build_parser() -> argparse.ArgumentParser:
     q = kind.add_parser("freq", help="frequency-rank matching (O1)")
     _add_vocab_args(q)
     q.add_argument("--key", required=True)
-    q.add_argument("--alien", required=True, help="alien corpus, pretokenized ID lines")
-    q.add_argument("--reference", required=True, help="reference corpus, pretokenized ID lines")
+    q.add_argument("--alien", required=True, help="alien corpus, an ID file")
+    q.add_argument("--reference", required=True, help="reference corpus, an ID file")
     q.add_argument("--top-m", type=int, default=1000)
     q.add_argument("--report", default=None)
     q.set_defaults(func=_cmd_attack)
@@ -289,7 +286,7 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument(
         "--reference",
         default=None,
-        help="public plaintext corpus (pretokenized ID lines); default: leaked plaintext only",
+        help="public plaintext corpus (an ID file); default: leaked plaintext only",
     )
     q.add_argument("--n", type=int, default=3, help="n-gram order (window radius n-1)")
     q.add_argument("--report", default=None)

@@ -134,7 +134,7 @@ def decode_text(
     if not isinstance(x_alien, bytes):
         raise ArgumentError("decode_text expects bytes or an AlienDocument")
     if x_alien.startswith(ID_STREAM_MAGIC.encode("ascii")):
-        seqs = read_id_stream(x_alien, key.vocab_fingerprint)
+        seqs = read_id_stream(x_alien, vocab)
         return b"".join(detokenize(decode_ids(s, key), vocab) for s in seqs)
     plain_ids, plain = _translate(x_alien, key, vocab)  # the key is an involution
     merge = first_merge(plain_ids.ids, plain, vocab)
@@ -165,20 +165,27 @@ def write_id_stream(target, sequences: Iterable[Iterable[int]], fingerprint: int
         write_id_lines(fp, sequences)
 
 
-def read_id_stream(source, expect_fingerprint: int | None = None) -> list[TokenSequence]:
-    """Parse the ID-stream transport format (a path, its bytes or a file object)."""
-    lines = read_lines(source)
-    _, header = next(lines, (1, ""))
-    parts = header.split()
-    if parts[:2] != ID_STREAM_MAGIC.split() or len(parts) != 3:
-        raise FormatError("line 1: missing or malformed ID-stream header")
-    name, _, value = parts[2].partition("=")
-    if name != "fingerprint":
-        raise FormatError("line 1: ID-stream header lacks a hexadecimal fingerprint")
-    fingerprint = _parse_fingerprint(value, "line 1: ID-stream header fingerprint")
-    if expect_fingerprint is not None and fingerprint != expect_fingerprint:
-        raise CompatibilityError("ID stream belongs to a different vocabulary")
-    return [TokenSequence(parse_id_line(line, lineno), fingerprint) for lineno, line in lines]
+def read_id_stream(source, vocab: Vocabulary) -> list[TokenSequence]:
+    """Read an ID file (a path, its bytes or a file object): one sequence of IDs per line.
+
+    Line 1 may be the ID-stream header, whose fingerprint must be the
+    vocabulary's.  Every ID must be in ``vocab``; an error names its line.
+    """
+    sequences = []
+    for lineno, line in read_lines(source):
+        if lineno == 1 and line.startswith(ID_STREAM_MAGIC.split()[0]):
+            parts = line.split()
+            if parts[:2] != ID_STREAM_MAGIC.split() or len(parts) != 3:
+                raise FormatError("line 1: missing or malformed ID-stream header")
+            name, _, value = parts[2].partition("=")
+            if name != "fingerprint":
+                raise FormatError("line 1: ID-stream header lacks a hexadecimal fingerprint")
+            fingerprint = _parse_fingerprint(value, "line 1: ID-stream header fingerprint")
+            if fingerprint != vocab.fingerprint:
+                raise CompatibilityError("ID stream belongs to a different vocabulary")
+            continue
+        sequences.append(parse_id_line(line, lineno, vocab))
+    return sequences
 
 
 @dataclass

@@ -1,4 +1,4 @@
-"""Vocabularies, the reference tokenizer, and pretokenized ID streams.
+"""Vocabularies, the reference tokenizer, and ID lines.
 
 Token strings are byte sequences throughout, so vocabularies containing
 raw-byte tokens load and round-trip losslessly.  In the JSON vocab file,
@@ -171,13 +171,14 @@ class Vocabulary:
             raise UnknownTokenError(f"unknown token string {token!r}") from None
 
     def sequence(self, ids: Iterable[int]) -> TokenSequence:
-        """Wrap raw IDs as a TokenSequence, validating membership."""
+        """Wrap raw IDs as a TokenSequence, checking the whole sequence at once for membership."""
         ids = tuple(ids)
-        for tid in ids:
-            if type(tid) is not int:  # a bool or 2.0 would look up as the id it equals
-                raise ArgumentError(f"token id {tid!r} is not an int")
-            if tid not in self.id_to_token:
-                raise UnknownTokenError(f"unknown token id {tid}")
+        table = self.id_to_token
+        if not {int}.issuperset(map(type, ids)):  # a bool or 2.0 would look up as the id it equals
+            bad = next(tid for tid in ids if type(tid) is not int)
+            raise ArgumentError(f"token id {bad!r} is not an int")
+        if not all(map(table.__contains__, ids)):
+            raise UnknownTokenError(f"unknown token id {next(t for t in ids if t not in table)}")
         return TokenSequence(ids=ids, fingerprint=self.fingerprint)
 
 
@@ -336,12 +337,15 @@ def read_lines(source) -> Iterator[tuple[int, str]]:
         yield lineno, line
 
 
-def parse_id_line(line: str, lineno: int) -> tuple[int, ...]:
-    """Parse one line of space-separated decimal token IDs."""
-    if line.isascii():  # int() and str.split() also take non-ASCII digits and spaces
+def parse_id_line(line: str, lineno: int, vocab: Vocabulary) -> TokenSequence:
+    """Parse one line of space-separated decimal token IDs, each in ``vocab``."""
+    # int() also takes signs, underscores and non-ASCII digits, and split() non-ASCII spaces
+    if re.fullmatch(r"[0-9\s]*", line, re.ASCII):
         try:
-            return tuple(map(int, line.split()))
-        except ValueError:
+            return vocab.sequence(map(int, line.split()))
+        except UnknownTokenError as e:
+            raise UnknownTokenError(f"line {lineno}: {e}") from None
+        except ValueError:  # more digits than int() converts
             pass
     raise FormatError(f"line {lineno}: not a space-separated ID list")
 
@@ -350,14 +354,6 @@ def write_id_lines(fp, sequences: Iterable[Iterable[int]]) -> None:
     """Write each sequence to a text file object as one line of space-separated IDs."""
     for seq in sequences:
         fp.write(" ".join(map(str, seq)) + "\n")
-
-
-def read_pretokenized(path: str | Path, vocab: Vocabulary) -> list[TokenSequence]:
-    """Read a pretokenized stream: one sequence of space-separated IDs per line.
-
-    IDs are validated against the vocabulary, and sequences carry its fingerprint.
-    """
-    return [vocab.sequence(parse_id_line(line, lineno)) for lineno, line in read_lines(path)]
 
 
 def write_pretokenized(sequences: Iterable[Iterable[int]], path: str | Path) -> None:

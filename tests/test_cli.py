@@ -205,6 +205,48 @@ class TestEncodeDecode:
         assert run(["decode", *argv_common, str(alien), str(back)]) == 0
         assert back.read_text() == ids_in.read_text().replace("\n\n", "\n\n")
 
+    def test_ids_mode_encode_own_output(self, workspace):
+        # the key is an involution, so encoding the alien stream gives back the plaintext ids
+        out = workspace["dir"] / "key.json"
+        build_key_cli(workspace, out)
+        ids_in = workspace["dir"] / "ids.txt"
+        alien = workspace["dir"] / "alien_ids.txt"
+        again = workspace["dir"] / "again.txt"
+        ids_in.write_text("5 6 7 8\n\n99 100\n", encoding="utf-8")
+        argv_common = [
+            "--vocab", workspace["vocab_path"],
+            "--specials", workspace["specials_path"],
+            "--key", str(out),
+            "--ids",
+        ]
+        assert run(["encode", *argv_common, str(ids_in), str(alien)]) == 0
+        assert alien.read_text().splitlines()[1:] != ids_in.read_text().splitlines()
+        assert run(["encode", *argv_common, str(alien), str(again)]) == 0
+        header, *lines = again.read_text().splitlines(keepends=True)
+        assert header.startswith("#alien-ids v1 fingerprint=")
+        assert "".join(lines) == ids_in.read_text()
+
+    def test_ids_mode_unknown_id_names_line(self, workspace, capsys):
+        out = workspace["dir"] / "key.json"
+        build_key_cli(workspace, out)
+        vocab = workspace["vocab"]
+        alien = workspace["dir"] / "alien_ids.txt"
+        back = workspace["dir"] / "back_ids.txt"
+        alien.write_text(f"#alien-ids v1 fingerprint={vocab.fingerprint:016x}\n5 6\n7 999999\n")
+        capsys.readouterr()
+        argv = [
+            "decode",
+            "--vocab", workspace["vocab_path"],
+            "--specials", workspace["specials_path"],
+            "--key", str(out),
+            "--ids",
+            str(alien), str(back),
+        ]
+        assert run(argv) == 1
+        err = capsys.readouterr().err
+        assert err == "error: line 3: unknown token id 999999\n", err
+        assert not back.exists()
+
     def test_corpus_round_trip_bit_exact(self, workspace):
         out = workspace["dir"] / "key.json"
         build_key_cli(workspace, out, seed=3)
@@ -281,6 +323,43 @@ class TestAttackCommands:
         assert "token_recovery" in capsys.readouterr().out
         doc = json.loads(report.read_text())
         assert doc["reports"][0]["attack_name"] == "frequency"
+
+    def test_freq_reads_encode_ids_output(self, workspace, capsys):
+        out, key, plain, alien, ppath, _ = self._key_and_corpora(workspace)
+        stream = workspace["dir"] / "alien.stream"
+        argv_common = [
+            "--vocab", workspace["vocab_path"],
+            "--specials", workspace["specials_path"],
+            "--key", str(out),
+        ]
+        assert run(["encode", "--ids", *argv_common, str(ppath), str(stream)]) == 0
+        assert stream.read_text().startswith("#alien-ids v1 fingerprint=")
+        argv = ["attack", "freq", *argv_common, "--alien", str(stream), "--reference", str(ppath)]
+        assert run(argv) == 0
+        assert "token_recovery" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("kind", ["freq", "ngram"])
+    def test_unknown_reference_id_names_file(self, workspace, capsys, kind):
+        out, key, plain, alien, ppath, apath = self._key_and_corpora(workspace)
+        bad = workspace["dir"] / "public_ids.txt"
+        bad.write_text("5 6\n7 999999\n")
+        pairs = workspace["dir"] / "pairs.jsonl"
+        pairs.write_text(json.dumps({"plain": plain[:30], "alien": alien[:30]}) + "\n")
+        inputs = {
+            "freq": ["--alien", str(apath)],
+            "ngram": ["--leaked", str(pairs), "--eval", str(pairs)],
+        }
+        capsys.readouterr()
+        argv = [
+            "attack", kind,
+            "--vocab", workspace["vocab_path"],
+            "--specials", workspace["specials_path"],
+            "--key", str(out),
+            *inputs[kind],
+            "--reference", str(bad),
+        ]
+        assert run(argv) == 1
+        assert capsys.readouterr().err == f"error: {bad}: line 2: unknown token id 999999\n"
 
     def test_ngram(self, workspace, capsys):
         out, key, plain, alien, *_ = self._key_and_corpora(workspace)

@@ -12,15 +12,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from alienlang import (
-    ToolkitError,
-    alienize_dataset,
-    decode_text,
-    identity_key,
-    read_id_stream,
-    read_pretokenized,
-)
-from alienlang.cli import _is_id_list, _read_records
+from alienlang import ToolkitError, alienize_dataset, decode_text, identity_key, read_id_stream
+from alienlang.cli import _of_type, _read_records
 from alienlang.translator import ID_STREAM_MAGIC
 from helpers import byte_complete_vocab
 
@@ -94,26 +87,19 @@ def scratch(tmp_path_factory):
 
 def only_toolkit_errors(fn, *args):
     try:
-        fn(*args)
+        return fn(*args)
     except ToolkitError:
-        pass
+        return None
 
 
-@settings(max_examples=200, deadline=None)
-@given(id_lines)
-def test_read_pretokenized_fuzz(scratch, data):
-    path = scratch / "ids.txt"
-    path.write_bytes(data)
-    only_toolkit_errors(read_pretokenized, path, VOCAB)
-
-
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=400, deadline=None)
 @given(headers, id_lines)
 def test_read_id_stream_fuzz(scratch, header, body):
     path = scratch / "stream.txt"
     path.write_bytes(header + body)
-    only_toolkit_errors(read_id_stream, path)
-    only_toolkit_errors(read_id_stream, path, VOCAB.fingerprint)
+    sequences = only_toolkit_errors(read_id_stream, path, VOCAB)
+    for seq in sequences or ():
+        assert all(tid in VOCAB.id_to_token for tid in seq)
 
 
 @settings(max_examples=200, deadline=None)
@@ -137,8 +123,7 @@ def test_dataset_walkers_fuzz(scratch, data):
 def test_cli_record_files_fuzz(scratch, data):
     path = scratch / "records.jsonl"
     path.write_bytes(data)
-    known = partial(_is_id_list, vocab=VOCAB)
+    known = lambda v: VOCAB.sequence(_of_type(list, v))  # as `attack ngram` reads pair lists
     only_toolkit_errors(_read_records, str(path), ("plain", "alien"), known, "ids")
-    only_toolkit_errors(
-        _read_records, str(path), ("alien", "reference"), lambda v: isinstance(v, str), "strings"
-    )
+    string = partial(_of_type, str)
+    only_toolkit_errors(_read_records, str(path), ("alien", "reference"), string, "strings")

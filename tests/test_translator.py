@@ -14,6 +14,7 @@ from alienlang import (
     FormatError,
     StabilityError,
     TokenSequence,
+    UnknownTokenError,
     alienize_dataset,
     build_key,
     decode_ids,
@@ -359,31 +360,48 @@ class TestRhoEffect:
 
 
 class TestIdStream:
+    VOCAB = byte_complete_vocab()
+
     def test_round_trip(self, tmp_path):
         path = tmp_path / "stream.txt"
         seqs = [TokenSequence(ids=(1, 2, 3)), TokenSequence(ids=())]
-        write_id_stream(path, seqs, fingerprint=0xDEADBEEF)
-        back = read_id_stream(path, 0xDEADBEEF)
+        write_id_stream(path, seqs, fingerprint=self.VOCAB.fingerprint)
+        back = read_id_stream(path, self.VOCAB)
         assert [s.ids for s in back] == [(1, 2, 3), ()]
+        assert all(s.fingerprint == self.VOCAB.fingerprint for s in back)
 
     def test_header_fingerprint_checked(self, tmp_path):
         path = tmp_path / "stream.txt"
-        write_id_stream(path, [TokenSequence(ids=(1,))], fingerprint=1)
-        with pytest.raises(CompatibilityError):
-            read_id_stream(path, 2)
+        write_id_stream(path, [TokenSequence(ids=(1,))], fingerprint=self.VOCAB.fingerprint ^ 1)
+        with pytest.raises(CompatibilityError, match="different vocabulary"):
+            read_id_stream(path, self.VOCAB)
 
     @pytest.mark.parametrize(
         "text", ["0x_b8116aab61bbef6", "0xff", "+ff", "-1", "f_f", "", "1" * 17, "\u0661"]
     )
     def test_malformed_fingerprint_rejected(self, text):
         with pytest.raises(FormatError, match="fingerprint"):
-            read_id_stream(f"#alien-ids v1 fingerprint={text}\n1 2\n".encode("utf-8"))
+            read_id_stream(f"#alien-ids v1 fingerprint={text}\n1 2\n".encode("utf-8"), self.VOCAB)
 
-    def test_missing_header_rejected(self, tmp_path):
+    @pytest.mark.parametrize("header", ["#alien-ids v1\n", "#alien-ids v2 fingerprint=00\n"])
+    def test_malformed_header_rejected(self, header):
+        with pytest.raises(FormatError, match="line 1: missing or malformed ID-stream header"):
+            read_id_stream(f"{header}1 2\n".encode("ascii"), self.VOCAB)
+
+    def test_header_is_optional(self, tmp_path):
         path = tmp_path / "stream.txt"
-        path.write_text("1 2 3\n", encoding="utf-8")
-        with pytest.raises(FormatError):
-            read_id_stream(path)
+        path.write_text("1 2 3\n\n255\n", encoding="utf-8")
+        back = read_id_stream(path, self.VOCAB)
+        assert [s.ids for s in back] == [(1, 2, 3), (), (255,)]
+        assert all(s.fingerprint == self.VOCAB.fingerprint for s in back)
+
+    @pytest.mark.parametrize("header", [True, False])
+    def test_unknown_id_names_its_line(self, header):
+        lines = ["1 2", "", "3 999999 4"]
+        if header:
+            lines.insert(0, f"#alien-ids v1 fingerprint={self.VOCAB.fingerprint:016x}")
+        with pytest.raises(UnknownTokenError, match=f"line {len(lines)}: unknown token id 999999"):
+            read_id_stream(("\n".join(lines) + "\n").encode("ascii"), self.VOCAB)
 
 
 def write_jsonl(path, records):

@@ -15,12 +15,12 @@ from alienlang import (
     Vocabulary,
     detokenize,
     load_vocab,
-    read_pretokenized,
+    read_id_stream,
     reference_tokenize,
     save_vocab,
     write_pretokenized,
 )
-from alienlang.vocab import first_merge
+from alienlang.vocab import first_merge, parse_id_line
 from helpers import byte_complete_vocab, vocab_from
 
 
@@ -249,7 +249,7 @@ class TestPretokenizedStreams:
         path = tmp_path / "ids.txt"
         seqs = [vocab.sequence([0, 1, 2]), vocab.sequence([]), vocab.sequence([2, 2])]
         write_pretokenized(seqs, path)
-        back = read_pretokenized(path, vocab)
+        back = read_id_stream(path, vocab)
         assert [s.ids for s in back] == [(0, 1, 2), (), (2, 2)]
         assert all(s.fingerprint == vocab.fingerprint for s in back)
 
@@ -257,7 +257,13 @@ class TestPretokenizedStreams:
         path = tmp_path / "ids.txt"
         path.write_text("1 2\nx y\n", encoding="utf-8")
         with pytest.raises(FormatError, match="line 2"):
-            read_pretokenized(path, vocab_from([b"a", b"b", b"c"]))
+            read_id_stream(path, vocab_from([b"a", b"b", b"c"]))
+
+    @pytest.mark.parametrize("line", ["1_0 2\n", "+5\n", "-0\n"])
+    def test_only_ascii_decimal_digits(self, line):
+        # int() alone reads these as 10 2, 5 and 0
+        with pytest.raises(FormatError, match="line 4: not a space-separated ID list"):
+            parse_id_line(line, 4, byte_complete_vocab())
 
     def test_sequence_validates_membership(self):
         vocab = vocab_from([b"a"])
