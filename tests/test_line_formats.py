@@ -92,14 +92,27 @@ def only_toolkit_errors(fn, *args):
         return None
 
 
-@settings(max_examples=400, deadline=None)
+def read_known_ids(path):
+    sequences = only_toolkit_errors(read_id_stream, path, VOCAB)
+    for seq in sequences or ():
+        assert all(tid in VOCAB.id_to_token for tid in seq)
+
+
+@settings(max_examples=200, deadline=None)
+@given(id_lines)
+def test_read_pretokenized_fuzz(scratch, data):
+    """A header-less (pre-tokenized) ID file goes through the same reader."""
+    path = scratch / "ids.txt"
+    path.write_bytes(data)
+    read_known_ids(path)
+
+
+@settings(max_examples=200, deadline=None)
 @given(headers, id_lines)
 def test_read_id_stream_fuzz(scratch, header, body):
     path = scratch / "stream.txt"
     path.write_bytes(header + body)
-    sequences = only_toolkit_errors(read_id_stream, path, VOCAB)
-    for seq in sequences or ():
-        assert all(tid in VOCAB.id_to_token for tid in seq)
+    read_known_ids(path)
 
 
 @settings(max_examples=200, deadline=None)
