@@ -32,7 +32,7 @@ import numpy as np
 from . import editdist
 from .embeddings import EmbeddingStore, topk_cosine
 from .errors import ArgumentError, CompatibilityError, CoverageError, FormatError, ToolkitError
-from .fileio import atomic_write
+from .fileio import atomic_write, parse_json
 from .seeding import derive_rng, derive_seed
 from .vocab import Vocabulary, _parse_fingerprint
 
@@ -400,12 +400,7 @@ def _assemble(
 
 def load_key(path: str | Path) -> BijectionKey:
     """Load and structurally validate a key file."""
-    try:
-        doc = json.loads(Path(path).read_text(encoding="ascii"))
-    except (ValueError, RecursionError) as e:  # JSONDecodeError, UnicodeDecodeError, huge ints
-        raise FormatError(f"key file is not valid JSON: {e}") from e
-    if not isinstance(doc, dict):
-        raise FormatError(f"key file must hold a JSON object, not {type(doc).__name__}")
+    doc = parse_json(Path(path).read_bytes(), "key file", dict, encoding="ascii")
     if doc.get("version") != KEY_FORMAT_VERSION:
         raise FormatError(f"unsupported key format version {doc.get('version')!r}")
     try:

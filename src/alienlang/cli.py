@@ -30,7 +30,6 @@ from .fileio import atomic_write
 from .probe import DEFAULT_PROMPT, SHOT_BUDGETS, EndpointConfig, llm_inverse_probe
 from .report import emit_summary, matrix_to_csv, overlap_matrix
 from .translator import (
-    DatasetFormatError,
     alienize_dataset,
     decode_ids,
     decode_text,
@@ -134,7 +133,7 @@ def _read_records(path: str, names: tuple[str, str], read, what: str) -> list[tu
         try:
             rows.append(tuple(read(record.get(name)) for name in names))
         except ToolkitError:
-            raise DatasetFormatError(lineno, f"record needs {' and '.join(names)} as {what}")
+            raise FormatError(f"line {lineno}: record needs {' and '.join(names)} as {what}")
     return rows
 
 

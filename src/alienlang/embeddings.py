@@ -18,8 +18,10 @@ except in a repaired row.
 
 from __future__ import annotations
 
+import re
 import struct
 from array import array
+from contextlib import closing
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -28,11 +30,16 @@ import numpy as np
 
 from .errors import ArgumentError, CoverageError, DegenerateInputError, FormatError
 from .fileio import atomic_write
-from .vocab import Vocabulary, reference_tokenize
+from .vocab import DIGIT, Vocabulary, read_lines, reference_tokenize
 
 _MAGIC = b"AEMB"
 _VERSION = 1
 _NORM_TOL = 1e-5
+# A text file's header is two ids (n and d), and each row an id followed by
+# numbers, each an optional sign, digits, an optional fraction and exponent.
+_NUMBER = rf"[+-]?{DIGIT}+(?:\.{DIGIT}+)?(?:[eE][+-]?{DIGIT}+)?"
+_HEADER = re.compile(rf"\s*{DIGIT}+\s+{DIGIT}+\s*", re.ASCII)
+_ROW = re.compile(rf"\s*(?:{DIGIT}+(?:\s+{_NUMBER})*)?\s*", re.ASCII)
 # Query rows per top-k selection: each selection holds int64 index arrays as
 # large as its slice of the similarity block.
 _SELECT_ROWS = 64
@@ -82,10 +89,7 @@ def load_embeddings(path: str | Path) -> EmbeddingStore:
         head = fp.read(4)
     if head == _MAGIC:
         return _load_binary(path)
-    try:
-        return _load_text(path)
-    except UnicodeDecodeError as e:
-        raise FormatError(f"text embedding file is not UTF-8: {e}") from e
+    return _load_text(path)
 
 
 def _load_binary(path: Path) -> EmbeddingStore:
@@ -105,22 +109,20 @@ def _load_binary(path: Path) -> EmbeddingStore:
 
 
 def _load_text(path: Path) -> EmbeddingStore:
-    with open(path, "r", encoding="utf-8") as fp:
-        header = fp.readline().split()
-        if len(header) != 2:
-            raise FormatError('text embedding file must start with an "n d" header')
+    with closing(read_lines(path)) as lines:
+        _, header = next(lines, (1, ""))
         try:
-            n, d = int(header[0]), int(header[1])
-        except ValueError as e:
-            raise FormatError("non-integer dimensions in header") from e
-        if n < 0 or d < 0:
-            raise FormatError(f"negative dimensions {n} {d} in header")
+            n, d = map(int, header.split() if _HEADER.fullmatch(header) else ())
+        except ValueError:  # not two integers, or more digits than int() converts
+            raise FormatError('line 1: not an "n d" header of ASCII decimal integers') from None
         # Rows are read before the matrix is allocated, so its size is bounded
         # by the file's contents rather than by what its header claims.
         ids: list[int] = []
         seen: set[int] = set()
         values = array("d")
-        for lineno, line in enumerate(fp, start=2):
+        for lineno, line in lines:
+            if not _ROW.fullmatch(line):
+                raise FormatError(f"line {lineno}: not an id and values in ASCII decimal")
             parts = line.split()
             if not parts:
                 continue
@@ -128,18 +130,17 @@ def _load_text(path: Path) -> EmbeddingStore:
                 raise FormatError(f"line {lineno}: expected id plus {d} values")
             try:
                 tid = int(parts[0])
-                row = [float(v) for v in parts[1:]]
-            except ValueError as e:
-                raise FormatError(f"line {lineno}: {e}") from e
-            if not 0 <= tid < n:
-                raise FormatError(f"line {lineno}: token id {tid} outside [0, {n})")
+            except ValueError:  # more digits than int() converts
+                tid = n
+            if tid >= n:
+                raise FormatError(f"line {lineno}: token id {parts[0]} outside [0, {n})")
             if tid in seen:
                 raise FormatError(f"line {lineno}: duplicate row for token id {tid}")
             seen.add(tid)
             ids.append(tid)
-            values.extend(row)
+            values.extend(map(float, parts[1:]))
     if len(ids) != n:
-        raise FormatError(f"text file declared {n} rows but provided {len(ids)}")
+        raise FormatError(f"line 1: header declares {n} rows but the file has {len(ids)}")
     rows = np.empty((n, d), dtype=np.float64)
     rows[ids] = np.frombuffer(values, dtype=np.float64).reshape(n, d)
     return EmbeddingStore(rows=rows)

@@ -1,12 +1,34 @@
-"""Atomic file output: a file is either written whole or left as it was."""
+"""Atomic file output, and the one reader of JSON documents."""
 
 from __future__ import annotations
 
+import json
 import os
 import secrets
 from contextlib import contextmanager
 from pathlib import Path
 from typing import IO, Iterator
+
+from .errors import FormatError
+
+
+def parse_json(
+    data: bytes | str, what: str, kind: type, encoding: str = "utf-8", errors: str = "strict",
+    object_pairs_hook=None,
+):
+    """Parse one JSON document of type ``kind``, dict or list, from text or from
+    bytes decoded as ``encoding`` with ``errors``; undecodable bytes, invalid
+    JSON and another type raise :class:`FormatError` whose message starts with ``what``.
+    """
+    try:
+        text = data.decode(encoding, errors) if isinstance(data, bytes) else data
+        doc = json.loads(text, object_pairs_hook=object_pairs_hook)
+    except (ValueError, RecursionError) as e:  # bad bytes or JSON, deep nesting, huge ints
+        raise FormatError(f"{what} is not valid JSON: {e}") from e
+    if not isinstance(doc, kind):
+        json_type = "object" if kind is dict else "array"
+        raise FormatError(f"{what} must hold a JSON {json_type}, not {type(doc).__name__}")
+    return doc
 
 
 @contextmanager

@@ -11,7 +11,7 @@ from typing import Sequence
 from .attacks import AttackReport
 from .bijection import BijectionKey, OpacityReport, key_overlap
 from .errors import ArgumentError, FormatError
-from .fileio import atomic_write
+from .fileio import atomic_write, parse_json
 
 SUMMARY_SCHEMA_VERSION = 1
 
@@ -101,12 +101,7 @@ def emit_summary(reports: Sequence, path: str | Path) -> None:
 
 
 def read_summary(path: str | Path) -> dict:
-    try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (ValueError, RecursionError) as e:  # JSONDecodeError, UnicodeDecodeError, huge ints
-        raise FormatError(f"summary file is not valid JSON: {e}") from e
-    if not isinstance(doc, dict):
-        raise FormatError(f"summary file must hold a JSON object, not {type(doc).__name__}")
+    doc = parse_json(Path(path).read_bytes(), "summary file", dict)
     version = doc.get("schema_version")
     if type(version) is not int or version != SUMMARY_SCHEMA_VERSION:  # true and 1.0 equal 1
         raise FormatError(f"unsupported summary schema {version!r}")

@@ -28,7 +28,7 @@ from typing import Callable, Iterable, Iterator
 
 from .bijection import BijectionKey, check_key
 from .errors import ArgumentError, CompatibilityError, CoverageError, FormatError, StabilityError
-from .fileio import atomic_write
+from .fileio import atomic_write, parse_json
 from .vocab import (
     TokenSequence,
     Vocabulary,
@@ -195,26 +195,11 @@ class DatasetSummary:
     unsafe_renderings: int
 
 
-class DatasetFormatError(FormatError):
-    """A JSONL record could not be parsed or has an unsupported shape."""
-
-    def __init__(self, lineno: int, message: str):
-        super().__init__(f"line {lineno}: {message}")
-        self.lineno = lineno
-
-
 def read_jsonl(source) -> Iterator[tuple[int, dict]]:
     """Yield (line number, JSON object) for each non-blank line of a JSONL source."""
     for lineno, line in read_lines(source):
-        if not line.strip():
-            continue
-        try:
-            record = json.loads(line)
-        except (ValueError, RecursionError) as e:
-            raise DatasetFormatError(lineno, f"invalid JSON: {e}") from e
-        if not isinstance(record, dict):
-            raise DatasetFormatError(lineno, "record is not a JSON object")
-        yield lineno, record
+        if line.strip():
+            yield lineno, parse_json(line, f"line {lineno}: record", dict)
 
 
 def _walk_record(record: dict, field_fn: Callable[[str], str]) -> dict:
@@ -268,10 +253,10 @@ def alienize_dataset(
             try:
                 out = _walk_record(record, translate)
             except StabilityError as e:
-                raise DatasetFormatError(lineno, f"unstable rendering: {e}") from e
+                raise FormatError(f"line {lineno}: unstable rendering: {e}") from e
             except (FormatError, CoverageError, UnicodeEncodeError) as e:
                 # UnicodeEncodeError: a lone surrogate from a \ud800 escape
-                raise DatasetFormatError(lineno, str(e)) from e
+                raise FormatError(f"line {lineno}: {e}") from e
             dst.write(json.dumps(out, ensure_ascii=True, sort_keys=False) + "\n")
             stats.records += 1
     return stats

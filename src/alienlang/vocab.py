@@ -22,7 +22,12 @@ from typing import Iterable, Iterator, NamedTuple
 import numpy as np
 
 from .errors import ArgumentError, CoverageError, FormatError, UnknownTokenError
-from .fileio import atomic_write
+from .fileio import atomic_write, parse_json
+
+# Ids and text embedding numbers are ASCII decimal: int() also takes signs, underscores
+# and non-ASCII digits, and str.split() splits at non-ASCII spaces.
+DIGIT = "[0-9]"
+_ID_LINE = re.compile(rf"(?:{DIGIT}|\s)*", re.ASCII)
 
 
 def _surrogate_encode(s: str) -> bytes:
@@ -173,10 +178,14 @@ class Vocabulary:
     def sequence(self, ids: Iterable[int]) -> TokenSequence:
         """Wrap raw IDs as a TokenSequence, checking the whole sequence at once for membership."""
         ids = tuple(ids)
-        table = self.id_to_token
         if not {int}.issuperset(map(type, ids)):  # a bool or 2.0 would look up as the id it equals
             bad = next(tid for tid in ids if type(tid) is not int)
             raise ArgumentError(f"token id {bad!r} is not an int")
+        return self._known_sequence(ids)
+
+    def _known_sequence(self, ids: tuple[int, ...]) -> TokenSequence:
+        """``ids``, all of type int, as a TokenSequence once each is found in the vocabulary."""
+        table = self.id_to_token
         if not all(map(table.__contains__, ids)):
             raise UnknownTokenError(f"unknown token id {next(t for t in ids if t not in table)}")
         return TokenSequence(ids=ids, fingerprint=self.fingerprint)
@@ -199,25 +208,17 @@ def load_vocab(path: str | Path, specials_path: str | Path | None = None) -> Voc
             out[key] = value
         return out
 
-    raw = Path(path).read_text(encoding="utf-8", errors="surrogateescape")
-    try:
-        obj = json.loads(raw, object_pairs_hook=reject_duplicates)
-    except (ValueError, RecursionError) as e:  # JSONDecodeError, deep nesting, huge ints
-        raise FormatError(f"vocab file is not valid JSON: {e}") from e
-    if not isinstance(obj, dict):
-        raise FormatError("vocab file must be a JSON object mapping token to id")
+    obj = parse_json(
+        Path(path).read_bytes(), "vocab file", dict,
+        errors="surrogateescape", object_pairs_hook=reject_duplicates,
+    )
     entries = [(_surrogate_encode(tok_str), tid) for tok_str, tid in obj.items()]
 
     special_ids: list[int] = []
     if specials_path is not None:
-        try:
-            spec_list = json.loads(
-                Path(specials_path).read_text(encoding="utf-8", errors="surrogateescape")
-            )
-        except (ValueError, RecursionError) as e:
-            raise FormatError(f"specials file is not valid JSON: {e}") from e
-        if not isinstance(spec_list, list):
-            raise FormatError("specials file must be a JSON array of token strings")
+        spec_list = parse_json(
+            Path(specials_path).read_bytes(), "specials file", list, errors="surrogateescape"
+        )
         token_map = {tok: tid for tok, tid in entries}
         for tok_str in spec_list:
             if not isinstance(tok_str, str):
@@ -339,10 +340,9 @@ def read_lines(source) -> Iterator[tuple[int, str]]:
 
 def parse_id_line(line: str, lineno: int, vocab: Vocabulary) -> TokenSequence:
     """Parse one line of space-separated decimal token IDs, each in ``vocab``."""
-    # int() also takes signs, underscores and non-ASCII digits, and split() non-ASCII spaces
-    if re.fullmatch(r"[0-9\s]*", line, re.ASCII):
+    if _ID_LINE.fullmatch(line):
         try:
-            return vocab.sequence(map(int, line.split()))
+            return vocab._known_sequence(tuple(map(int, line.split())))
         except UnknownTokenError as e:
             raise UnknownTokenError(f"line {lineno}: {e}") from None
         except ValueError:  # more digits than int() converts

@@ -4,6 +4,7 @@ reference oracles."""
 from __future__ import annotations
 
 import builtins
+import re
 from collections import Counter
 
 import numpy as np
@@ -116,6 +117,22 @@ def axis_store(rng: np.random.Generator, n: int, d: int) -> EmbeddingStore:
     cosine is exactly -1, 0 or 1 under any summation order: ties are exact."""
     rows = np.eye(d)[rng.integers(0, d, size=n)] * rng.choice([-1.0, 1.0], size=(n, 1))
     return EmbeddingStore(rows=rows, normalized=True)
+
+
+ASCII_ID = re.compile(rb"[0-9]+")
+ASCII_NUMBER = re.compile(rb"[+-]?[0-9]+(\.[0-9]+)?([eE][+-]?[0-9]+)?")
+
+
+def in_ascii_embedding_grammar(data: bytes) -> bool:
+    """Whether every token of a text embedding file is ASCII decimal: digits in
+    the header and each row's id; a sign, digits, a fraction and an exponent
+    in each value.  Tokens are split at ASCII whitespace only."""
+    header, *rows = [line.split() for line in data.split(b"\n")]
+    return all(map(ASCII_ID.fullmatch, header)) and all(
+        ASCII_ID.fullmatch(row[0]) and all(map(ASCII_NUMBER.fullmatch, row[1:]))
+        for row in rows
+        if row
+    )
 
 
 def oracle_levenshtein(a: bytes, b: bytes) -> int:

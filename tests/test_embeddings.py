@@ -54,16 +54,46 @@ class TestLoadStore:
         path.write_text("0 5\n", encoding="utf-8")
         assert load_embeddings(path).rows.shape == (0, 5)
 
+    def test_text_values_take_sign_fraction_exponent_and_crlf(self, tmp_path):
+        path = tmp_path / "emb.txt"
+        path.write_bytes(b"2 2\r\n01 -1.5e-2 +4E+1\r\n \t\r\n0 7 0.25e3\n")
+        assert np.array_equal(load_embeddings(path).rows, [[7, 250], [-0.015, 40]])
+
     def test_nan_row_rejected(self, tmp_path):
         path = tmp_path / "emb.txt"
         path.write_text("1 2\n0 1.0 nan\n", encoding="utf-8")
-        with pytest.raises(FormatError):
+        with pytest.raises(FormatError, match="^line 2: "):
             load_embeddings(path)
 
     def test_row_count_mismatch_rejected(self, tmp_path):
         path = tmp_path / "emb.txt"
         path.write_text("2 2\n0 1.0 2.0\n", encoding="utf-8")
-        with pytest.raises(FormatError):
+        with pytest.raises(FormatError, match="^line 1: header declares 2 rows but the file has 1"):
+            load_embeddings(path)
+
+    @pytest.mark.parametrize(
+        "data, lineno",
+        [
+            (b"2 1\n+1 0.5\n0 1\n", 2),  # a signed id, which int() takes
+            (b"11 1\n1_0 0.5\n", 2),  # an underscore in an id
+            ("2 1\n\u0661 0.5\n0 1\n".encode("utf-8"), 2),  # an Arabic-Indic one
+            (b"+2 1\n0 1\n1 2\n", 1),  # a signed header
+            (b"1 1\n0 1_0.5\n", 2),  # an underscore in a value, which float() takes
+            (b"2 1\n0 1\n1 2.0\xff\n", 3),  # not UTF-8
+            (b"1 1\r0 1\n", 1),  # a lone carriage return does not end a line
+            (b"1 1\n0 0x1p3\n", 2),  # a hexadecimal float
+            (b"9" * 5000 + b" 1\n", 1),  # more digits than int() converts
+            (b"1 1\n" + b"9" * 5000 + b" 1\n", 2),
+        ],
+        ids=[
+            "signed-id", "underscore-id", "arabic-indic-id", "signed-header", "underscore-value",
+            "not-utf8", "lone-cr", "hex-float", "huge-header", "huge-id",
+        ],
+    )
+    def test_text_outside_ascii_grammar_refused_naming_line(self, tmp_path, data, lineno):
+        path = tmp_path / "emb.txt"
+        path.write_bytes(data)
+        with pytest.raises(FormatError, match=f"^line {lineno}: "):
             load_embeddings(path)
 
     @pytest.mark.parametrize(
@@ -80,7 +110,7 @@ class TestLoadStore:
     def test_malformed_text_rejected(self, tmp_path, data):
         path = tmp_path / "emb.txt"
         path.write_bytes(data)
-        with pytest.raises(FormatError):
+        with pytest.raises(FormatError, match=r"^line \d+: "):
             load_embeddings(path)
 
     def test_truncated_binary_rejected(self, tmp_path):

@@ -10,7 +10,6 @@ header before reading a row would allocate little.
 """
 
 import json
-import re
 import struct
 
 import pytest
@@ -18,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from alienlang import ToolkitError, load_embeddings, load_vocab, read_summary
+from helpers import in_ascii_embedding_grammar
 
 MAX_CELLS = 4096
 
@@ -83,10 +83,10 @@ VALID_VOCAB = json.dumps({"a": 0, "b": 1, "ab": 2, "<s>": 3}).encode("ascii")
 def small_header(data: bytes) -> bool:
     """False if the first line of ``data`` is an "n d" header declaring over MAX_CELLS cells.
 
-    The first line is found as the text loader finds it (universal newlines);
-    a byte that is not UTF-8 makes it fail before it returns that line.
+    The first line ends at the first LF, as the text loader's lines do; a
+    first line that is not UTF-8 makes the loader fail before it reads a row.
     """
-    first = re.split(r"\r|\n", data.decode("utf-8", errors="replace"), maxsplit=1)[0]
+    first = data.split(b"\n", 1)[0].decode("utf-8", errors="replace")
     try:
         n, d = (int(p) for p in first.split())
     except ValueError:  # not two integers: the loader stops at the header
@@ -97,6 +97,7 @@ def small_header(data: bytes) -> bool:
 NUMBERS = [
     b"0", b"1", b"2", b"-1", b"0.5", b"1e999", b"nan", b"inf", b"x", b"9" * 5000,
     b"\xff", b"\xc3\xa9", "١".encode("utf-8"),  # Arabic-Indic one, which int() accepts
+    b"1_0", b"+1", b"0x1p3",
 ]
 DIM = st.one_of(st.integers(-1, 6).map(lambda v: str(v).encode("ascii")), st.sampled_from(NUMBERS))
 text_embedding_files = st.one_of(
@@ -138,9 +139,9 @@ def scratch(tmp_path_factory):
 
 def only_toolkit_errors(fn, *args):
     try:
-        fn(*args)
+        return fn(*args)
     except ToolkitError:
-        pass
+        return None
 
 
 @settings(max_examples=300, deadline=None)
@@ -165,7 +166,8 @@ def test_load_specials_fuzz(scratch, data):
 def test_load_text_embeddings_fuzz(scratch, data):
     path = scratch / "emb.txt"
     path.write_bytes(data)
-    only_toolkit_errors(load_embeddings, path)
+    if only_toolkit_errors(load_embeddings, path) is not None:
+        assert in_ascii_embedding_grammar(data)
 
 
 @settings(max_examples=200, deadline=None)

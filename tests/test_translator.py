@@ -493,6 +493,13 @@ class TestAlienizeDataset:
         with pytest.raises(FormatError, match="line 2"):
             alienize_dataset(src, key, vocab, dst)
 
+    def test_array_line_refused_with_shared_message(self, tmp_path):
+        vocab, key = self._setup()
+        src, dst = tmp_path / "in.jsonl", tmp_path / "out.jsonl"
+        src.write_text('{"instruction": "a"}\n["a", "b"]\n', encoding="utf-8")
+        with pytest.raises(FormatError, match="^line 2: record must hold a JSON object, not list$"):
+            alienize_dataset(src, key, vocab, dst)
+
     def test_untokenizable_record_reports_number(self, tmp_path):
         vocab = vocab_from([b"a", b"b", b"c", b"x"])
         src, dst = tmp_path / "in.jsonl", tmp_path / "out.jsonl"

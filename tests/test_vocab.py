@@ -117,6 +117,12 @@ class TestLoadVocab:
         with pytest.raises(FormatError):
             load_vocab(path)
 
+    def test_vocab_file_array_refused_with_shared_message(self, tmp_path):
+        path = tmp_path / "vocab.json"
+        path.write_text('["a", "b"]', encoding="ascii")
+        with pytest.raises(FormatError, match="^vocab file must hold a JSON object, not list$"):
+            load_vocab(path)
+
     @pytest.mark.parametrize(
         "text",
         ["[" * 100_000, "[" + "9" * 5000 + "]", '["\\ud800"]'],
