@@ -7,11 +7,14 @@ and a ``mask`` of permuted ids.  A key is one; :class:`TruthOracle` wraps a
 bare callback.  That seam is what lets tests prove the key cannot leak into
 the inference path.
 
-A corpus is a sequence whose items are token ids (Python or numpy integers,
-not bools) or sequences of ids (tuples, lists, 1-D arrays,
-:class:`~alienlang.vocab.TokenSequence` objects); any other item raises
-:class:`~alienlang.errors.ArgumentError` naming it.  Inference turns each
-corpus into one int64 array and runs as array operations.
+A token id is an int that is not a bool (:func:`~alienlang.vocab.first_non_id`).
+An id sequence is a tuple, list or :class:`~alienlang.vocab.TokenSequence`
+of token ids, or a 1-D integer array.  A corpus is one id sequence, along
+which the n-gram windows run, or a sequence of id sequences; each side of an
+n-gram pair is one id sequence.  Anything else, such as numpy scalar ids or
+bare ids mixed with sequences, raises :class:`~alienlang.errors.ArgumentError`
+naming the item.  Inference turns each corpus into one int64 array and runs
+as array operations.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from scipy import sparse
 
 from .embeddings import EmbeddingStore
 from .errors import ArgumentError, CoverageError, FormatError
-from .vocab import TokenSequence
+from .vocab import TokenSequence, first_non_id
 
 
 # Rows per dense scoring block, in nn_hypotheses and ngram_hypotheses alike.
@@ -72,54 +75,38 @@ class TruthOracle:
     mask: frozenset[int]
 
 
-def _is_id_type(t: type) -> bool:
-    return issubclass(t, (int, np.integer)) and t is not bool
+def _ids_of(seq) -> list | tuple | None:
+    """The ids of one id sequence, or None if ``seq`` is not one."""
+    if isinstance(seq, np.ndarray) and seq.ndim == 1:
+        seq = seq.tolist()
+    ids = seq.ids if isinstance(seq, TokenSequence) else seq
+    return ids if isinstance(ids, (list, tuple)) and first_non_id(ids) is None else None
 
 
-def _all_ids(values) -> bool:
-    return all(map(_is_id_type, set(map(type, values))))
-
-
-def _ids_of(item) -> list | tuple | None:
-    """The ids a sequence item holds, unchecked, or None if it is not a sequence."""
-    if isinstance(item, TokenSequence):
-        return item.ids
-    if isinstance(item, np.ndarray):
-        return item.tolist() if item.ndim == 1 else None
-    return item if isinstance(item, (list, tuple)) else None
-
-
-def _int64(ids, count: int) -> np.ndarray:
+def _joined(id_lists: list) -> tuple[np.ndarray, np.ndarray]:
+    """The id lists concatenated into one int64 array, and each one's length."""
+    lengths = np.fromiter(map(len, id_lists), dtype=np.int64, count=len(id_lists))
     try:
-        return np.fromiter(ids, dtype=np.int64, count=count)
+        ids = np.fromiter(chain.from_iterable(id_lists), dtype=np.int64, count=int(lengths.sum()))
     except OverflowError:
         raise ArgumentError("corpus holds an id outside the int64 range") from None
+    return ids, lengths
 
 
-def _id_arrays(items) -> tuple[np.ndarray, np.ndarray]:
-    """The ids of ``items`` concatenated into one int64 array, and each item's length.
-
-    An item is a token id (a Python or numpy integer, not a bool) or a list,
-    tuple, 1-D array or :class:`~alienlang.vocab.TokenSequence` of ids; any
-    other item raises :class:`ArgumentError` naming it.
-    """
-    items = list(items)
-    seqs = [(item,) if _is_id_type(type(item)) else _ids_of(item) for item in items]
-    if None in seqs or not _all_ids(chain.from_iterable(seqs)):
-        bad = next(item for item, s in zip(items, seqs) if s is None or not _all_ids(s))
-        raise ArgumentError(
-            f"corpus item {reprlib.repr(bad)} is not a token id or a sequence of ids"
-        )
-    lengths = np.fromiter(map(len, seqs), dtype=np.int64, count=len(seqs))
-    return _int64(chain.from_iterable(seqs), int(lengths.sum())), lengths
+def _sequences(seqs) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`_joined` over id sequences; an item that is not one raises ArgumentError naming it."""
+    seqs = list(seqs)
+    id_lists = list(map(_ids_of, seqs))
+    if None in id_lists:
+        bad = seqs[id_lists.index(None)]
+        raise ArgumentError(f"corpus item {reprlib.repr(bad)} is not a sequence of token ids")
+    return _joined(id_lists)
 
 
-def _corpus_ids(corpus) -> np.ndarray:
-    """A corpus's ids in order as one int64 array; a flat id sequence skips the per-item walk."""
+def _corpus(corpus) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`_joined` over a corpus: one id sequence, or a sequence of them."""
     flat = _ids_of(corpus)
-    if flat is not None and _all_ids(flat):
-        return _int64(flat, len(flat))
-    return _id_arrays(corpus)[0]
+    return _sequences(corpus) if flat is None else _joined([flat])
 
 
 def _rank_by_frequency(ids: np.ndarray) -> np.ndarray:
@@ -135,8 +122,8 @@ def frequency_hypotheses(
 
     Pure inference: no key involved.
     """
-    alien = _corpus_ids(alien_corpus)
-    reference = _corpus_ids(reference_corpus)
+    alien = _corpus(alien_corpus)[0]
+    reference = _corpus(reference_corpus)[0]
     if not alien.size or not reference.size:
         raise ArgumentError("corpora must be non-empty")
     if top_m < 1:
@@ -256,11 +243,11 @@ def ngram_hypotheses(
     if n < 2:
         raise ArgumentError("n-gram order must be >= 2")
 
-    leaked_plain, plain_lengths = _id_arrays([plain for plain, _ in leaked_pairs])
-    leaked_alien, alien_lengths = _id_arrays([alien for _, alien in leaked_pairs])
+    leaked_plain, plain_lengths = _sequences(plain for plain, _ in leaked_pairs)
+    leaked_alien, alien_lengths = _sequences(alien for _, alien in leaked_pairs)
     if not np.array_equal(plain_lengths, alien_lengths):
         raise FormatError("leaked pairs must be positionally aligned (equal lengths)")
-    eval_ids, eval_lengths = _id_arrays([alien for _, alien in eval_corpus])
+    eval_ids, eval_lengths = _sequences(alien for _, alien in eval_corpus)
     known = dict(zip(leaked_alien.tolist(), leaked_plain.tolist()))
     known_alien = np.fromiter(known, np.int64, len(known))
     known_plain = np.fromiter(known.values(), np.int64, len(known))
@@ -268,7 +255,7 @@ def ngram_hypotheses(
     if reference_corpus is None:
         ref_ids, ref_lengths = leaked_plain, plain_lengths
     else:
-        ref_ids, ref_lengths = _id_arrays(reference_corpus)
+        ref_ids, ref_lengths = _corpus(reference_corpus)
     # contexts are the reference's distinct ids; candidates those no known mapping consumed
     contexts, ref_col, ref_freq = np.unique(ref_ids, return_inverse=True, return_counts=True)
     free = np.flatnonzero(~np.isin(contexts, known_plain))

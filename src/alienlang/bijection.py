@@ -24,6 +24,7 @@ import statistics
 import sys
 from dataclasses import asdict, dataclass, fields, replace
 from functools import cached_property
+from itertools import chain
 from pathlib import Path
 from typing import Iterable
 
@@ -34,7 +35,7 @@ from .embeddings import EmbeddingStore, topk_cosine
 from .errors import ArgumentError, CompatibilityError, CoverageError, FormatError, ToolkitError
 from .fileio import atomic_write, parse_json
 from .seeding import derive_rng, derive_seed
-from .vocab import Vocabulary, _parse_fingerprint
+from .vocab import Vocabulary, _parse_fingerprint, first_non_id
 
 KEY_FORMAT_VERSION = 1
 
@@ -382,7 +383,12 @@ def _assemble(
     fixed_points: Iterable[int],
     error: type[ToolkitError],
 ) -> BijectionKey:
-    """A key from disjoint pairs and fixed points; an id used twice raises ``error``."""
+    """A key from disjoint pairs and fixed points; a non-id or an id used twice raises ``error``."""
+    pairs, fixed_points = list(pairs), list(fixed_points)
+    ids = [*chain.from_iterable(pairs), *fixed_points]
+    bad = first_non_id(ids)
+    if bad is not None:
+        raise error(f"token id {ids[bad]!r} is not an int")
     mapping: dict[int, int] = {}
     for i, j in pairs:
         if i == j:
@@ -406,7 +412,7 @@ def load_key(path: str | Path) -> BijectionKey:
     try:
         fingerprint = doc["vocab_fingerprint"]
         cfg = {f.name: doc["config"][f.name] for f in fields(BuildConfig)}
-        raw_pairs = doc["mapping"]
+        pairs = doc["mapping"]
         fixed_points = doc["fixed_points"]
     except (KeyError, TypeError) as e:
         raise FormatError(f"key file missing or malformed field: {e}") from e
@@ -415,21 +421,18 @@ def load_key(path: str | Path) -> BijectionKey:
         config = BuildConfig(**cfg)
     except ArgumentError as e:
         raise FormatError(f"key file config: {e}") from e
-    if not (isinstance(raw_pairs, list) and isinstance(fixed_points, list)):
+    if not (isinstance(pairs, list) and isinstance(fixed_points, list)):
         raise FormatError('key file "mapping" and "fixed_points" must be arrays')
-    if not all(type(fp) is int and fp >= 0 for fp in fixed_points):
+    for entry in pairs:
+        if not (isinstance(entry, list) and len(entry) == 2):
+            raise FormatError(f"malformed mapping entry {entry!r}")
+    key = _assemble(fingerprint, config, pairs, fixed_points, FormatError)
+    for i, j in pairs:
+        if not 0 <= i < j:
+            raise FormatError(f"mapping pair [{i}, {j}] violates 0 <= i < j")
+    if not all(fp >= 0 for fp in fixed_points):
         raise FormatError("key file fixed points must be non-negative integers")
-
-    def pairs():
-        for entry in raw_pairs:
-            i, j = entry if isinstance(entry, list) and len(entry) == 2 else (None, None)
-            if type(i) is not int or type(j) is not int:
-                raise FormatError(f"malformed mapping entry {entry!r}")
-            if not 0 <= i < j:
-                raise FormatError(f"mapping pair [{i}, {j}] violates 0 <= i < j")
-            yield i, j
-
-    return _assemble(fingerprint, config, pairs(), fixed_points, FormatError)
+    return key
 
 
 def identity_key(vocab: Vocabulary, config: BuildConfig | None = None) -> BijectionKey:
@@ -445,8 +448,8 @@ def key_from_pairs(
     fixed_points: Iterable[int] = (),
 ) -> BijectionKey:
     """Assemble a key from explicit pairs (diagnostics and tests)."""
-    pairs = list(pairs)
-    if any(i in vocab.specials or j in vocab.specials for i, j in pairs):
-        raise ArgumentError("special tokens cannot be paired")
     config = config or BuildConfig()
-    return _assemble(vocab.fingerprint, config, pairs, sorted(set(fixed_points)), ArgumentError)
+    key = _assemble(vocab.fingerprint, config, pairs, dict.fromkeys(fixed_points), ArgumentError)
+    if any(key.apply(i) != i for i in vocab.specials):
+        raise ArgumentError("special tokens cannot be paired")
+    return key

@@ -136,9 +136,12 @@ def _load_text(path: Path) -> EmbeddingStore:
                 raise FormatError(f"line {lineno}: token id {parts[0]} outside [0, {n})")
             if tid in seen:
                 raise FormatError(f"line {lineno}: duplicate row for token id {tid}")
+            row = list(map(float, parts[1:]))
+            if not np.isfinite(row).all():  # a value such as 1e999 overflows to inf
+                raise FormatError(f"line {lineno}: value outside the float64 range")
             seen.add(tid)
             ids.append(tid)
-            values.extend(map(float, parts[1:]))
+            values.extend(row)
     if len(ids) != n:
         raise FormatError(f"line 1: header declares {n} rows but the file has {len(ids)}")
     rows = np.empty((n, d), dtype=np.float64)

@@ -29,7 +29,7 @@ DEFAULT_PROMPT = (
 SHOT_BUDGETS = (0, 1, 5, 20)
 # A request that fails in transport or with a 5xx status is sent up to
 # MAX_ATTEMPTS times, waiting BACKOFF seconds before the first retry and twice
-# as long before each later one.
+# as long before each later one.  Any other answer is final.
 MAX_ATTEMPTS = 3
 BACKOFF = 0.5
 
@@ -58,27 +58,27 @@ def _chat(config: EndpointConfig, messages: list[dict]) -> str:
     payload = {"model": config.model, "messages": messages}
     last_error: Exception | None = None
     for attempt in range(MAX_ATTEMPTS):
+        if attempt:
+            time.sleep(BACKOFF * 2 ** (attempt - 1))
         try:
             resp = requests.post(url, json=payload, headers=headers, timeout=config.timeout)
-            if resp.status_code >= 500:
-                raise TransportError(f"server error {resp.status_code}")
-            if resp.status_code != 200:
-                raise TransportError(f"endpoint returned {resp.status_code}: {resp.text[:200]}")
-            try:
-                body = resp.json()
-                content = body["choices"][0]["message"]["content"]
-            except (json.JSONDecodeError, KeyError, IndexError, TypeError) as e:
-                raise ProtocolError(f"malformed chat response: {e}") from e
-            if not isinstance(content, str):
-                raise ProtocolError("chat response content is not a string")
-            return content
-        except ProtocolError:
-            raise
-        except (requests.RequestException, TransportError) as e:
+        except requests.RequestException as e:
             last_error = e
-            if attempt + 1 < MAX_ATTEMPTS:
-                time.sleep(BACKOFF * (2**attempt))
-    raise TransportError(f"endpoint unreachable after {MAX_ATTEMPTS} attempts: {last_error}")
+            continue
+        if resp.status_code < 500:
+            break
+        last_error = TransportError(f"server error {resp.status_code}")
+    else:
+        raise TransportError(f"endpoint unreachable after {MAX_ATTEMPTS} attempts: {last_error}")
+    if resp.status_code != 200:
+        raise TransportError(f"endpoint returned {resp.status_code}: {resp.text[:200]}")
+    try:
+        content = resp.json()["choices"][0]["message"]["content"]
+    except (json.JSONDecodeError, KeyError, IndexError, TypeError) as e:
+        raise ProtocolError(f"malformed chat response: {e}") from e
+    if not isinstance(content, str):
+        raise ProtocolError("chat response content is not a string")
+    return content
 
 
 def _build_messages(

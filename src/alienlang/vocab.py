@@ -17,9 +17,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from operator import itemgetter
 from pathlib import Path
-from typing import Iterable, Iterator, NamedTuple
-
-import numpy as np
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import ArgumentError, CoverageError, FormatError, UnknownTokenError
 from .fileio import atomic_write, parse_json
@@ -28,6 +26,16 @@ from .fileio import atomic_write, parse_json
 # and non-ASCII digits, and str.split() splits at non-ASCII spaces.
 DIGIT = "[0-9]"
 _ID_LINE = re.compile(rf"(?:{DIGIT}|\s)*", re.ASCII)
+
+
+def first_non_id(values: Sequence) -> int | None:
+    """The index of the first of ``values`` that is not a token id, or None if each is one.
+
+    A token id is an int that is not a bool: True, 2.0 or np.int64(2) would look up as an id.
+    """
+    if {int}.issuperset(map(type, values)):
+        return None
+    return next(i for i, value in enumerate(values) if type(value) is not int)
 
 
 def _surrogate_encode(s: str) -> bytes:
@@ -94,6 +102,11 @@ class Vocabulary:
         entries: Iterable[tuple[bytes, int]],
         special_ids: Iterable[int] = (),
     ) -> "Vocabulary":
+        entries = list(entries)
+        bad = first_non_id([tid for _, tid in entries])
+        if bad is not None:
+            tok, tid = entries[bad]
+            raise FormatError(f"token id {tid!r} of {tok!r} is not an integer")
         id_to_token: dict[int, bytes] = {}
         token_to_id: dict[bytes, int] = {}
         for tok, tid in entries:
@@ -101,10 +114,6 @@ class Vocabulary:
                 tok = _surrogate_encode(tok)
             if len(tok) == 0:
                 raise FormatError("empty token string is not allowed")
-            if type(tid) is not int:  # a bool is an int too, but not an id
-                if isinstance(tid, bool) or not isinstance(tid, (int, np.integer)):
-                    raise FormatError(f"token id {tid!r} of {tok!r} is not an integer")
-                tid = int(tid)
             if tid < 0:
                 raise FormatError(f"negative token id {tid}")
             if tid in id_to_token:
@@ -169,18 +178,12 @@ class Vocabulary:
         except KeyError:
             raise UnknownTokenError(f"unknown token id {tid}") from None
 
-    def id_of(self, token: bytes) -> int:
-        try:
-            return self.token_to_id[token]
-        except KeyError:
-            raise UnknownTokenError(f"unknown token string {token!r}") from None
-
     def sequence(self, ids: Iterable[int]) -> TokenSequence:
         """Wrap raw IDs as a TokenSequence, checking the whole sequence at once for membership."""
         ids = tuple(ids)
-        if not {int}.issuperset(map(type, ids)):  # a bool or 2.0 would look up as the id it equals
-            bad = next(tid for tid in ids if type(tid) is not int)
-            raise ArgumentError(f"token id {bad!r} is not an int")
+        bad = first_non_id(ids)
+        if bad is not None:
+            raise ArgumentError(f"token id {ids[bad]!r} is not an int")
         return self._known_sequence(ids)
 
     def _known_sequence(self, ids: tuple[int, ...]) -> TokenSequence:

@@ -454,24 +454,34 @@ class TestNgramHypothesesTies:
         monkeypatch.setattr(attacks, "_BLOCK_ROWS", rows)
         assert ngram_hypotheses(leaked, evals, 3, plain) == whole
 
+    @pytest.mark.parametrize("form", ["list", "token_sequence", "numpy"])
+    def test_flat_reference_is_one_sequence(self, form):
+        # one flat stream of public text, as reference_tokenize returns it
+        rng = np.random.default_rng(11)
+        perm = rng.permutation(40)
+        plain = [rng.integers(0, 40, size=12).tolist() for _ in range(30)]
+        pairs = [(p, [int(perm[t]) for t in p]) for p in plain]
+        leaked, evals = pairs[:6], pairs[6:]
+        public = [t for p in plain for t in p]
+        flat = as_form(public, form)
+        _, guesses = ngram_hypotheses(leaked, evals, 2, flat)
+        assert guesses == ngram_hypotheses(leaked, evals, 2, [flat])[1]
+        assert guesses == reference_ngram_guesses(leaked, evals, 2, [public])
+        assert len(set(guesses.values())) > 1
+
 
 def mixed_corpus(rng, ids: int, items: int) -> list:
-    """Items in every accepted form (Python and numpy int ids; tuples, lists,
-    TokenSequences and arrays of ids, ragged or empty) over few distinct ids,
-    so frequencies tie often."""
+    """Id sequences in every accepted form (tuples, lists, TokenSequences and
+    arrays, ragged or empty) over few distinct ids, so frequencies tie often."""
     corpus = []
     for _ in range(items):
         values = rng.integers(-2, ids, size=int(rng.integers(0, 6)))
-        form = int(rng.integers(0, 6))
+        form = int(rng.integers(0, 4))
         if form == 0:
-            corpus.append(int(rng.integers(-2, ids)))
-        elif form == 1:
-            corpus.append(np.int32(rng.integers(-2, ids)))
-        elif form == 2:
             corpus.append(tuple(values.tolist()))
-        elif form == 3:
-            corpus.append([np.int64(v) if i % 2 else int(v) for i, v in enumerate(values)])
-        elif form == 4:
+        elif form == 1:
+            corpus.append(values.tolist())
+        elif form == 2:
             corpus.append(TokenSequence(ids=tuple(values.tolist())))
         else:
             corpus.append(values.astype(np.int16))
@@ -517,7 +527,7 @@ class TestMalformedCorpora:
             (["12", 3], "'12'"),
             ([b"ab", 1.9, True], "b'ab'"),
             ([1.9, 2.2, 2.7], "1.9"),
-            ([3, True], "True"),
+            ([3, True], "item 3 is"),  # not one id sequence, so 3 is read as a sequence
             ([np.True_], "True"),
             ([[1, True]], "[1, True]"),
             ([(1, 2.5)], "(1, 2.5)"),
@@ -527,6 +537,9 @@ class TestMalformedCorpora:
             ([None], "None"),
             ([[[1, 2]]], "[[1, 2]]"),
             ([TokenSequence(ids=("1",))], "TokenSequence"),
+            ([3, (1, 2)], "item 3 is"),
+            ([np.int32(7), (1, 2)], "np.int32(7)"),
+            ([[1, np.int64(2)]], "[1, np.int64(2)]"),
         ],
     )
     def test_frequency_rejects_and_names_the_item(self, corpus, named):
@@ -543,6 +556,13 @@ class TestMalformedCorpora:
             ngram_hypotheses([((1,), (2,))], [((1,), "56")], 2)
         with pytest.raises(ArgumentError, match="1.5"):
             ngram_hypotheses([((1,), (2,))], [((1,), (5,))], 2, [(1, 1.5)])
+
+    def test_ngram_pair_sides_are_id_sequences(self):
+        # a list of bare-id sides is not read as one stream, nor each id as a sequence
+        with pytest.raises(ArgumentError, match="corpus item 1 is"):
+            ngram_hypotheses([(1, 2), (3, 4)], [((1,), (5,))], 2)
+        with pytest.raises(ArgumentError, match="corpus item 5 is"):
+            ngram_hypotheses([((1,), (2,))], [(1, 5)], 2)
 
     def test_ids_outside_int64_rejected(self):
         with pytest.raises(ArgumentError, match="int64"):

@@ -84,10 +84,11 @@ class TestLoadStore:
             (b"1 1\n0 0x1p3\n", 2),  # a hexadecimal float
             (b"9" * 5000 + b" 1\n", 1),  # more digits than int() converts
             (b"1 1\n" + b"9" * 5000 + b" 1\n", 2),
+            (b"1 1\n0 1e999\n", 2),  # in the grammar, but float() overflows it to inf
         ],
         ids=[
             "signed-id", "underscore-id", "arabic-indic-id", "signed-header", "underscore-value",
-            "not-utf8", "lone-cr", "hex-float", "huge-header", "huge-id",
+            "not-utf8", "lone-cr", "hex-float", "huge-header", "huge-id", "1e999",
         ],
     )
     def test_text_outside_ascii_grammar_refused_naming_line(self, tmp_path, data, lineno):

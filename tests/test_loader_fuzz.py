@@ -100,13 +100,38 @@ NUMBERS = [
     b"1_0", b"+1", b"0x1p3",
 ]
 DIM = st.one_of(st.integers(-1, 6).map(lambda v: str(v).encode("ascii")), st.sampled_from(NUMBERS))
+
+
+def text_file(header: bytes, rows: list[list[bytes]]) -> bytes:
+    return header + b"\n" + b"".join(b" ".join(row) + b"\n" for row in rows)
+
+
+@st.composite
+def well_shaped_text_files(draw):
+    """An "n d" header and exactly n rows, each an id and d values, with n, d <= 4.
+
+    Every field is a small ASCII integer and every id distinct, except that
+    up to two fields are drawn from ``NUMBERS``; so most files load or fail
+    on exactly those fields.
+    """
+    n, d = draw(st.integers(0, 4)), draw(st.integers(0, 4))
+    rows = [
+        [b"%d" % tid, *(b"%d" % draw(st.integers(0, 4)) for _ in range(d))]
+        for tid in draw(st.permutations(range(n)))
+    ]
+    for _ in range(draw(st.integers(0, 2)) if rows else 0):
+        draw(st.sampled_from(rows))[draw(st.integers(0, d))] = draw(st.sampled_from(NUMBERS))
+    return text_file(b"%d %d" % (n, d), rows)
+
+
 text_embedding_files = st.one_of(
     st.builds(
-        lambda n, d, rows: b"%s %s\n" % (n, d) + b"".join(b" ".join(row) + b"\n" for row in rows),
+        lambda n, d, rows: text_file(b"%s %s" % (n, d), rows),
         DIM,
         DIM,
         st.lists(st.lists(st.sampled_from(NUMBERS), max_size=8), max_size=8),
     ),
+    well_shaped_text_files(),
     st.binary(max_size=200),
 ).filter(small_header)
 

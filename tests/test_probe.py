@@ -34,6 +34,12 @@ class StubHandler(BaseHTTPRequestHandler):
             self.send_response(500)
             self.end_headers()
             return
+        if mode == "denied":
+            self.send_response(401)
+            self.send_header("Content-Length", "6")
+            self.end_headers()
+            self.wfile.write(b"denied")
+            return
         if mode == "malformed":
             payload = b'{"nonsense": true}'
             self.send_response(200)
@@ -132,6 +138,13 @@ class TestProbe:
         config = EndpointConfig(base_url="http://127.0.0.1:9", timeout=0.2)
         with pytest.raises(TransportError, match="after 2 attempts"):
             llm_inverse_probe(config, shots=0, eval_set=EVAL_SET[:1])
+
+    def test_4xx_is_sent_once(self, stub_server, monkeypatch):
+        stub_server.mode = "denied"
+        monkeypatch.setattr(probe, "BACKOFF", 0.01)
+        with pytest.raises(TransportError, match="^endpoint returned 401: denied$"):
+            llm_inverse_probe(endpoint_for(stub_server), 0, EVAL_SET[:1])
+        assert len(stub_server.requests) == 1
 
     def test_malformed_response_is_protocol_error(self, stub_server):
         stub_server.mode = "malformed"

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,12 +15,17 @@ from alienlang import (
     UnknownTokenError,
     Vocabulary,
     detokenize,
+    identity_key,
+    key_from_pairs,
+    load_key,
     load_vocab,
     read_id_stream,
     reference_tokenize,
+    save_key,
     save_vocab,
     write_pretokenized,
 )
+from alienlang.attacks import frequency_hypotheses, ngram_hypotheses
 from alienlang.vocab import first_merge, parse_id_line
 from helpers import byte_complete_vocab, vocab_from
 
@@ -71,17 +77,14 @@ class TestLoadVocab:
         with pytest.raises(FormatError):
             Vocabulary.from_entries([(b"a", 0), (b"b", 0)])
 
-    @pytest.mark.parametrize("tid", [True, 1.5, "1", None], ids=["bool", "float", "str", "none"])
+    @pytest.mark.parametrize(
+        "tid",
+        [True, 1.5, "1", None, np.int64(1)],
+        ids=["bool", "float", "str", "none", "numpy"],
+    )
     def test_non_integer_id_rejected(self, tid):
         with pytest.raises(FormatError, match=r"token id .* of b'b' is not an integer"):
             Vocabulary.from_entries([(b"a", 0), (b"b", tid)])
-
-    def test_numpy_integer_id_stored_as_int(self, tmp_path):
-        vocab = Vocabulary.from_entries([(b"a", np.int64(0)), (b"b", np.uint8(1))])
-        assert all(type(tid) is int for tid in vocab.id_to_token)
-        assert vocab.fingerprint == vocab_from([b"a", b"b"]).fingerprint
-        save_vocab(vocab, tmp_path / "vocab.json")
-        assert load_vocab(tmp_path / "vocab.json").id_to_token == vocab.id_to_token
 
     @pytest.mark.parametrize("text", ['{"a": true}', '{"a": 1.5}', '{"a": "1"}', '{"a": null}'])
     def test_vocab_file_non_integer_id_rejected(self, tmp_path, text):
@@ -282,3 +285,55 @@ class TestPretokenizedStreams:
         vocab = vocab_from([b"a", b"b", b"c"])
         with pytest.raises(ArgumentError, match="is not an int"):
             vocab.sequence([0, bad])
+
+
+ABC = vocab_from([b"a", b"b", b"c"])
+
+
+def key_file(tmp_path, mapping: list, fixed_points: list) -> Path:
+    """A saved key file for ``ABC`` holding ``mapping`` and ``fixed_points``."""
+    path = tmp_path / "key.json"
+    save_key(identity_key(ABC), path)
+    doc = json.loads(path.read_text())
+    doc.update(mapping=mapping, fixed_points=fixed_points)
+    path.write_text(json.dumps(doc))
+    return path
+
+
+# name: (the module's error, a call that passes ``bad`` where a token id belongs)
+ID_ENTRY_POINTS = {
+    "from_entries": (FormatError, lambda bad, _: Vocabulary.from_entries([(b"a", 0), (b"b", bad)])),
+    "sequence": (ArgumentError, lambda bad, _: ABC.sequence([0, bad])),
+    "frequency-corpus": (ArgumentError, lambda bad, _: frequency_hypotheses([(0, bad)], [0], 1)),
+    "ngram-pair-side": (
+        ArgumentError, lambda bad, _: ngram_hypotheses([((0, bad), (1, 2))], [((), (1,))], 2)
+    ),
+    "ngram-reference": (
+        ArgumentError, lambda bad, _: ngram_hypotheses([((0,), (1,))], [((), (1,))], 2, [(0, bad)])
+    ),
+    "key_from_pairs-pair": (ArgumentError, lambda bad, _: key_from_pairs(ABC, [(bad, 2)])),
+    "key_from_pairs-fixed-point": (
+        ArgumentError, lambda bad, _: key_from_pairs(ABC, [(0, 2)], fixed_points=[bad])
+    ),
+    "load_key-pair": (FormatError, lambda bad, tmp: load_key(key_file(tmp, [[bad, 2]], []))),
+    "load_key-fixed-point": (FormatError, lambda bad, tmp: load_key(key_file(tmp, [], [bad]))),
+}
+NOT_IDS = {"bool": True, "float": 1.0, "numpy": np.int64(1), "str": "1"}
+
+
+@pytest.mark.parametrize(
+    "entry, name",
+    # a numpy integer has no JSON form of its own: in a key file it is written as 1
+    [
+        (entry, name)
+        for entry in ID_ENTRY_POINTS
+        for name in NOT_IDS
+        if not (entry.startswith("load_key") and name == "numpy")
+    ],
+)
+def test_id_rule_at_every_entry_point(tmp_path, entry, name):
+    error, call = ID_ENTRY_POINTS[entry]
+    bad = NOT_IDS[name]
+    with pytest.raises(error) as err:
+        call(bad, tmp_path)
+    assert repr(bad) in str(err.value)
