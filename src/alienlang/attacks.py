@@ -93,9 +93,18 @@ def _joined(id_lists: list) -> tuple[np.ndarray, np.ndarray]:
     return ids, lengths
 
 
+def _listed(items) -> list:
+    """``items`` as a list; anything that is not iterable raises ArgumentError naming it."""
+    try:
+        iterator = iter(items)
+    except TypeError:
+        raise ArgumentError(f"corpus {reprlib.repr(items)} is not a sequence") from None
+    return list(iterator)
+
+
 def _sequences(seqs) -> tuple[np.ndarray, np.ndarray]:
     """:func:`_joined` over id sequences; an item that is not one raises ArgumentError naming it."""
-    seqs = list(seqs)
+    seqs = _listed(seqs)
     id_lists = list(map(_ids_of, seqs))
     if None in id_lists:
         bad = seqs[id_lists.index(None)]
@@ -107,6 +116,27 @@ def _corpus(corpus) -> tuple[np.ndarray, np.ndarray]:
     """:func:`_joined` over a corpus: one id sequence, or a sequence of them."""
     flat = _ids_of(corpus)
     return _sequences(corpus) if flat is None else _joined([flat])
+
+
+def _pair_sides(pairs) -> tuple[list, list]:
+    """The first and second sides of ``pairs``; an item that is not a pair raises ArgumentError."""
+    firsts, seconds = [], []
+    for pair in _listed(pairs):
+        try:
+            first, second = pair
+        except (TypeError, ValueError):
+            raise ArgumentError(f"corpus item {reprlib.repr(pair)} is not a pair") from None
+        firsts.append(first)
+        seconds.append(second)
+    return firsts, seconds
+
+
+def _check_count(name: str, value, least: int) -> None:
+    """Raise ArgumentError unless ``value`` is an int, not a bool, and at least ``least``."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ArgumentError(f"{name} must be int, not {type(value).__name__}")
+    if value < least:
+        raise ArgumentError(f"{name} must be >= {least}")
 
 
 def _rank_by_frequency(ids: np.ndarray) -> np.ndarray:
@@ -126,8 +156,7 @@ def frequency_hypotheses(
     reference = _corpus(reference_corpus)[0]
     if not alien.size or not reference.size:
         raise ArgumentError("corpora must be non-empty")
-    if top_m < 1:
-        raise ArgumentError("top_m must be >= 1")
+    _check_count("top_m", top_m, 1)
     alien_ranks = _rank_by_frequency(alien)[:top_m]
     ref_ranks = _rank_by_frequency(reference)[: alien_ranks.size]
     return list(zip(alien_ranks.tolist(), ref_ranks.tolist()))
@@ -240,14 +269,14 @@ def ngram_hypotheses(
     blocks of ``_BLOCK_ROWS`` rows, so one dense int64 block of rows by
     candidates bounds the extra memory.  Pure inference: no key involved.
     """
-    if n < 2:
-        raise ArgumentError("n-gram order must be >= 2")
+    _check_count("n-gram order", n, 2)
 
-    leaked_plain, plain_lengths = _sequences(plain for plain, _ in leaked_pairs)
-    leaked_alien, alien_lengths = _sequences(alien for _, alien in leaked_pairs)
+    plain_sides, alien_sides = _pair_sides(leaked_pairs)
+    leaked_plain, plain_lengths = _sequences(plain_sides)
+    leaked_alien, alien_lengths = _sequences(alien_sides)
     if not np.array_equal(plain_lengths, alien_lengths):
         raise FormatError("leaked pairs must be positionally aligned (equal lengths)")
-    eval_ids, eval_lengths = _sequences(alien for _, alien in eval_corpus)
+    eval_ids, eval_lengths = _sequences(_pair_sides(eval_corpus)[1])
     known = dict(zip(leaked_alien.tolist(), leaked_plain.tolist()))
     known_alien = np.fromiter(known, np.int64, len(known))
     known_plain = np.fromiter(known.values(), np.int64, len(known))

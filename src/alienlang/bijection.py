@@ -376,6 +376,13 @@ def save_key(key: BijectionKey, path: str | Path) -> None:
         fp.write(blob.encode("ascii"))
 
 
+def _check_ids(ids: list, error: type[ToolkitError]) -> None:
+    """Raise ``error`` naming the first of ``ids`` that is not a token id."""
+    bad = first_non_id(ids)
+    if bad is not None:
+        raise error(f"token id {ids[bad]!r} is not an int")
+
+
 def _assemble(
     fingerprint: int,
     config: BuildConfig,
@@ -385,10 +392,7 @@ def _assemble(
 ) -> BijectionKey:
     """A key from disjoint pairs and fixed points; a non-id or an id used twice raises ``error``."""
     pairs, fixed_points = list(pairs), list(fixed_points)
-    ids = [*chain.from_iterable(pairs), *fixed_points]
-    bad = first_non_id(ids)
-    if bad is not None:
-        raise error(f"token id {ids[bad]!r} is not an int")
+    _check_ids([*chain.from_iterable(pairs), *fixed_points], error)
     mapping: dict[int, int] = {}
     for i, j in pairs:
         if i == j:
@@ -449,6 +453,8 @@ def key_from_pairs(
 ) -> BijectionKey:
     """Assemble a key from explicit pairs (diagnostics and tests)."""
     config = config or BuildConfig()
+    fixed_points = list(fixed_points)
+    _check_ids(fixed_points, ArgumentError)  # before repeats fold: True would fold into 1
     key = _assemble(vocab.fingerprint, config, pairs, dict.fromkeys(fixed_points), ArgumentError)
     if any(key.apply(i) != i for i in vocab.specials):
         raise ArgumentError("special tokens cannot be paired")

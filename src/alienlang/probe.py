@@ -2,25 +2,30 @@
 
 Speaks the minimal chat-completion shape (request: model + messages; response:
 first choice message content) so any compatible endpoint or local stub works.
-Optional by design: everything is testable offline against a stub server.
+Requests go out through the standard library's ``urllib.request``, so HTTPS is
+verified against the system's CA store and no package beyond numpy and scipy
+is needed.  Optional by design: everything is testable offline against a stub
+server.
 """
 
 from __future__ import annotations
 
+import http.client
 import json
 import math
 import time
+import urllib.request
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
-
-import requests
+from urllib.error import HTTPError
+from urllib.parse import urlsplit
 
 from .attacks import AttackReport, bleu, rouge_l
 from .bijection import _check_field_types
-from .errors import ArgumentError, ProtocolError, TransportError
-from .fileio import atomic_write
+from .errors import ArgumentError, FormatError, ProtocolError, TransportError
+from .fileio import atomic_write, parse_json
 
 DEFAULT_PROMPT = (
     "The following text is written in a substitution-encoded language. "
@@ -44,10 +49,42 @@ class EndpointConfig:
 
     def __post_init__(self):
         _check_field_types(self)  # types before ranges
+        if not _reachable(self.base_url):
+            raise ArgumentError(
+                "base_url must be an http or https URL with a host and a valid port,"
+                f" in printable ASCII without spaces, not {self.base_url!r}"
+            )
         if not 0 < self.timeout < math.inf:
             raise ArgumentError("timeout must be a finite number of seconds > 0")
         if self.concurrency < 1:
             raise ArgumentError("concurrency must be >= 1")
+
+
+def _reachable(url: str) -> bool:
+    """Whether a request can be sent to ``url``: an http(s) URL with a host and a valid port.
+
+    urllib would send a non-ASCII path as ASCII and fail with a bare
+    UnicodeEncodeError, and it strips tabs and newlines before parsing, so
+    only printable ASCII without spaces is accepted.
+    """
+    if not (url.isascii() and url.isprintable()) or " " in url:
+        return False
+    try:
+        parts = urlsplit(url)
+        parts.port  # raises ValueError unless the port is a number in 0..65535
+    except ValueError:  # also an unclosed IPv6 bracket
+        return False
+    return parts.scheme in ("http", "https") and bool(parts.hostname)
+
+
+def _send(request: urllib.request.Request, timeout: float) -> tuple[int, bytes]:
+    """The status and body of the answer to ``request``; an HTTP error status is an answer too."""
+    try:
+        with urllib.request.urlopen(request, timeout=timeout) as resp:
+            return resp.status, resp.read()
+    except HTTPError as e:
+        with e:
+            return e.code, e.read()
 
 
 def _chat(config: EndpointConfig, messages: list[dict]) -> str:
@@ -55,26 +92,29 @@ def _chat(config: EndpointConfig, messages: list[dict]) -> str:
     headers = {"Content-Type": "application/json"}
     if config.auth_token:
         headers["Authorization"] = f"Bearer {config.auth_token}"
-    payload = {"model": config.model, "messages": messages}
+    body = json.dumps({"model": config.model, "messages": messages}).encode("utf-8")
     last_error: Exception | None = None
     for attempt in range(MAX_ATTEMPTS):
         if attempt:
             time.sleep(BACKOFF * 2 ** (attempt - 1))
+        request = urllib.request.Request(url, data=body, headers=headers, method="POST")
+        # timeouts, refusals and resets are OSErrors; a truncated answer is an HTTPException
         try:
-            resp = requests.post(url, json=payload, headers=headers, timeout=config.timeout)
-        except requests.RequestException as e:
+            status, answer = _send(request, config.timeout)
+        except (OSError, http.client.HTTPException) as e:
             last_error = e
             continue
-        if resp.status_code < 500:
+        if status < 500:
             break
-        last_error = TransportError(f"server error {resp.status_code}")
+        last_error = TransportError(f"server error {status}")
     else:
         raise TransportError(f"endpoint unreachable after {MAX_ATTEMPTS} attempts: {last_error}")
-    if resp.status_code != 200:
-        raise TransportError(f"endpoint returned {resp.status_code}: {resp.text[:200]}")
+    if status != 200:
+        excerpt = answer[:200].decode("utf-8", "replace")
+        raise TransportError(f"endpoint returned {status}: {excerpt}")
     try:
-        content = resp.json()["choices"][0]["message"]["content"]
-    except (json.JSONDecodeError, KeyError, IndexError, TypeError) as e:
+        content = parse_json(answer, "body", dict)["choices"][0]["message"]["content"]
+    except (FormatError, KeyError, IndexError, TypeError) as e:
         raise ProtocolError(f"malformed chat response: {e}") from e
     if not isinstance(content, str):
         raise ProtocolError("chat response content is not a string")

@@ -1,4 +1,5 @@
 import math
+import re
 from collections import Counter, defaultdict
 
 import numpy as np
@@ -563,6 +564,27 @@ class TestMalformedCorpora:
             ngram_hypotheses([(1, 2), (3, 4)], [((1,), (5,))], 2)
         with pytest.raises(ArgumentError, match="corpus item 5 is"):
             ngram_hypotheses([((1,), (2,))], [(1, 5)], 2)
+
+    @pytest.mark.parametrize(
+        "attack, args, message",
+        [
+            (frequency_hypotheses, (5, [1], 1), "corpus 5 is not a sequence"),
+            (frequency_hypotheses, (None, [1], 1), "corpus None is not a sequence"),
+            (frequency_hypotheses, ([1], 5, 1), "corpus 5 is not a sequence"),
+            (ngram_hypotheses, (5, [], 2), "corpus 5 is not a sequence"),
+            (ngram_hypotheses, ([], 5, 2), "corpus 5 is not a sequence"),
+            (ngram_hypotheses, ([((1,), (2,))], [], 2, 5), "corpus 5 is not a sequence"),
+            (ngram_hypotheses, ([((1, 2),)], [], 2), "corpus item ((1, 2),) is not a pair"),
+            (ngram_hypotheses, ([((1,), (2,))], [7], 2), "corpus item 7 is not a pair"),
+            (frequency_hypotheses, ([1], [1], 1.5), "top_m must be int, not float"),
+            (frequency_hypotheses, ([1], [1], True), "top_m must be int, not bool"),
+            (ngram_hypotheses, ([], [], 2.0), "n-gram order must be int, not float"),
+            (ngram_hypotheses, ([], [], True), "n-gram order must be int, not bool"),
+        ],
+    )
+    def test_malformed_arguments_rejected(self, attack, args, message):
+        with pytest.raises(ArgumentError, match=f"^{re.escape(message)}$"):
+            attack(*args)
 
     def test_ids_outside_int64_rejected(self):
         with pytest.raises(ArgumentError, match="int64"):

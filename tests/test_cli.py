@@ -680,7 +680,7 @@ class TestExitCodes:
     )
     def test_probe_bad_endpoint_setting_is_1(self, workspace, capsys, monkeypatch, flag, value):
         posts = []
-        monkeypatch.setattr("alienlang.probe.requests.post", lambda *a, **kw: posts.append(a))
+        monkeypatch.setattr("urllib.request.urlopen", lambda *a, **kw: posts.append(a))
         eval_path = workspace["dir"] / "eval.jsonl"
         eval_path.write_text('{"alien": "x", "reference": "y"}\n')
         argv = [
@@ -691,6 +691,15 @@ class TestExitCodes:
         ]
         assert run(argv) == 1
         assert flag[2:] in self._one_error_line(capsys)
+        assert posts == []
+
+    def test_probe_endpoint_no_request_can_reach_is_1(self, workspace, capsys, monkeypatch):
+        posts = []
+        monkeypatch.setattr("urllib.request.urlopen", lambda *a, **kw: posts.append(a))
+        eval_path = workspace["dir"] / "eval.jsonl"
+        eval_path.write_text('{"alien": "x", "reference": "y"}\n')
+        assert run(["attack", "probe", "--endpoint", "nope", "--eval", str(eval_path)]) == 1
+        assert self._one_error_line(capsys).startswith("error: base_url must be")
         assert posts == []
 
     def test_attack_ngram_unknown_id_is_1(self, workspace, capsys):

@@ -2,11 +2,16 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from pathlib import Path
 
 import pytest
 
+import alienlang
 import alienlang.fileio as fileio
 import alienlang.probe as probe
 from alienlang import ArgumentError, EndpointConfig, TransportError, llm_inverse_probe
@@ -39,6 +44,13 @@ class StubHandler(BaseHTTPRequestHandler):
             self.send_header("Content-Length", "6")
             self.end_headers()
             self.wfile.write(b"denied")
+            return
+        if mode in ("truncated", "truncated-500"):
+            # the connection closes 10 bytes short of the announced body
+            self.send_response(200 if mode == "truncated" else 500)
+            self.send_header("Content-Length", "20")
+            self.end_headers()
+            self.wfile.write(b'{"choices": ')
             return
         if mode == "malformed":
             payload = b'{"nonsense": true}'
@@ -146,6 +158,16 @@ class TestProbe:
             llm_inverse_probe(endpoint_for(stub_server), 0, EVAL_SET[:1])
         assert len(stub_server.requests) == 1
 
+    @pytest.mark.parametrize("mode", ["truncated", "truncated-500"])
+    def test_truncated_answer_is_retried_then_transport_error(
+        self, stub_server, monkeypatch, mode
+    ):
+        stub_server.mode = mode
+        monkeypatch.setattr(probe, "BACKOFF", 0.01)
+        with pytest.raises(TransportError, match="IncompleteRead"):
+            llm_inverse_probe(endpoint_for(stub_server), 0, EVAL_SET[:1])
+        assert len(stub_server.requests) == probe.MAX_ATTEMPTS
+
     def test_malformed_response_is_protocol_error(self, stub_server):
         stub_server.mode = "malformed"
         with pytest.raises(ProtocolError):
@@ -187,12 +209,30 @@ class TestProbe:
 
     def test_empty_eval_set_rejected_before_any_request(self, monkeypatch):
         posts = []
-        monkeypatch.setattr(probe.requests, "post", lambda *a, **kw: posts.append(a))
+        monkeypatch.setattr(probe.urllib.request, "urlopen", lambda *a, **kw: posts.append(a))
         with pytest.raises(ArgumentError, match="evaluation set is empty"):
             llm_inverse_probe(EndpointConfig("http://127.0.0.1:9"), 0, [])
         with pytest.raises(ArgumentError, match="1 shot example.* of the 1 evaluation pairs"):
             llm_inverse_probe(EndpointConfig("http://127.0.0.1:9"), 1, EVAL_SET[:1])
         assert posts == []
+
+    def test_runs_without_requests(self, stub_server):
+        # a None entry in sys.modules makes `import requests` raise ImportError
+        host, port = stub_server.server_address
+        code = (
+            "import sys\n"
+            "sys.modules['requests'] = None\n"
+            "from alienlang import EndpointConfig, llm_inverse_probe\n"
+            f"config = EndpointConfig('http://{host}:{port}/v1', timeout=5.0)\n"
+            "print(llm_inverse_probe(config, 0, [('zk qqf', 'the cat')]).evaluated_count)\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(alienlang.__file__).parents[1])}
+        result = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout == "1\n"
+        assert len(stub_server.requests) == 1
 
 
 class TestEndpointConfig:
@@ -231,9 +271,39 @@ class TestEndpointConfig:
         with pytest.raises(ArgumentError, match=f"^{field} must be (str|float|int), not "):
             EndpointConfig(**kwargs)
 
+    @pytest.mark.parametrize(
+        "url",
+        [
+            "nope",
+            "http://[::1",
+            "ftp://127.0.0.1:9",
+            "http://127.0.0.1:99999",
+            "http://127.0.0.1:port",
+            "http://",
+            "http://:80/v1",
+            "http://exa mple.com",
+            "http://127.0.0.1:9/v1\n",
+            "http://127.0.0.1:9/\tv1",
+            "http://127.0.0.1:9/v\x7f1",
+            "http://127.0.0.1:9/v\u00e9",
+            "",
+        ],
+    )
+    def test_unreachable_base_url_rejected(self, url):
+        with pytest.raises(ArgumentError, match="^base_url"):
+            EndpointConfig(base_url=url)
+
+    @pytest.mark.parametrize(
+        "url",
+        ["http://127.0.0.1:9", "https://example.com/v1/", "HTTP://[::1]:8000/v1", "http://h:/v1"],
+    )
+    def test_http_url_with_host_accepted(self, url):
+        assert EndpointConfig(base_url=url).base_url == url
+
     @pytest.mark.parametrize("field", ["timeout", "concurrency"])
     def test_int_past_float_range_rejected(self, field):
-        # 10**400 passes a comparison with inf, then overflows inside requests
+        # 10**400 passes a comparison with inf, then overflows where a float is needed,
+        # such as a socket timeout
         kwargs = {"base_url": "http://127.0.0.1:9", field: 10**400}
         with pytest.raises(ArgumentError, match=f"^{field} is too large"):
             EndpointConfig(**kwargs)

@@ -315,6 +315,10 @@ ID_ENTRY_POINTS = {
     "key_from_pairs-fixed-point": (
         ArgumentError, lambda bad, _: key_from_pairs(ABC, [(0, 2)], fixed_points=[bad])
     ),
+    # True, 1.0 and np.int64(1) equal 1, so a repeat check before the id check would fold them
+    "key_from_pairs-repeated-fixed-point": (
+        ArgumentError, lambda bad, _: key_from_pairs(ABC, [(0, 2)], fixed_points=[1, bad])
+    ),
     "load_key-pair": (FormatError, lambda bad, tmp: load_key(key_file(tmp, [[bad, 2]], []))),
     "load_key-fixed-point": (FormatError, lambda bad, tmp: load_key(key_file(tmp, [], [bad]))),
 }
