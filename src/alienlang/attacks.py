@@ -27,7 +27,6 @@ from itertools import chain
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy import sparse
 
 from .embeddings import EmbeddingStore
 from .errors import ArgumentError, CoverageError, FormatError
@@ -187,64 +186,26 @@ def frequency_attack(alien_corpus, reference_corpus, truth, top_m: int) -> Attac
 
 
 def _signatures(
-    ids: np.ndarray, lengths: np.ndarray, row_of: np.ndarray, col_of: np.ndarray, radius: int, shape
-) -> sparse.csr_matrix:
-    """Multiset context signatures within a symmetric window, as counts in a CSR matrix.
+    lengths: np.ndarray, row_of: np.ndarray, col_of: np.ndarray, radius: int, width: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Multiset context signatures within a symmetric window: rows, columns and counts.
 
     Position ``i`` of the concatenated sequences is a center in row
     ``row_of[i]`` and a neighbor in column ``col_of[i]``; -1 leaves it out.
-    Windows do not cross sequence boundaries.
+    Windows do not cross sequence boundaries.  Each distinct (row, column)
+    pair, with ``column < width``, appears once, in row-major order.
     """
     seq = np.repeat(np.arange(lengths.size), lengths)
-    rows, cols = [], []
+    keys = []
     for d in range(1, radius + 1):
         same = seq[d:] == seq[:-d]
         left, right = slice(None, -d), slice(d, None)
         for center, neighbor in ((left, right), (right, left)):
             r, c = row_of[center], col_of[neighbor]
             keep = same & (r >= 0) & (c >= 0)
-            rows.append(r[keep])
-            cols.append(c[keep])
-    rows, cols = np.concatenate(rows), np.concatenate(cols)
-    counts = sparse.csr_matrix((np.ones(rows.size, dtype=np.int64), (rows, cols)), shape=shape)
-    counts.sum_duplicates()
-    return counts
-
-
-def _with_data(matrix: sparse.csr_matrix, data: np.ndarray) -> sparse.csr_matrix:
-    """``matrix``'s pattern holding ``data``, with the entries that became zero dropped."""
-    out = matrix.copy()
-    out.data = data
-    out.eliminate_zeros()
-    return out
-
-
-def _overlap(alien: sparse.csr_matrix, plain_t: sparse.csr_matrix) -> np.ndarray:
-    """Dense ``S[a, c] = sum_v min(alien[a, v], plain_t[v, c])``.
-
-    With ``t_1 < ... < t_k`` the distinct counts in ``alien`` and ``t_0 = 0``,
-    ``min(x, y) = sum_j [x >= t_j] * (min(y, t_j) - min(y, t_{j-1}))`` for
-    every ``x`` among them, so ``S`` is one sparse product of the stacked
-    threshold indicators with the stacked clipped bands of ``plain_t``.
-    """
-    indicators, bands = [], []
-    floor = 0
-    for t in np.unique(alien.data).tolist():
-        indicators.append(_with_data(alien, (alien.data >= t).astype(np.int64)))
-        bands.append(_with_data(plain_t, np.clip(plain_t.data - floor, 0, t - floor)))
-        floor = t
-    if not indicators:
-        return np.zeros((alien.shape[0], plain_t.shape[1]), dtype=np.int64)
-    product = sparse.hstack(indicators, format="csr") @ sparse.vstack(bands, format="csr")
-    return product.toarray()
-
-
-def _lookup(sorted_keys: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Positions of ``values`` in ``sorted_keys`` and whether each is present."""
-    pos = np.searchsorted(sorted_keys, values)
-    found = pos < sorted_keys.size
-    found[found] = sorted_keys[pos[found]] == values[found]
-    return pos, found
+            keys.append(r[keep] * width + c[keep])
+    keys, counts = np.unique(np.concatenate(keys), return_counts=True)
+    return keys // width, keys % width, counts
 
 
 def ngram_hypotheses(
@@ -266,8 +227,10 @@ def ngram_hypotheses(
     mapping is a bijection.  Each unseen token gets the candidate with the
     largest context overlap, ties (and an empty signature) going to the more
     frequent candidate, then the lower id.  Unseen tokens are scored in
-    blocks of ``_BLOCK_ROWS`` rows, so one dense int64 block of rows by
-    candidates bounds the extra memory.  Pure inference: no key involved.
+    blocks of ``_BLOCK_ROWS`` rows; a block's extra memory is its dense
+    scores, rows by candidates, plus 24 bytes per join entry: one for each
+    alien (token, context) entry and candidate sharing that context.  Pure
+    inference: no key involved.
     """
     _check_count("n-gram order", n, 2)
 
@@ -285,40 +248,58 @@ def ngram_hypotheses(
         ref_ids, ref_lengths = leaked_plain, plain_lengths
     else:
         ref_ids, ref_lengths = _corpus(reference_corpus)
-    # contexts are the reference's distinct ids; candidates those no known mapping consumed
-    contexts, ref_col, ref_freq = np.unique(ref_ids, return_inverse=True, return_counts=True)
-    free = np.flatnonzero(~np.isin(contexts, known_plain))
-    # candidate order is the tie-break: more frequent first, then lower id
-    free = free[np.lexsort((contexts[free], -ref_freq[free]))]
-    candidates = contexts[free]
+    # every id is numbered once, in ascending order; numbers index the dense tables below
+    values, number = np.unique(
+        np.concatenate((ref_ids, eval_ids, known_alien, known_plain)), return_inverse=True
+    )
+    width = values.size
+    ref_num, eval_num, alien_num, plain_num = np.split(
+        number, np.cumsum([ref_ids.size, eval_ids.size, known_alien.size])
+    )
+    plain_of = np.full(width, -1, dtype=np.int64)
+    plain_of[alien_num] = plain_num
+    # candidates are reference ids no known mapping consumed; their order is
+    # the tie-break: more frequent first, then lower id
+    ref_freq = np.bincount(ref_num, minlength=width)
+    ref_freq[plain_num] = 0
+    free = np.flatnonzero(ref_freq)
+    free = free[np.argsort(-ref_freq[free], kind="stable")]
     guesses: dict[int, int] = {}
-    if not candidates.size:
+    if not free.size:
         return known, guesses
-    cand_row = np.full(contexts.size, -1, dtype=np.int64)
+    cand_row = np.full(width, -1, dtype=np.int64)
     cand_row[free] = np.arange(free.size)
     radius = n - 1
-    plain_sigs = _signatures(
-        ref_ids, ref_lengths, cand_row[ref_col], ref_col, radius, (candidates.size, contexts.size)
-    )
+    # the window is symmetric, so (center context, neighbor candidate) counts
+    # each candidate's contexts, grouped by context: context v owns first[v]:first[v + 1]
+    ctx, cand, cand_count = _signatures(ref_lengths, ref_num, cand_row[ref_num], radius, free.size)
+    first = np.searchsorted(ctx, np.arange(width + 1))
+    cand_count = cand_count.astype(np.float64)  # the dtype bincount sums weights in
 
-    order = np.argsort(known_alien)
-    pos, is_known = _lookup(known_alien[order], eval_ids)
-    unseen, unseen_row = np.unique(eval_ids[~is_known], return_inverse=True)
-    eval_row = np.full(eval_ids.size, -1, dtype=np.int64)
-    eval_row[~is_known] = unseen_row
-    eval_col = np.full(eval_ids.size, -1, dtype=np.int64)
-    col, in_reference = _lookup(contexts, known_plain[order[pos[is_known]]])
-    eval_col[np.flatnonzero(is_known)[in_reference]] = col[in_reference]
-    alien_sigs = _signatures(
-        eval_ids, eval_lengths, eval_row, eval_col, radius, (unseen.size, contexts.size)
-    )
+    eval_plain = plain_of[eval_num]
+    unseen = np.unique(eval_num[eval_plain < 0])
+    unseen_row = np.full(width, -1, dtype=np.int64)
+    unseen_row[unseen] = np.arange(unseen.size)
+    rows, cols, counts = _signatures(eval_lengths, unseen_row[eval_num], eval_plain, radius, width)
 
-    plain_t = plain_sigs.T.tocsr()
-    for start in range(0, unseen.size, _BLOCK_ROWS):
-        stop = min(start + _BLOCK_ROWS, unseen.size)
-        scores = _overlap(alien_sigs[start:stop], plain_t)
+    bounds = np.searchsorted(rows, np.arange(0, unseen.size + _BLOCK_ROWS, _BLOCK_ROWS))
+    for start, lo, hi in zip(range(0, unseen.size, _BLOCK_ROWS), bounds, bounds[1:]):
+        block = min(_BLOCK_ROWS, unseen.size - start)
+        # join: each alien entry meets every candidate entry of its context
+        begin = first[cols[lo:hi]]
+        size = first[cols[lo:hi] + 1] - begin
+        match = np.repeat(begin - (np.cumsum(size) - size), size)
+        match += np.arange(match.size)
+        overlap = cand_count[match]
+        np.minimum(overlap, np.repeat(counts[lo:hi], size), out=overlap)
+        cell = cand[match]
+        del match  # three join-sized arrays at most are alive at once
+        cell += np.repeat((rows[lo:hi] - start) * free.size, size)
+        # float64 sums of integer counts are exact below 2**53, so ties stay ties;
         # argmax takes the first maximum: candidate 0 when nothing overlaps
-        guesses.update(zip(unseen[start:stop].tolist(), candidates[scores.argmax(axis=1)].tolist()))
+        scores = np.bincount(cell, weights=overlap, minlength=block * free.size)
+        best = free[scores.reshape(block, free.size).argmax(axis=1)]
+        guesses.update(zip(values[unseen[start : start + block]].tolist(), values[best].tolist()))
     return known, guesses
 
 

@@ -451,11 +451,13 @@ def key_from_pairs(
     config: BuildConfig | None = None,
     fixed_points: Iterable[int] = (),
 ) -> BijectionKey:
-    """Assemble a key from explicit pairs (diagnostics and tests)."""
+    """A key from explicit pairs, checked to fit ``vocab`` (:func:`check_key`)."""
     config = config or BuildConfig()
     fixed_points = list(fixed_points)
     _check_ids(fixed_points, ArgumentError)  # before repeats fold: True would fold into 1
     key = _assemble(vocab.fingerprint, config, pairs, dict.fromkeys(fixed_points), ArgumentError)
-    if any(key.apply(i) != i for i in vocab.specials):
-        raise ArgumentError("special tokens cannot be paired")
+    try:
+        check_key(key, vocab)
+    except CompatibilityError as e:
+        raise ArgumentError(str(e)) from None
     return key

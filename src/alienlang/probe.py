@@ -3,8 +3,8 @@
 Speaks the minimal chat-completion shape (request: model + messages; response:
 first choice message content) so any compatible endpoint or local stub works.
 Requests go out through the standard library's ``urllib.request``, so HTTPS is
-verified against the system's CA store and no package beyond numpy and scipy
-is needed.  Optional by design: everything is testable offline against a stub
+verified against the system's CA store and no package beyond numpy is
+needed.  Optional by design: everything is testable offline against a stub
 server.
 """
 
@@ -22,7 +22,7 @@ from typing import Sequence
 from urllib.error import HTTPError
 from urllib.parse import urlsplit
 
-from .attacks import AttackReport, bleu, rouge_l
+from .attacks import AttackReport, _check_count, bleu, rouge_l
 from .bijection import _check_field_types
 from .errors import ArgumentError, FormatError, ProtocolError, TransportError
 from .fileio import atomic_write, parse_json
@@ -54,10 +54,17 @@ class EndpointConfig:
                 "base_url must be an http or https URL with a host and a valid port,"
                 f" in printable ASCII without spaces, not {self.base_url!r}"
             )
+        if not _printable(self.auth_token):  # http.client refuses it in a header
+            raise ArgumentError("auth_token must be printable ASCII without spaces")
         if not 0 < self.timeout < math.inf:
             raise ArgumentError("timeout must be a finite number of seconds > 0")
         if self.concurrency < 1:
             raise ArgumentError("concurrency must be >= 1")
+
+
+def _printable(text: str) -> bool:
+    """Whether ``text`` is printable ASCII without spaces."""
+    return text.isascii() and text.isprintable() and " " not in text
 
 
 def _reachable(url: str) -> bool:
@@ -67,7 +74,7 @@ def _reachable(url: str) -> bool:
     UnicodeEncodeError, and it strips tabs and newlines before parsing, so
     only printable ASCII without spaces is accepted.
     """
-    if not (url.isascii() and url.isprintable()) or " " in url:
+    if not _printable(url):
         return False
     try:
         parts = urlsplit(url)
@@ -145,10 +152,13 @@ def llm_inverse_probe(
     ``shots`` pairs become the examples and are removed from evaluation.  The
     transcript (JSONL) records every exchange for audit.
     """
-    if shots < 0:
-        raise ArgumentError("shots must be >= 0")
+    _check_count("shots", shots, 0)
     if "{alien}" not in prompt_template:
         raise ArgumentError("prompt template must contain an {alien} placeholder")
+    try:
+        prompt_template.format(alien="")
+    except (KeyError, IndexError, ValueError, AttributeError) as e:
+        raise ArgumentError(f"prompt template must hold no field but {{alien}}: {e!r}") from None
     items = list(eval_set)
     if not items:
         raise ArgumentError("the evaluation set is empty")

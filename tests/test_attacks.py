@@ -1,16 +1,22 @@
 import math
+import os
 import re
+import subprocess
+import sys
 from collections import Counter, defaultdict
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import alienlang
 from alienlang import (
     ArgumentError,
     AttackReport,
     BuildConfig,
     CoverageError,
     EmbeddingStore,
+    EndpointConfig,
     FormatError,
     TokenSequence,
     TruthOracle,
@@ -20,6 +26,7 @@ from alienlang import (
     frequency_attack,
     identity_key,
     key_from_pairs,
+    llm_inverse_probe,
     ngram_attack,
     nn_mapping_attack,
     rouge_l,
@@ -580,6 +587,11 @@ class TestMalformedCorpora:
             (frequency_hypotheses, ([1], [1], True), "top_m must be int, not bool"),
             (ngram_hypotheses, ([], [], 2.0), "n-gram order must be int, not float"),
             (ngram_hypotheses, ([], [], True), "n-gram order must be int, not bool"),
+            *[
+                (llm_inverse_probe, (EndpointConfig("http://127.0.0.1:9"), shots, [("a", "b")] * 3),
+                 f"shots must be int, not {type(shots).__name__}")
+                for shots in (1.5, "1", True)
+            ],
         ],
     )
     def test_malformed_arguments_rejected(self, attack, args, message):
@@ -590,3 +602,32 @@ class TestMalformedCorpora:
         with pytest.raises(ArgumentError, match="int64"):
             frequency_hypotheses([2**63], [1], 1)
 
+
+def test_attacks_run_without_scipy():
+    # a None entry in sys.modules makes `import scipy` raise ImportError, so a
+    # lazy import on any attack's path fails here, not only one at import time
+    code = """
+import sys
+sys.modules["scipy"] = None
+import numpy as np
+import alienlang.cli
+from alienlang import (
+    EmbeddingStore, Vocabulary, frequency_attack, key_from_pairs, ngram_attack, nn_mapping_attack,
+)
+vocab = Vocabulary.from_entries([(bytes([97 + i]), i) for i in range(6)], [])
+key = key_from_pairs(vocab, [(0, 1), (2, 3), (4, 5)])
+plain = [0, 2, 4, 1, 3, 5, 0, 2, 1, 5]
+alien = [key.apply(i) for i in plain]
+reports = [
+    frequency_attack(alien, plain, key, 3),
+    ngram_attack([(plain[:3], alien[:3])], [(plain, alien)], 2, key, reference_corpus=plain),
+    nn_mapping_attack(EmbeddingStore(rows=np.eye(6), normalized=True), key),
+]
+print(" ".join(f"{r.attack_name}:{r.evaluated_count}" for r in reports))
+"""
+    env = {**os.environ, "PYTHONPATH": str(Path(alienlang.__file__).parents[1])}
+    result = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "frequency:3 ngram:6 nn_mapping:6\n"

@@ -807,6 +807,8 @@ class TestSerialization:
             ([(0, 1)], [1]),
             ([(1, 1)], []),
             ([(0, 3)], []),  # id 3 is special
+            ([(0, 9)], []),  # id 9 is not in the vocabulary
+            ([(-1, 0)], []),  # nor is a negative id
         ],
     )
     def test_key_from_pairs_rejects_non_involutions(self, pairs, fixed_points):

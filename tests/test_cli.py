@@ -676,7 +676,7 @@ class TestExitCodes:
 
     @pytest.mark.parametrize(
         "flag, value",
-        [("--timeout", "-1"), ("--timeout", "nan"), ("--concurrency", "0")],
+        [("--timeout", "-1"), ("--timeout", "nan"), ("--concurrency", "0"), ("--token", "\u4e00")],
     )
     def test_probe_bad_endpoint_setting_is_1(self, workspace, capsys, monkeypatch, flag, value):
         posts = []
@@ -736,6 +736,23 @@ class TestExitCodes:
         assert run(argv) == 1
         err = self._one_error_line(capsys)
         assert str(template) in err and "UTF-8" in err
+
+    def test_probe_template_with_other_field_is_1(self, workspace, capsys, monkeypatch):
+        posts = []
+        monkeypatch.setattr("urllib.request.urlopen", lambda *a, **kw: posts.append(a))
+        eval_path = workspace["dir"] / "eval.jsonl"
+        eval_path.write_text('{"alien": "x", "reference": "y"}\n')
+        template = workspace["dir"] / "template.txt"
+        template.write_text("{alien} in {lang}")
+        argv = [
+            "attack", "probe",
+            "--endpoint", "http://127.0.0.1:9",
+            "--eval", str(eval_path),
+            "--template", str(template),
+        ]
+        assert run(argv) == 1
+        assert self._one_error_line(capsys).startswith("error: prompt template must")
+        assert posts == []
 
     def test_every_subcommand_has_help(self, capsys):
         for argv in (

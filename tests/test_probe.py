@@ -197,11 +197,24 @@ class TestProbe:
         assert path.read_bytes() == b"previous transcript\n"
         assert list(tmp_path.iterdir()) == [path]  # no temp file left behind
 
-    def test_bad_template_rejected(self, stub_server):
-        with pytest.raises(ArgumentError):
+    @pytest.mark.parametrize(
+        "template",
+        ["no slot", "{alien} {lang}", "{alien} {0}", "{alien} {", "{alien} }"],
+        ids=["no-slot", "named-field", "positional-field", "lone-open-brace", "lone-close-brace"],
+    )
+    def test_bad_template_rejected(self, stub_server, template):
+        with pytest.raises(ArgumentError, match="^prompt template must"):
             llm_inverse_probe(
-                endpoint_for(stub_server), shots=0, eval_set=EVAL_SET, prompt_template="no slot"
+                endpoint_for(stub_server), shots=0, eval_set=EVAL_SET, prompt_template=template
             )
+        assert stub_server.requests == []
+
+    def test_template_brace_escapes_are_literal(self, stub_server):
+        llm_inverse_probe(
+            endpoint_for(stub_server), 0, EVAL_SET[:1], prompt_template="{{lang}}\n\n{alien}"
+        )
+        content = stub_server.requests[0]["body"]["messages"][0]["content"]
+        assert content == "{lang}\n\nzk qqf lmm"
 
     def test_too_many_shots_rejected(self, stub_server):
         with pytest.raises(ArgumentError):
@@ -307,6 +320,11 @@ class TestEndpointConfig:
         kwargs = {"base_url": "http://127.0.0.1:9", field: 10**400}
         with pytest.raises(ArgumentError, match=f"^{field} is too large"):
             EndpointConfig(**kwargs)
+
+    @pytest.mark.parametrize("token", ["\u4e00", "abc\r\nX-Evil: 1", "two words", "tab\t", "\x7f"])
+    def test_unsendable_auth_token_rejected(self, token):
+        with pytest.raises(ArgumentError, match="^auth_token must be printable ASCII"):
+            EndpointConfig(base_url="http://127.0.0.1:9", auth_token=token)
 
     def test_int_timeout_accepted(self):
         assert EndpointConfig("http://127.0.0.1:9", timeout=5).timeout == 5
