@@ -227,10 +227,11 @@ def ngram_hypotheses(
     mapping is a bijection.  Each unseen token gets the candidate with the
     largest context overlap, ties (and an empty signature) going to the more
     frequent candidate, then the lower id.  Unseen tokens are scored in
-    blocks of ``_BLOCK_ROWS`` rows; a block's extra memory is its dense
-    scores, rows by candidates, plus 24 bytes per join entry: one for each
-    alien (token, context) entry and candidate sharing that context.  Pure
-    inference: no key involved.
+    blocks of ``_BLOCK_ROWS`` rows.  A block's dense scores hold rows by
+    candidates; its join, one entry for each alien (token, context) entry
+    and candidate sharing that context, is taken in pieces of about as many
+    entries, 24 bytes each, so a block's extra memory stays within a few
+    dense blocks however dense the corpus.  Pure inference: no key involved.
     """
     _check_count("n-gram order", n, 2)
 
@@ -282,22 +283,39 @@ def ngram_hypotheses(
     unseen_row[unseen] = np.arange(unseen.size)
     rows, cols, counts = _signatures(eval_lengths, unseen_row[eval_num], eval_plain, radius, width)
 
+    # join: each alien entry meets every candidate entry of its context; a
+    # block's join is taken in pieces of about one dense block of entries
+    begin = first[cols]
+    size = first[cols + 1] - begin
+    budget = _BLOCK_ROWS * free.size
     bounds = np.searchsorted(rows, np.arange(0, unseen.size + _BLOCK_ROWS, _BLOCK_ROWS))
     for start, lo, hi in zip(range(0, unseen.size, _BLOCK_ROWS), bounds, bounds[1:]):
         block = min(_BLOCK_ROWS, unseen.size - start)
-        # join: each alien entry meets every candidate entry of its context
-        begin = first[cols[lo:hi]]
-        size = first[cols[lo:hi] + 1] - begin
-        match = np.repeat(begin - (np.cumsum(size) - size), size)
-        match += np.arange(match.size)
-        overlap = cand_count[match]
-        np.minimum(overlap, np.repeat(counts[lo:hi], size), out=overlap)
-        cell = cand[match]
-        del match  # three join-sized arrays at most are alive at once
-        cell += np.repeat((rows[lo:hi] - start) * free.size, size)
-        # float64 sums of integer counts are exact below 2**53, so ties stay ties;
+        # a piece ends at each multiple of the budget; one entry joins at most
+        # free.size entries, so no piece passes the budget by more than that
+        end = np.cumsum(size[lo:hi])
+        cuts = lo + np.searchsorted(end, np.arange(budget, size[lo:hi].sum(), budget), "right")
+        scores = None
+        for p, q in zip([lo, *cuts], [*cuts, hi]):
+            piece = size[p:q]
+            match = np.repeat(begin[p:q] - (np.cumsum(piece) - piece), piece)
+            match += np.arange(match.size)
+            overlap = cand_count[match]
+            np.minimum(overlap, np.repeat(counts[p:q], piece), out=overlap)
+            cell = cand[match]
+            del match  # three join-sized arrays at most are alive at once
+            cell += np.repeat((rows[p:q] - start) * free.size, piece)
+            # float64 sums of integer counts are exact below 2**53, in any
+            # order, so ties stay ties
+            if scores is None:
+                scores = np.bincount(cell, weights=overlap, minlength=block * free.size)
+            else:  # a later piece adds the sums of the rows it spans
+                base = (rows[p] - start) * free.size
+                cell -= base
+                part = np.bincount(cell, weights=overlap)
+                scores[base : base + part.size] += part
+            del cell, overlap
         # argmax takes the first maximum: candidate 0 when nothing overlaps
-        scores = np.bincount(cell, weights=overlap, minlength=block * free.size)
         best = free[scores.reshape(block, free.size).argmax(axis=1)]
         guesses.update(zip(values[unseen[start : start + block]].tolist(), values[best].tolist()))
     return known, guesses
@@ -318,6 +336,7 @@ def ngram_attack(
     absent from the leaked pairs, with never-guessed tokens counting as
     misses.  ``None`` when nothing is unseen.
     """
+    leaked_pairs = _listed(leaked_pairs)  # read once, so an iterator is counted as it was read
     known, guesses = ngram_hypotheses(leaked_pairs, eval_corpus, n, reference_corpus)
     correct = {a for a, g in guesses.items() if truth.apply(a) == g}
     evaluated = len(known) + len(guesses)

@@ -411,8 +411,9 @@ def _assemble(
 def load_key(path: str | Path) -> BijectionKey:
     """Load and structurally validate a key file."""
     doc = parse_json(Path(path).read_bytes(), "key file", dict, encoding="ascii")
-    if doc.get("version") != KEY_FORMAT_VERSION:
-        raise FormatError(f"unsupported key format version {doc.get('version')!r}")
+    version = doc.get("version")
+    if type(version) is not int or version != KEY_FORMAT_VERSION:  # true and 1.0 equal 1
+        raise FormatError(f"unsupported key format version {version!r}")
     try:
         fingerprint = doc["vocab_fingerprint"]
         cfg = {f.name: doc["config"][f.name] for f in fields(BuildConfig)}

@@ -96,9 +96,7 @@ def _load_binary(path: Path) -> EmbeddingStore:
     data = path.read_bytes()
     if len(data) < 16:
         raise FormatError("binary embedding file truncated before header")
-    magic, version, n, d = struct.unpack("<4sIII", data[:16])
-    if magic != _MAGIC:
-        raise FormatError("bad magic bytes")
+    version, n, d = struct.unpack("<III", data[4:16])  # load_embeddings read the magic
     if version != _VERSION:
         raise FormatError(f"unsupported embedding format version {version}")
     expected = 16 + 4 * n * d

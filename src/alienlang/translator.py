@@ -203,7 +203,13 @@ def read_jsonl(source) -> Iterator[tuple[int, dict]]:
 
 
 def _walk_record(record: dict, field_fn: Callable[[str], str]) -> dict:
-    """Apply ``field_fn`` to each content field of one record, leaving the rest verbatim."""
+    """Apply ``field_fn`` to every content field a record holds, leaving the rest verbatim.
+
+    The content fields are ``instruction``, ``response`` and each message's
+    ``content``, whichever of them the record holds.
+    """
+    if not record.keys() & {"messages", "instruction", "response"}:
+        raise FormatError('record has neither "messages" nor "instruction"/"response"')
     out = dict(record)
     if "messages" in record:
         msgs = record["messages"]
@@ -212,14 +218,11 @@ def _walk_record(record: dict, field_fn: Callable[[str], str]) -> dict:
         if not all(isinstance(m, dict) and isinstance(m.get("content"), str) for m in msgs):
             raise FormatError('each message needs a string "content" field')
         out["messages"] = [{**m, "content": field_fn(m["content"])} for m in msgs]
-        return out
-    fields = [name for name in ("instruction", "response") if name in record]
-    if not fields:
-        raise FormatError('record has neither "messages" nor "instruction"/"response"')
-    for name in fields:
-        if not isinstance(record[name], str):
-            raise FormatError(f'"{name}" must be a string')
-        out[name] = field_fn(record[name])
+    for name in ("instruction", "response"):
+        if name in record:
+            if not isinstance(record[name], str):
+                raise FormatError(f'"{name}" must be a string')
+            out[name] = field_fn(record[name])
     return out
 
 
@@ -232,8 +235,9 @@ def alienize_dataset(
 ) -> DatasetSummary:
     """Emit the alienized twin of a JSONL dataset, preserving structure.
 
-    Supported record shapes: {"instruction", "response"} and {"messages":
-    [{"role", "content"}, ...]}.  Unknown fields pass through unchanged.  In
+    Every content field a record holds is translated: ``instruction``,
+    ``response`` and each ``content`` of a ``messages`` array of {"role",
+    "content"} objects.  Unknown fields pass through unchanged.  In
     lenient mode an unstable rendering is emitted as an embedded ID stream;
     in strict mode it aborts.  The output is written atomically, so a failure
     leaves it as it was.

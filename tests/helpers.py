@@ -119,6 +119,47 @@ def axis_store(rng: np.random.Generator, n: int, d: int) -> EmbeddingStore:
     return EmbeddingStore(rows=rows, normalized=True)
 
 
+def markov_ngram_inputs(
+    rng: np.random.Generator,
+    ids: int,
+    successors: int,
+    mix: float,
+    sizes: tuple[int, int, int],
+    sentence: int,
+) -> tuple[list, list, list]:
+    """n-gram attack inputs drawn from a Markov source over ids 0..ids-1.
+
+    Each next id is, with probability ``mix``, one of the previous id's
+    ``successors`` fixed successors, and otherwise a Zipf draw over all ids,
+    so contexts are dense.  A random permutation stands in for the key.
+    ``sizes`` gives the leaked, evaluation and public token counts, cut into
+    sequences of at most ``sentence`` ids.  Returns (leaked pairs,
+    evaluation pairs, public corpus).
+    """
+    table = rng.integers(0, ids, size=(ids, successors))
+    zipf = 1.0 / np.arange(1, ids + 1)
+    zipf /= zipf.sum()
+    perm = rng.permutation(ids)
+
+    def sentences(total: int) -> list[list[int]]:
+        out = []
+        for start in range(0, total, sentence):
+            length = min(sentence, total - start)
+            seq = rng.choice(ids, size=length, p=zipf)
+            pick = rng.integers(0, successors, size=length)
+            for i in np.flatnonzero(rng.random(length) < mix):
+                if i:  # in ascending order, so seq[i - 1] is already final
+                    seq[i] = table[seq[i - 1], pick[i]]
+            out.append(seq.tolist())
+        return out
+
+    def aligned(plains: list[list[int]]) -> list[tuple]:
+        return [(plain, perm[plain].tolist()) for plain in plains]
+
+    leaked, evaluated, public = (sentences(total) for total in sizes)
+    return aligned(leaked), aligned(evaluated), public
+
+
 ASCII_ID = re.compile(rb"[0-9]+")
 ASCII_NUMBER = re.compile(rb"[+-]?[0-9]+(\.[0-9]+)?([eE][+-]?[0-9]+)?")
 

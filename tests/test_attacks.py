@@ -33,7 +33,14 @@ from alienlang import (
 )
 from alienlang import attacks
 from alienlang.attacks import frequency_hypotheses, ngram_hypotheses, nn_hypotheses
-from helpers import axis_store, random_vocab, reference_frequency_hypotheses, unit_store, vocab_from
+from helpers import (
+    axis_store,
+    markov_ngram_inputs,
+    random_vocab,
+    reference_frequency_hypotheses,
+    unit_store,
+    vocab_from,
+)
 
 
 def sample_corpus(rng, vocab, positions, zipf_a=1.1):
@@ -149,6 +156,14 @@ class TestNgramAttack:
         r1 = ngram_attack(leaked, eval_pairs, n=3, truth=key)
         r2 = ngram_attack(leaked, eval_pairs, n=3, truth=key)
         assert r1.to_dict() == r2.to_dict()
+
+    def test_pairs_may_come_from_iterators(self):
+        rng, vocab, key = self._setup(6)
+        leaked = make_aligned_pairs(rng, vocab, key, 4, 20)
+        eval_pairs = make_aligned_pairs(rng, vocab, key, 8, 20)
+        rep = ngram_attack(iter(leaked), (p for p in eval_pairs), n=3, truth=key)
+        assert rep.to_dict() == ngram_attack(leaked, eval_pairs, n=3, truth=key).to_dict()
+        assert rep.parameters["pair_budget"] == 4
 
     def test_bijection_recovery_counts_only_unseen(self):
         rng, vocab, key = self._setup(5)
@@ -450,6 +465,7 @@ class TestNgramHypothesesTies:
         assert guesses == reference_ngram_guesses(leaked, evals, 2, reference)
         assert guesses[80] in (5, 9)
 
+    # with 1 or 3 rows per block, each block's join is also taken in pieces
     @pytest.mark.parametrize("rows", [1, 3])
     def test_row_blocks_do_not_change_guesses(self, rows, monkeypatch):
         rng = np.random.default_rng(7)
@@ -461,6 +477,17 @@ class TestNgramHypothesesTies:
         assert len(whole[1]) > rows
         monkeypatch.setattr(attacks, "_BLOCK_ROWS", rows)
         assert ngram_hypotheses(leaked, evals, 3, plain) == whole
+
+    @pytest.mark.parametrize("rows", [1, 5, 1024])
+    def test_join_pieces_match_loop_reference_on_a_dense_source(self, rows, monkeypatch):
+        # a Markov source gives each context many candidates, so with few rows
+        # per block a block's join outgrows its budget and is taken in pieces
+        rng = np.random.default_rng(17)
+        leaked, evals, public = markov_ngram_inputs(rng, 48, 4, 0.5, (60, 1_500, 3_000), 300)
+        monkeypatch.setattr(attacks, "_BLOCK_ROWS", rows)
+        _, guesses = ngram_hypotheses(leaked, evals, 3, public)
+        assert len(guesses) > 10
+        assert guesses == reference_ngram_guesses(leaked, evals, 3, public)
 
     @pytest.mark.parametrize("form", ["list", "token_sequence", "numpy"])
     def test_flat_reference_is_one_sequence(self, form):
@@ -592,6 +619,8 @@ class TestMalformedCorpora:
                  f"shots must be int, not {type(shots).__name__}")
                 for shots in (1.5, "1", True)
             ],
+            (nn_hypotheses, (EmbeddingStore(np.eye(3) * 2), [0, 1]),
+             "nn attack requires a normalized store"),
         ],
     )
     def test_malformed_arguments_rejected(self, attack, args, message):

@@ -142,6 +142,11 @@ class TestSelectMask:
         sigma = math.sqrt(5000 * 0.5 * 0.5)  # ~35
         assert abs(overlap - 2500) < 5 * sigma
 
+    @pytest.mark.parametrize("rho", [-0.1, 1.5, float("nan")])
+    def test_rho_outside_unit_interval_rejected(self, rho):
+        with pytest.raises(ArgumentError, match=r"^rho must lie in \[0, 1\]$"):
+            select_mask(1, rho, range(10))
+
     def test_masks_nested_across_rho(self):
         ids = range(500)
         small = select_mask(7, 0.2, ids)

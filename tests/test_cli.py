@@ -702,6 +702,18 @@ class TestExitCodes:
         assert self._one_error_line(capsys).startswith("error: base_url must be")
         assert posts == []
 
+    def test_probe_without_endpoint_is_1(self, workspace, capsys, monkeypatch):
+        posts = []
+        monkeypatch.setattr("urllib.request.urlopen", lambda *a, **kw: posts.append(a))
+        monkeypatch.delenv("ALIEN_ENDPOINT", raising=False)
+        eval_path = workspace["dir"] / "eval.jsonl"
+        eval_path.write_text('{"alien": "x", "reference": "y"}\n')
+        assert run(["attack", "probe", "--eval", str(eval_path)]) == 1
+        assert self._one_error_line(capsys) == (
+            "error: no endpoint: pass --endpoint or set ALIEN_ENDPOINT\n"
+        )
+        assert posts == []
+
     def test_attack_ngram_unknown_id_is_1(self, workspace, capsys):
         out = workspace["dir"] / "key.json"
         build_key_cli(workspace, out)

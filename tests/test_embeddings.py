@@ -114,6 +114,30 @@ class TestLoadStore:
         with pytest.raises(FormatError, match=r"^line \d+: "):
             load_embeddings(path)
 
+    @pytest.mark.parametrize(
+        "rows, normalized, message",
+        [
+            (np.ones(3), False, "2-dimensional"),
+            (np.ones((2, 2, 2)), False, "2-dimensional"),
+            ([[1.0, np.nan]], False, "non-finite"),
+            ([[1.0, -np.inf]], False, "non-finite"),
+            ([[3.0, 4.0]], True, "not unit length"),
+        ],
+        ids=["1-d", "3-d", "nan", "inf", "not-unit"],
+    )
+    def test_invalid_store_rejected(self, rows, normalized, message):
+        with pytest.raises(FormatError, match=message):
+            EmbeddingStore(rows=rows, normalized=normalized)
+
+    def test_binary_nan_rejected(self, tmp_path):
+        path = tmp_path / "emb.bin"
+        save_embeddings(EmbeddingStore(rows=np.ones((2, 2))), path)
+        data = bytearray(path.read_bytes())
+        data[-4:] = np.array([np.nan], dtype="<f4").tobytes()
+        path.write_bytes(bytes(data))
+        with pytest.raises(FormatError, match="non-finite"):
+            load_embeddings(path)
+
     def test_truncated_binary_rejected(self, tmp_path):
         path = tmp_path / "emb.bin"
         save_embeddings(EmbeddingStore(rows=np.ones((2, 2))), path)

@@ -119,6 +119,16 @@ def test_negative_ids_rejected(scratch, field, value):
         load_key(path)
 
 
+@pytest.mark.parametrize("version", [True, 1.0, "1", 2, None])
+def test_version_other_than_integer_one_rejected(scratch, version):
+    doc = valid_document()
+    doc["version"] = version
+    path = scratch / "version.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(FormatError, match="^unsupported key format version"):
+        load_key(path)
+
+
 @settings(max_examples=300, deadline=None)
 @given(key_files)
 def test_load_key_fuzz(scratch, data):

@@ -52,8 +52,12 @@ class StubHandler(BaseHTTPRequestHandler):
             self.end_headers()
             self.wfile.write(b'{"choices": ')
             return
-        if mode == "malformed":
-            payload = b'{"nonsense": true}'
+        malformed = {
+            "malformed": b'{"nonsense": true}',
+            "number-content": b'{"choices": [{"message": {"role": "assistant", "content": 5}}]}',
+        }
+        if mode in malformed:
+            payload = malformed[mode]
             self.send_response(200)
             self.send_header("Content-Type", "application/json")
             self.send_header("Content-Length", str(len(payload)))
@@ -171,6 +175,11 @@ class TestProbe:
     def test_malformed_response_is_protocol_error(self, stub_server):
         stub_server.mode = "malformed"
         with pytest.raises(ProtocolError):
+            llm_inverse_probe(endpoint_for(stub_server), shots=0, eval_set=EVAL_SET[:1])
+
+    def test_content_that_is_not_a_string_is_protocol_error(self, stub_server):
+        stub_server.mode = "number-content"
+        with pytest.raises(ProtocolError, match="^chat response content is not a string$"):
             llm_inverse_probe(endpoint_for(stub_server), shots=0, eval_set=EVAL_SET[:1])
 
     def test_transcript_contents(self, stub_server, tmp_path):

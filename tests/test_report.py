@@ -90,6 +90,25 @@ class TestOverlapMatrix:
         with pytest.raises(ArgumentError):
             OverlapMatrix(seeds=(1,), values=((99.0,),))
 
+    @pytest.mark.parametrize(
+        "seeds, values, message",
+        [
+            ((1, 2), ((100.0, 5.0),), "square"),
+            ((1, 2), ((100.0, 5.0), (5.0,)), "square"),
+            ((1, 2), ((100.0, 101.0), (101.0, 100.0)), r"\[0, 100\]"),
+            ((1, 2), ((100.0, -1.0), (-1.0, 100.0)), r"\[0, 100\]"),
+            ((1, 2), ((100.0, 5.0), (6.0, 100.0)), "symmetric"),
+        ],
+        ids=["too-few-rows", "short-row", "above-100", "negative", "asymmetric"],
+    )
+    def test_validation_rejects_malformed_matrix(self, seeds, values, message):
+        with pytest.raises(ArgumentError, match=message):
+            OverlapMatrix(seeds=seeds, values=values)
+
+    def test_no_keys_rejected(self):
+        with pytest.raises(ArgumentError, match="^need at least one key$"):
+            overlap_matrix([])
+
 
 class TestEmitSummary:
     def test_write_read_identity(self, tmp_path):

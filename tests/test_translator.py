@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 import alienlang.translator as translator
 from alienlang import (
+    ArgumentError,
     BijectionKey,
     BuildConfig,
     CompatibilityError,
@@ -207,6 +208,18 @@ class TestDecodeText:
         key = key_from_pairs(vocab, [(0, 3), (1, 4)])
         with pytest.raises(StabilityError):
             decode_text(b"xy", key, vocab)
+
+    def test_mismatched_key_rejected(self):
+        vocab, _ = full_rho_key(seed=11)
+        key = identity_key(vocab_from([b"q"]))
+        with pytest.raises(CompatibilityError):
+            decode_text(b"q", key, vocab)
+
+    @pytest.mark.parametrize("x_alien", ["abc", bytearray(b"abc"), None])
+    def test_input_that_is_not_bytes_rejected(self, x_alien):
+        vocab = vocab_from([b"a", b"b", b"c"])
+        with pytest.raises(ArgumentError, match="^decode_text expects bytes or an AlienDocument$"):
+            decode_text(x_alien, identity_key(vocab), vocab)
 
     def test_id_stream_text_accepted(self):
         vocab, key = full_rho_key(seed=12)
@@ -411,7 +424,7 @@ def write_jsonl(path, records):
 
 
 def restored_records(path, key, vocab):
-    """An alienized JSONL file's instruction/response records, fields through decode_text."""
+    """An alienized JSONL file's records, every content field through decode_text."""
 
     def back(text):
         raw = text.encode("utf-8", errors="surrogateescape")
@@ -420,6 +433,8 @@ def restored_records(path, key, vocab):
     records = [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()]
     for rec in records:
         rec.update({f: back(rec[f]) for f in ("instruction", "response") if f in rec})
+        for message in rec.get("messages", []):
+            message["content"] = back(message["content"])
     return records
 
 
@@ -465,6 +480,27 @@ class TestAlienizeDataset:
         assert out["messages"][0]["role"] == "user"
         assert out["messages"][0]["turn"] == 1
         assert out["messages"][0]["content"] != "hello there"
+
+    def test_mixed_record_translates_every_content_field(self, tmp_path):
+        vocab, key = self._setup(seed=3)
+        record = {
+            "messages": [{"role": "user", "content": "hello there"}],
+            "instruction": "the secret password",
+            "response": "and more secret",
+            "id": 4,
+        }
+        src, dst = tmp_path / "in.jsonl", tmp_path / "out.jsonl"
+        write_jsonl(src, [record])
+        summary = alienize_dataset(src, key, vocab, dst)
+        out = json.loads(dst.read_text().strip())
+        assert out["instruction"] != record["instruction"]
+        assert out["response"] != record["response"]
+        assert out["messages"][0]["content"] != "hello there"
+        assert summary.tokens == sum(
+            len(encode_text(text.encode(), key, vocab).ids)
+            for text in ("hello there", "the secret password", "and more secret")
+        )
+        assert restored_records(dst, key, vocab) == [record]
 
     def test_round_trip_through_restore(self, tmp_path):
         vocab, key = self._setup(seed=2)
@@ -531,6 +567,22 @@ class TestAlienizeDataset:
         with pytest.raises(CompatibilityError):
             fn(src, key, vocab, dst)
         assert list(tmp_path.iterdir()) == [src]
+
+    @pytest.mark.parametrize(
+        "record, message",
+        [
+            ({"messages": "hello", "instruction": "a"}, '"messages" must be an array'),
+            ({"messages": {"content": "hello"}}, '"messages" must be an array'),
+            ({"messages": [{"role": "user"}]}, 'each message needs a string "content" field'),
+            ({"instruction": 3}, '"instruction" must be a string'),
+        ],
+    )
+    def test_malformed_content_field_rejected(self, tmp_path, record, message):
+        vocab, key = self._setup()
+        src, dst = tmp_path / "in.jsonl", tmp_path / "out.jsonl"
+        write_jsonl(src, [record])
+        with pytest.raises(FormatError, match=f"^line 1: {message}$"):
+            alienize_dataset(src, key, vocab, dst)
 
     def test_unknown_shape_rejected(self, tmp_path):
         vocab, key = self._setup()

@@ -111,8 +111,10 @@ class TestLoadVocab:
             '{"a": ' + "9" * 5000 + "}",  # an integer past the int-parsing digit limit
             '{"a": 18446744073709551616}',  # an id that does not fit in 64 bits
             '{"\\ud800": 0}',  # a lone surrogate that carries no byte
+            # the escapes of bytes c3 bf and the character they encode: one token twice
+            '{"\\udcc3\\udcbf": 0, "\\u00ff": 1}',
         ],
-        ids=["deep", "huge-int", "id-past-64-bits", "lone-surrogate"],
+        ids=["deep", "huge-int", "id-past-64-bits", "lone-surrogate", "escape-spells-utf8"],
     )
     def test_malformed_vocab_file_rejected(self, tmp_path, text):
         path = tmp_path / "vocab.json"
@@ -136,6 +138,24 @@ class TestLoadVocab:
         spath.write_text(text, encoding="ascii")
         with pytest.raises(FormatError):
             load_vocab(path, spath)
+
+    @pytest.mark.parametrize(
+        "entries, message",
+        [
+            ([(b"a", -1)], "^negative token id -1$"),
+            ([(b"a", 0), (b"a", 1)], "^duplicate token string b'a'$"),
+            # a str token is its UTF-8 bytes, a lone surrogate escaping one byte
+            ([("\udcc3\udcbf", 0), ("\u00ff", 1)], r"^duplicate token string b'\\xc3\\xbf'$"),
+        ],
+        ids=["negative-id", "duplicate-bytes", "duplicate-after-encoding"],
+    )
+    def test_bad_entries_rejected(self, entries, message):
+        with pytest.raises(FormatError, match=message):
+            Vocabulary.from_entries(entries)
+
+    def test_str_tokens_are_their_utf8_bytes(self):
+        vocab = Vocabulary.from_entries([("\u00ff", 0), ("a\udcff", 1)])
+        assert vocab.id_to_token == {0: b"\xc3\xbf", 1: b"a\xff"}
 
     def test_empty_token_rejected(self):
         with pytest.raises(FormatError):
@@ -194,6 +214,11 @@ class TestReferenceTokenize:
         )
         for text in (b"", b"a", b"abba", b"babab"):
             assert reference_tokenize(text, direct) == reference_tokenize(text, built)
+
+    @pytest.mark.parametrize("text", ["abc", bytearray(b"abc"), memoryview(b"abc")])
+    def test_input_that_is_not_bytes_rejected(self, text):
+        with pytest.raises(ArgumentError, match="^reference_tokenize expects bytes$"):
+            reference_tokenize(text, vocab_from([b"a", b"b", b"c"]))
 
     def test_deterministic(self):
         vocab = byte_complete_vocab(extra_tokens=[b"ab", b"abc"])
