@@ -33,8 +33,10 @@ from .errors import ArgumentError, CoverageError, FormatError
 from .vocab import TokenSequence, first_non_id
 
 
-# Rows per dense scoring block, in nn_hypotheses and ngram_hypotheses alike.
+# Rows per dense scoring block in ngram_hypotheses.
 _BLOCK_ROWS = 1024
+# Rows per similarity block in nn_hypotheses: 64 MB of float64 at a 32K mask.
+_NN_BLOCK_ROWS = 256
 
 
 @dataclass
@@ -373,8 +375,8 @@ def nn_hypotheses(store: EmbeddingStore, masked: Sequence[int]) -> dict[int, int
     if ids.size < 2:
         return guesses
     rows = store.rows[ids]
-    for start in range(0, ids.size, _BLOCK_ROWS):
-        stop = min(start + _BLOCK_ROWS, ids.size)
+    for start in range(0, ids.size, _NN_BLOCK_ROWS):
+        stop = min(start + _NN_BLOCK_ROWS, ids.size)
         sims = rows[start:stop] @ rows.T
         local = np.arange(stop - start)
         sims[local, start + local] = -np.inf  # exclude self

@@ -34,7 +34,7 @@ from . import editdist
 from .embeddings import EmbeddingStore, topk_cosine
 from .errors import ArgumentError, CompatibilityError, CoverageError, FormatError, ToolkitError
 from .fileio import atomic_write, parse_json
-from .seeding import derive_rng, derive_seed
+from .seeding import derive_rng, derive_seed, derive_seeds
 from .vocab import Vocabulary, _parse_fingerprint, first_non_id
 
 KEY_FORMAT_VERSION = 1
@@ -125,6 +125,13 @@ def bucket_index(seed: int, buckets: int, token_id: int) -> int:
     if buckets == 1:
         return 0
     return derive_seed("bucket", seed, token_id) % buckets
+
+
+def _bucket_layout(seed: int, buckets: int, ids: list[int]) -> list[int]:
+    """:func:`bucket_index` of each of ``ids``, hashing the shared prefix once."""
+    if buckets == 1:
+        return [0] * len(ids)
+    return [s % buckets for s in derive_seeds(("bucket", seed), ids)]
 
 
 def _edit_terms(surfaces: list[bytes], left, right, edit_mode: str) -> np.ndarray:
@@ -220,8 +227,16 @@ def _greedy_pair_cell(
     cand_pos = np.full((m, width), -1, dtype=np.int64)
     cand_pos[rows, cols] = nbr_pos
     cand_pos[~np.isfinite(scores)] = -1
-    ranked = np.take_along_axis(cand_pos, np.lexsort((nbr_ids, -scores), axis=-1), axis=1)
-    del rows, cols, pos_of, nbr_pos, surfaces, edits, scores, cand_pos, nbr_ids, nbr_sims
+    del rows, cols, pos_of, nbr_pos, surfaces, edits, nbr_sims
+    # Columns come in (-cosine, id) order, so a stable sort breaks a score tie
+    # by cosine first; the few rows holding a finite tie are sorted again.
+    order = np.argsort(-scores, axis=1, kind="stable")
+    ordered = np.take_along_axis(scores, order, axis=1)
+    tie = (ordered[:, 1:] == ordered[:, :-1]) & (ordered[:, 1:] > -np.inf)
+    tied = np.flatnonzero(tie.any(axis=1))
+    order[tied] = np.lexsort((nbr_ids[tied], -scores[tied]), axis=-1)
+    ranked = np.take_along_axis(cand_pos, order, axis=1)
+    del scores, cand_pos, nbr_ids, order, ordered, tie, tied
 
     mapping: dict[int, int] = {}
     available = [True] * m
@@ -273,8 +288,9 @@ def build_key(
         raise CoverageError(f"embedding row missing for masked id(s) {sorted(missing)[:5]}")
 
     cells: dict[int, list[int]] = {}
-    for i in sorted(mask):
-        cells.setdefault(bucket_index(config.seed, config.buckets, i), []).append(i)
+    ids = sorted(mask)
+    for i, cell in zip(ids, _bucket_layout(config.seed, config.buckets, ids)):
+        cells.setdefault(cell, []).append(i)
     mapping: dict[int, int] = {}
     for cell in sorted(cells):
         mapping.update(_greedy_pair_cell(cells[cell], vocab, store, config, cell))

@@ -241,7 +241,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mu", type=float, help="similarity trade-off weight")
     p.add_argument("--k", type=int, help="neighbor count for candidate reduction")
     p.add_argument("--buckets", type=int, help="> 1 makes keys built with different seeds differ")
-    p.add_argument("--greedy-batch", type=int, help="top-k query batching width")
+    p.add_argument(
+        "--greedy-batch",
+        type=int,
+        help="least query rows per top-k retrieval block; never changes the key",
+    )
     p.add_argument("--edit-mode", choices=EDIT_MODES)
     p.add_argument("--out", required=True)
     # every BuildConfig flag defaults to the class's own default

@@ -12,11 +12,20 @@ work is done once per surface:
   46(3)).  It takes S × A × 8 bytes, at most 2 KB per surface.
 
 Myers' bit-vector algorithm in its edit-distance form (Hyyrö 2003) then runs
-on a chunk of pairs at once.  Each pair keeps one ``uint64`` state whose bits
-stand for the bytes of its shorter string, and one numpy step consumes one
-byte of every pair's longer string: a single gather from the table gives the
-match bits.  Pairs whose shorter string is longer than 64 bytes take the
-plain two-row DP.  The scalar entry points are batches of one.
+on a pass of pairs at once.  Each pair keeps one word of state whose bits
+stand for the bytes of its pattern, and one numpy step consumes one byte of
+every pair's text: a single gather from the table gives the match bits.
+Levenshtein distance is symmetric, so the pattern is a pair's longer string
+whenever that fits in 64 bits, and a pair costs one step per byte of its
+shorter string.  Where only the shorter string fits, it is the pattern and
+the longer one the text.  Pairs whose strings both exceed 64 bytes take the
+plain two-row DP.  A pair whose longer string fits in 16 or 32 bits runs in
+``uint16`` or ``uint32`` words, so each step moves a quarter or half the
+bytes.  The scalar entry points are batches of one.
+
+An index is an int that is not a bool, or an element of an integer array; a
+surface is ``bytes``.  Anything else raises :class:`ArgumentError`, an index
+outside the surfaces raises ``IndexError``.
 """
 
 from __future__ import annotations
@@ -25,12 +34,17 @@ from typing import Sequence
 
 import numpy as np
 
+from .errors import ArgumentError
+from .vocab import first_non_id
+
 BACKEND = "numpy"  # there is one lane; kept for callers that record it
 
 _WORD = 64
-# Pairs per kernel pass; bounds the step arrays and the pass's table index,
-# which takes 8 bytes per pair and byte of the pass's longest text.
-_CHUNK = 4096
+# Kernel word types; a pair runs in the narrowest that holds its longer string.
+_WORD_TYPES = ((16, np.uint16), (32, np.uint32), (_WORD, np.uint64))
+# Table-index entries per kernel pass, 8 bytes each: a pass takes as many
+# pairs as fit with its longest text, so passes of short texts are long.
+_CHUNK = 1 << 16
 
 
 def _dp(a: bytes, b: bytes) -> int:
@@ -64,16 +78,18 @@ class _MatchTable:
             bit = np.uint64(1) << np.uint64(i)
             self.peq[rows * self.alphabet + self.codes[self.starts[rows] + i]] |= bit
 
-    def distances(self, pat: np.ndarray, txt: np.ndarray, m: np.ndarray, n: np.ndarray):
-        """Distances for pairs whose shorter side has 1 to 64 bytes.
+    def distances(self, pat: np.ndarray, txt: np.ndarray, m: np.ndarray, n: np.ndarray, word):
+        """Distances for pairs whose pattern has 1 to 64 bytes and text at least 1.
 
-        ``pat`` and ``txt`` index the shorter (length ``m``) and the longer
-        (length ``n``) surface of each pair.  Pattern bits at or above ``m``
-        are never set, and carries move bits upward only, so the score bit
-        ``m - 1`` sees the pattern alone.  ``n`` is ascending, so the pairs
-        still consuming text at step j are a suffix; finished pairs are
+        ``pat`` and ``txt`` index the pattern (length ``m``) and the text
+        (length ``n``) surface of each pair; every pattern, and every score,
+        fits in the unsigned integer type ``word``.  Pattern bits at or above
+        ``m`` are never set, and carries move bits upward only, so the score
+        bit ``m - 1`` sees the pattern alone.  ``n`` is ascending, so the
+        pairs still consuming text at step j are a suffix; finished pairs are
         sliced off.
         """
+        peq = self.peq.astype(word, copy=False)  # the low bits hold every pattern
         steps = np.arange(int(n[-1]))
         # look[j, p]: the table entry for text byte j of pair p.  Past a text's
         # end it reads an arbitrary in-range code; that pair has left by then.
@@ -82,17 +98,17 @@ class _MatchTable:
         look = self.codes[pos] + pat * self.alphabet
         del pos
         first = np.searchsorted(n, steps, side="right")
-        one = np.uint64(1)
-        top = (m - 1).astype(np.uint64)
-        pv = np.full(len(pat), ~np.uint64(0))
-        mv = np.zeros(len(pat), dtype=np.uint64)
-        score = m.astype(np.uint64)
+        one = word(1)
+        top = (m - 1).astype(word)
+        pv = np.full(len(pat), ~word(0))
+        mv = np.zeros(len(pat), dtype=word)
+        score = m.astype(word)
         lo = 0
         for j, start in enumerate(first.tolist()):
             if start > lo:
                 pv, mv, top = pv[start - lo :], mv[start - lo :], top[start - lo :]
                 lo = start
-            eq = self.peq[look[j, lo:]]
+            eq = peq[look[j, lo:]]
             xv = eq | mv
             xh = (((eq & pv) + pv) ^ pv) | eq
             ph = mv | ~(xh | pv)
@@ -107,38 +123,75 @@ class _MatchTable:
         return score
 
 
+def _indices(side) -> np.ndarray:
+    """One side of a batch as an intp array; a non-integer index raises ArgumentError."""
+    if isinstance(side, np.ndarray):
+        if side.dtype.kind not in "iu":
+            raise ArgumentError(f"surface indices must be integers, not {side.dtype}")
+    else:
+        side = list(side)
+        bad = first_non_id(side)
+        if bad is not None:
+            raise ArgumentError(f"surface index {side[bad]!r} is not an int")
+    try:
+        return np.asarray(side, dtype=np.intp)
+    except OverflowError:
+        raise IndexError("surface index out of range") from None
+
+
 def _distances(left, right, surfaces: Sequence[bytes]) -> tuple[np.ndarray, np.ndarray]:
     """Levenshtein distance and longer length of each pair, both int32."""
-    if len(left) != len(right):
-        raise ValueError("paired batches must have equal length")
-    left = np.asarray(left, dtype=np.intp)
-    right = np.asarray(right, dtype=np.intp)
+    left, right = _indices(left), _indices(right)
+    if left.shape != right.shape:
+        raise ArgumentError("paired batches must have equal length")
+    if not {bytes}.issuperset(map(type, surfaces)):
+        bad = next(s for s in surfaces if type(s) is not bytes)
+        raise ArgumentError(f"surface {bad!r:.40} is {type(bad).__name__}, not bytes")
     if left.size and (
         min(left.min(), right.min()) < 0 or max(left.max(), right.max()) >= len(surfaces)
     ):
         raise IndexError("surface index out of range")
-    lens = np.fromiter(map(len, surfaces), np.int64, len(surfaces))
-    # The shorter surface of each pair is its pattern, the longer its text.
-    swap = lens[left] > lens[right]
-    pat = np.where(swap, right, left)
-    txt = np.where(swap, left, right)
+    lens = np.fromiter(map(len, surfaces), np.int32, len(surfaces))
+    # The pattern is a pair's longer surface if it fits in a word, else its
+    # shorter one; the text, the other surface, sets the number of steps.
+    a, b = lens[left], lens[right]
+    left_pat = np.where(np.maximum(a, b) <= _WORD, a >= b, a <= b)
+    del a, b
+    pat = np.where(left_pat, left, right)
+    txt = np.where(left_pat, right, left)
     # A build passes every candidate pair at once; dropping arrays as soon as
     # they are spent keeps the transient peak near the result's size.
-    del swap, left, right
-    short = lens[pat].astype(np.int32)
-    longer = lens[txt].astype(np.int32)
-    out = longer.copy()  # already final where one side is empty
-    for i in np.flatnonzero(short > _WORD).tolist():
+    del left_pat, left, right
+    m, n = lens[pat], lens[txt]
+    out = np.maximum(m, n)  # already final where one side is empty
+    for i in np.flatnonzero(m > _WORD).tolist():  # both sides exceed a word
         out[i] = _dp(surfaces[pat[i]], surfaces[txt[i]])
-    todo = np.flatnonzero((short > 0) & (short <= _WORD))
-    if todo.size:
-        table = _MatchTable(surfaces, lens)
-        # Chunks of similar length step only as often as their longest text.
-        todo = todo[np.argsort(longer[todo])]
-        for lo in range(0, len(todo), _CHUNK):
-            sel = todo[lo : lo + _CHUNK]
-            out[sel] = table.distances(pat[sel], txt[sel], short[sel], longer[sel])
-    return out, longer
+    todo = np.flatnonzero((m <= _WORD) & (m > 0) & (n > 0))
+    if not todo.size:
+        return out, np.maximum(m, n)
+    table = _MatchTable(surfaces, lens)
+    # Pairs by word type, each type's by text length: passes of similar length
+    # step only as often as their longest text.
+    todo = todo[np.argsort(n[todo])]
+    longer = out[todo]  # out still holds each pending pair's longer length
+    word_of = np.zeros(todo.size, np.uint8)
+    for bits, _ in _WORD_TYPES[:-1]:
+        word_of += longer > bits
+    del longer
+    todo = todo[np.argsort(word_of, kind="stable")]
+    counts = np.bincount(word_of, minlength=len(_WORD_TYPES)).tolist()
+    del word_of
+    lo = 0
+    for count, (_, word) in zip(counts, _WORD_TYPES):
+        stop = lo + count
+        while lo < stop:
+            # texts ascend, so sizing a pass by the longest text among as many
+            # pairs as its shortest allows keeps it within _CHUNK entries
+            end = min(lo + max(1, _CHUNK // int(n[todo[lo]])), stop)
+            sel = todo[lo : min(lo + max(1, _CHUNK // int(n[todo[end - 1]])), stop)]
+            out[sel] = table.distances(pat[sel], txt[sel], m[sel], n[sel], word)
+            lo += sel.size
+    return out, np.maximum(m, n)
 
 
 def levenshtein_batch(left, right, surfaces: Sequence[bytes]) -> np.ndarray:

@@ -5,7 +5,15 @@ vocabulary scales this toolkit targets (up to a few hundred thousand rows,
 small d) exact retrieval is affordable and removes approximation as a
 correctness variable; blocking is purely a memory optimization.
 
-Selection works on 64-row slices of a similarity block: each query's own
+Blocks and selection slices are sized from a budget of 2^18 similarity
+cells: a block holds at least ``block`` query rows (``greedy_batch`` in a
+key build) and a slice at least 64, and either takes more rows while they
+fit in the budget.  A 256-member bucket cell thus takes one matmul and one
+selection, a 4K-token flat build 64-row blocks, and a 32K-token build with
+``greedy_batch=512`` 512-row blocks in 64-row slices.  The block width never
+changes a result.
+
+Selection works on one slice of a similarity block: each query's own
 cell is set to -inf, one ``argpartition`` takes the k + 1 largest values of
 every row, and that small set is put in id order and stably sorted by
 descending cosine.  Its first k entries are the answer unless its k-th and
@@ -40,8 +48,10 @@ _NORM_TOL = 1e-5
 _NUMBER = rf"[+-]?{DIGIT}+(?:\.{DIGIT}+)?(?:[eE][+-]?{DIGIT}+)?"
 _HEADER = re.compile(rf"\s*{DIGIT}+\s+{DIGIT}+\s*", re.ASCII)
 _ROW = re.compile(rf"\s*(?:{DIGIT}+(?:\s+{_NUMBER})*)?\s*", re.ASCII)
-# Query rows per top-k selection: each selection holds int64 index arrays as
-# large as its slice of the similarity block.
+# Similarity cells a matmul block or a selection slice takes beyond its least
+# rows; each selection holds int64 index arrays as large as its slice.
+_CELL_BUDGET = 1 << 18
+# The least query rows per top-k selection.
 _SELECT_ROWS = 64
 
 
@@ -250,8 +260,10 @@ def topk_cosine(
 
     Returns (neighbor_ids, sims) of shape (len(query_ids), k'), where
     k' = min(k, usable candidates).  Each query is excluded from its own
-    neighbor list.  Results are independent of the block width.  A query or
-    candidate id without an embedding row raises :class:`CoverageError`.
+    neighbor list.  ``block`` is the least number of query rows per matmul
+    block; blocks grow to the cell budget, and results are independent of
+    their width.  A query or candidate id without an embedding row raises
+    :class:`CoverageError`.
     """
     if k <= 0:
         raise ArgumentError("k must be a positive integer")
@@ -269,13 +281,15 @@ def topk_cosine(
     if width == 0:
         return out_ids, out_sims
     cand_rows = store.rows[cand]
-    block = max(1, block)
+    fit = _CELL_BUDGET // cand.size
+    block = max(1, block, fit)
+    select = max(_SELECT_ROWS, fit)
     for start in range(0, queries.size, block):
         stop = min(start + block, queries.size)
         sims_block = store.rows[queries[start:stop]] @ cand_rows.T
         # Rows select independently; slicing caps the selection's index arrays.
-        for lo in range(start, stop, _SELECT_ROWS):
-            hi = min(lo + _SELECT_ROWS, stop)
+        for lo in range(start, stop, select):
+            hi = min(lo + select, stop)
             out_ids[lo:hi], out_sims[lo:hi] = _topk_rows(
                 sims_block[lo - start : hi - start], queries[lo:hi], cand, width
             )

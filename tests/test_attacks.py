@@ -355,7 +355,7 @@ class TestNnHypothesesTies:
         store = axis_store(rng, 60, 4)
         rows = store.rows
         masked = sorted(int(i) for i in rng.choice(60, size=40, replace=False))
-        monkeypatch.setattr(attacks, "_BLOCK_ROWS", block)
+        monkeypatch.setattr(attacks, "_NN_BLOCK_ROWS", block)
         guesses = nn_hypotheses(store, masked)
         assert sorted(guesses) == masked
         for i in masked:

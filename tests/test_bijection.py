@@ -2,6 +2,7 @@ import hashlib
 import math
 import re
 import threading
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -26,7 +27,7 @@ from alienlang import (
     save_key,
     select_mask,
 )
-from alienlang import bijection
+from alienlang import bijection, embeddings
 from alienlang.bijection import bucket_index
 from helpers import (
     axis_store,
@@ -299,11 +300,30 @@ class TestBuildKey:
         key_b = build_key(vocab, normalize(scaled), config)
         assert key_a.mapping == key_b.mapping
 
-    def test_greedy_batch_width_does_not_change_key(self):
+    def test_greedy_batch_width_does_not_change_key(self, monkeypatch):
+        monkeypatch.setattr(embeddings, "_CELL_BUDGET", 0)  # greedy_batch alone sets the width
         vocab, store = build_instance(10, 70)
         base = build_key(vocab, store, BuildConfig(k=5, seed=3, greedy_batch=1))
         wide = build_key(vocab, store, BuildConfig(k=5, seed=3, greedy_batch=64))
         assert base.mapping == wide.mapping
+
+    @pytest.mark.parametrize("budget", [0, 1 << 18])
+    def test_greedy_batch_width_does_not_change_bucketed_key(self, budget, monkeypatch):
+        monkeypatch.setattr(embeddings, "_CELL_BUDGET", budget)
+        vocab, store = build_instance(12, 120)
+        config = BuildConfig(k=30, seed=5, buckets=4)
+        sizes = np.bincount([bucket_index(5, 4, i) for i in vocab.permutable_ids])
+        assert sizes.min() < config.k + 1 < sizes.max()  # one cell's top-k takes all of it
+        keys = [build_key(vocab, store, replace(config, greedy_batch=b)) for b in (1, 50, 4096)]
+        assert keys[0].mapping == keys[1].mapping == keys[2].mapping
+        assert keys[0].mapping == reference_greedy_mapping(vocab, store, config)
+
+    @pytest.mark.parametrize("seed", [0, 7, -3, 2**100])
+    @pytest.mark.parametrize("buckets", [2, 16, 1000])
+    def test_bucket_layout_matches_bucket_index(self, seed, buckets):
+        ids = list(range(0, 6000, 3))
+        expected = [bucket_index(seed, buckets, i) for i in ids]
+        assert bijection._bucket_layout(seed, buckets, ids) == expected
 
     def test_missing_embedding_row_is_coverage_error(self):
         vocab, _ = build_instance(11, 20)

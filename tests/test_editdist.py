@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from alienlang import editdist
+from alienlang import ArgumentError, editdist
 from helpers import oracle_levenshtein
 
 
@@ -221,3 +221,57 @@ def test_index_form_rejects_out_of_range(left, right):
 def test_index_form_length_mismatch():
     with pytest.raises(ValueError):
         editdist.levenshtein_batch([0], [0, 1], [b"a", b"b"])
+
+
+def test_reoriented_kernel_matches_dp_in_both_orders():
+    # The pattern is the longer side when it fits in a word and the shorter
+    # one otherwise, and a pair runs in 16-, 32- or 64-bit words by its longer
+    # side; every orientation and word size must agree with the plain DP.
+    rng = np.random.default_rng(24)
+    lengths = (0, 1, 15, 16, 17, 32, 33, 63, 64, 65, 100)
+    surfaces = [rng.choice(np.frombuffer(b"ab\0\xff", np.uint8), size=n).tobytes() for n in lengths]
+    surfaces += [b"a" * n for n in lengths]
+    left, right = _all_pairs(surfaces)
+    got = editdist.levenshtein_batch(left, right, surfaces).tolist()
+    assert got == [editdist._dp(surfaces[i], surfaces[j]) for i, j in zip(left, right)]
+    assert got == editdist.levenshtein_batch(right, left, surfaces).tolist()
+
+
+@pytest.mark.parametrize(
+    "left,right",
+    [([0.9], [1]), ([0], [1.0]), ([True], [1]), ([0], [False]), (np.array([0.0]), [1])],
+)
+def test_non_integer_index_rejected(left, right):
+    surfaces = [b"ab", b"cd"]
+    for batch in (editdist.levenshtein_batch, editdist.normalized_batch):
+        with pytest.raises(ArgumentError):
+            batch(left, right, surfaces)
+
+
+@pytest.mark.parametrize("a,b", [("kitten", "sitting"), (b"kitten", bytearray(b"sitting")), (None, b"")])
+def test_non_bytes_surface_rejected(a, b):
+    for scalar in (editdist.levenshtein, editdist.normalized_levenshtein):
+        with pytest.raises(ArgumentError):
+            scalar(a, b)
+    for batch in (editdist.levenshtein_batch, editdist.normalized_batch):
+        with pytest.raises(ArgumentError):
+            batch([0], [1], [a, b])
+
+
+def test_passes_stay_within_the_index_budget(monkeypatch):
+    # A pass holds pairs x its longest text <= _CHUNK table-index entries, or a
+    # single pair; every distance still lands at its own index.
+    monkeypatch.setattr(editdist, "_CHUNK", 100)
+    passes = []
+    distances = editdist._MatchTable.distances
+
+    def spy(self, pat, txt, m, n, word):
+        passes.append((len(pat), int(n.max())))
+        return distances(self, pat, txt, m, n, word)
+
+    monkeypatch.setattr(editdist._MatchTable, "distances", spy)
+    rng = np.random.default_rng(25)
+    surfaces = [rng.integers(97, 100, size=n, dtype=np.uint8).tobytes() for n in range(1, 140, 11)]
+    _assert_index_form(*_all_pairs(surfaces), surfaces)
+    assert len(passes) > 10
+    assert all(pairs * text <= 100 or pairs == 1 for pairs, text in passes)

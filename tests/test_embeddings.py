@@ -13,6 +13,7 @@ from alienlang import (
     proxy_embed,
     save_embeddings,
 )
+from alienlang import embeddings
 from alienlang.embeddings import topk_cosine
 from helpers import axis_store, unit_store, vocab_from
 
@@ -292,8 +293,14 @@ class TestIdRange:
             nearest(store, query, 2, candidates)
 
 
+def exact_blocks(monkeypatch):
+    """Make ``block`` the exact block width: no cell budget widens it."""
+    monkeypatch.setattr(embeddings, "_CELL_BUDGET", 0)
+
+
 class TestTopkBatched:
-    def test_matches_single_query_path(self):
+    def test_matches_single_query_path(self, monkeypatch):
+        exact_blocks(monkeypatch)
         rng = np.random.default_rng(4)
         store = unit_store(rng, 80, 6)
         cands = list(range(80))
@@ -303,7 +310,8 @@ class TestTopkBatched:
             got = [i for i in ids[r].tolist() if i >= 0]
             assert got == expected
 
-    def test_block_width_does_not_matter(self):
+    def test_block_width_does_not_matter(self, monkeypatch):
+        exact_blocks(monkeypatch)
         rng = np.random.default_rng(8)
         store = unit_store(rng, 50, 4)
         cands = list(range(50))
@@ -311,10 +319,37 @@ class TestTopkBatched:
         b, _ = topk_cosine(store, cands, 5, cands, block=50)
         assert np.array_equal(a, b)
 
+    @pytest.mark.parametrize(
+        "cands,queries,block,slices",
+        [
+            (256, 256, 50, [256]),  # a bucket cell: one matmul, one selection
+            (4096, 200, 50, [64, 64, 64, 8]),  # a flat build: the budget sets 64 rows
+            (4096, 200, 100, [64, 36, 64, 36]),  # ``block`` is the floor of a block
+            (300, 1000, 1, [873, 127]),  # a slice grows with its block
+        ],
+    )
+    def test_cell_budget_sizes_blocks_and_slices(self, cands, queries, block, slices, monkeypatch):
+        seen = []
+        topk_rows = embeddings._topk_rows
+
+        def spy(sims, *args):
+            seen.append(sims.shape[0])
+            return topk_rows(sims, *args)
+
+        monkeypatch.setattr(embeddings, "_topk_rows", spy)
+        store = unit_store(np.random.default_rng(cands), cands, 4)
+        ids = np.arange(queries) % cands
+        got, _ = topk_cosine(store, ids, 5, range(cands), block=block)
+        assert seen == slices
+        exact_blocks(monkeypatch)
+        want, _ = topk_cosine(store, ids, 5, range(cands), block=1)
+        assert np.array_equal(got, want)
+
 
 class TestExactTies:
     @pytest.mark.parametrize("block", range(1, 10))
-    def test_topk_matches_oracle_on_tied_rows(self, block):
+    def test_topk_matches_oracle_on_tied_rows(self, block, monkeypatch):
+        exact_blocks(monkeypatch)
         rng = np.random.default_rng(900 + block)
         for _ in range(12):
             n = int(rng.integers(2, 40))
