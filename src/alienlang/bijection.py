@@ -227,16 +227,8 @@ def _greedy_pair_cell(
     cand_pos = np.full((m, width), -1, dtype=np.int64)
     cand_pos[rows, cols] = nbr_pos
     cand_pos[~np.isfinite(scores)] = -1
-    del rows, cols, pos_of, nbr_pos, surfaces, edits, nbr_sims
-    # Columns come in (-cosine, id) order, so a stable sort breaks a score tie
-    # by cosine first; the few rows holding a finite tie are sorted again.
-    order = np.argsort(-scores, axis=1, kind="stable")
-    ordered = np.take_along_axis(scores, order, axis=1)
-    tie = (ordered[:, 1:] == ordered[:, :-1]) & (ordered[:, 1:] > -np.inf)
-    tied = np.flatnonzero(tie.any(axis=1))
-    order[tied] = np.lexsort((nbr_ids[tied], -scores[tied]), axis=-1)
-    ranked = np.take_along_axis(cand_pos, order, axis=1)
-    del scores, cand_pos, nbr_ids, order, ordered, tie, tied
+    ranked = np.take_along_axis(cand_pos, np.lexsort((nbr_ids, -scores), axis=-1), axis=1)
+    del rows, cols, pos_of, nbr_pos, surfaces, edits, scores, cand_pos, nbr_ids, nbr_sims
 
     mapping: dict[int, int] = {}
     available = [True] * m

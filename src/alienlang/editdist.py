@@ -19,13 +19,13 @@ Levenshtein distance is symmetric, so the pattern is a pair's longer string
 whenever that fits in 64 bits, and a pair costs one step per byte of its
 shorter string.  Where only the shorter string fits, it is the pattern and
 the longer one the text.  Pairs whose strings both exceed 64 bytes take the
-plain two-row DP.  A pair whose longer string fits in 16 or 32 bits runs in
-``uint16`` or ``uint32`` words, so each step moves a quarter or half the
-bytes.  The scalar entry points are batches of one.
+plain two-row DP.  A pair whose longer string fits in 16 bits runs in
+``uint16`` words, so each step moves a quarter of the bytes.  The scalar
+entry points are batches of one.
 
-An index is an int that is not a bool, or an element of an integer array; a
-surface is ``bytes``.  Anything else raises :class:`ArgumentError`, an index
-outside the surfaces raises ``IndexError``.
+An index is an int that is not a bool, a numpy integer, or an element of an
+integer array; a surface is ``bytes``.  Anything else raises
+:class:`ArgumentError`, an index outside the surfaces raises ``IndexError``.
 """
 
 from __future__ import annotations
@@ -35,13 +35,12 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ArgumentError
-from .vocab import first_non_id
 
 BACKEND = "numpy"  # there is one lane; kept for callers that record it
 
 _WORD = 64
 # Kernel word types; a pair runs in the narrowest that holds its longer string.
-_WORD_TYPES = ((16, np.uint16), (32, np.uint32), (_WORD, np.uint64))
+_WORD_TYPES = ((16, np.uint16), (_WORD, np.uint64))
 # Table-index entries per kernel pass, 8 bytes each: a pass takes as many
 # pairs as fit with its longest text, so passes of short texts are long.
 _CHUNK = 1 << 16
@@ -130,9 +129,10 @@ def _indices(side) -> np.ndarray:
             raise ArgumentError(f"surface indices must be integers, not {side.dtype}")
     else:
         side = list(side)
-        bad = first_non_id(side)
-        if bad is not None:
-            raise ArgumentError(f"surface index {side[bad]!r} is not an int")
+        if not {int}.issuperset(map(type, side)):
+            for value in side:
+                if type(value) is not int and not isinstance(value, np.integer):
+                    raise ArgumentError(f"surface index {value!r} is not an int")
     try:
         return np.asarray(side, dtype=np.intp)
     except OverflowError:

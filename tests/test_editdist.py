@@ -225,7 +225,7 @@ def test_index_form_length_mismatch():
 
 def test_reoriented_kernel_matches_dp_in_both_orders():
     # The pattern is the longer side when it fits in a word and the shorter
-    # one otherwise, and a pair runs in 16-, 32- or 64-bit words by its longer
+    # one otherwise, and a pair runs in 16- or 64-bit words by its longer
     # side; every orientation and word size must agree with the plain DP.
     rng = np.random.default_rng(24)
     lengths = (0, 1, 15, 16, 17, 32, 33, 63, 64, 65, 100)
@@ -246,6 +246,14 @@ def test_non_integer_index_rejected(left, right):
     for batch in (editdist.levenshtein_batch, editdist.normalized_batch):
         with pytest.raises(ArgumentError):
             batch(left, right, surfaces)
+
+
+def test_numpy_integer_list_index_accepted():
+    surfaces = [b"kitten", b"sitting"]
+    for left in (list(np.arange(2)), [np.int32(0), 1], [np.uint8(0), np.uint8(1)]):
+        assert editdist.levenshtein_batch(left, [1, 0], surfaces).tolist() == [3, 3]
+    with pytest.raises(ArgumentError):
+        editdist.levenshtein_batch([np.float64(0.0)], [1], surfaces)
 
 
 @pytest.mark.parametrize("a,b", [("kitten", "sitting"), (b"kitten", bytearray(b"sitting")), (None, b"")])
