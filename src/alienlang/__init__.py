@@ -53,7 +53,6 @@ from .errors import (
     TransportError,
     UnknownTokenError,
 )
-from .probe import EndpointConfig, llm_inverse_probe
 from .report import OverlapMatrix, emit_summary, overlap_matrix, read_summary, recovery_ratio
 from .translator import (
     AlienDocument,
@@ -74,3 +73,15 @@ from .vocab import (
     save_vocab,
     write_pretokenized,
 )
+
+# The probe's names load its module, and with it urllib.request, http.client
+# and ssl, on first use: only ``attack probe`` sends requests.
+_PROBE_NAMES = ("EndpointConfig", "llm_inverse_probe")
+
+
+def __getattr__(name: str):
+    if name in _PROBE_NAMES:
+        from . import probe
+
+        return getattr(probe, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -2,10 +2,18 @@
 
 A key is a seeded involutive permutation over the masked subset of non-special
 token IDs.  Construction is greedy: the masked IDs are partitioned into seeded
-buckets; within each bucket every token's top-k cosine neighbors are retrieved
-once, and tokens are traversed in ascending order, each unpaired token pairing
-with its best-scoring still-available neighbor.  Neighborless leftovers are
-paired by a seeded shuffle; an odd leftover becomes a recorded fixed point.
+buckets; within each bucket tokens are traversed in ascending order, each
+unpaired token pairing with its best-scoring still-available neighbor among
+its top-k cosine neighbors.  Neighborless leftovers are paired by a seeded
+shuffle; an odd leftover becomes a recorded fixed point.
+
+Neighbors are retrieved lazily: the walk takes a cell in batches of the next
+members still unpaired, at least ``greedy_batch`` of them and more while a
+batch's similarities fit in ``_BATCH_CELLS``, and retrieves, scores and
+walks each batch before the next one forms.  About half of a cell is taken
+as a partner before its turn and is never retrieved.  A token's neighbors
+depend only on its own similarity row, so the batch size never changes a
+key.
 
 The pair score trades surface opacity against embedding closeness:
 
@@ -24,7 +32,7 @@ import statistics
 import sys
 from dataclasses import asdict, dataclass, fields, replace
 from functools import cached_property
-from itertools import chain
+from itertools import chain, compress, islice
 from pathlib import Path
 from typing import Iterable
 
@@ -44,6 +52,11 @@ EDIT_MODES = ("normalized", "raw")
 # the values a config field of each annotated type accepts; for BuildConfig these
 # are also the JSON types of a key file
 _FIELD_TYPES = {"int": int, "float": (int, float), "str": str}
+
+# Similarity cells per greedy batch: a batch takes at least ``greedy_batch``
+# members and more while they fit.  Chosen by a 2^18-2^21 sweep on the
+# 4,096-token flat build (see CHANGES.md).
+_BATCH_CELLS = 1 << 20
 
 
 def _check_field_types(config) -> None:
@@ -200,50 +213,56 @@ def _greedy_pair_cell(
     config: BuildConfig,
     cell: int,
 ) -> dict[int, int]:
-    """Pair one non-empty bucket cell; returns its mapping fragment."""
+    """Pair one non-empty bucket cell, batch by batch; returns its mapping fragment."""
     m = len(members)
     if m == 1:
         return {members[0]: members[0]}
 
     member_arr = np.asarray(members, dtype=np.int64)
-    nbr_ids, nbr_sims = topk_cosine(
-        store, member_arr, config.k, member_arr, block=config.greedy_batch
-    )
-    width = nbr_ids.shape[1]
-
-    # Score every retrieved candidate pair in one batch; the greedy loop then
-    # only consults precomputed ranks.
-    rows, cols = np.nonzero(nbr_ids >= 0)
     pos_of = np.empty(member_arr[-1] + 1, dtype=np.int64)  # member id -> its position
     pos_of[member_arr] = np.arange(m)
-    nbr_pos = pos_of[nbr_ids[rows, cols]]
-    surfaces = [vocab.token_of(i) for i in members]
-    edits = _edit_terms(surfaces, rows, nbr_pos, config.edit_mode)
-    scores = np.full((m, width), -np.inf, dtype=np.float64)
-    scores[rows, cols] = _pair_scores(edits, nbr_sims[rows, cols], config.mu)
-
-    # Candidate member positions per row, best score first, ties to the lower
-    # token id; -1 marks a missing or non-finite candidate and ends the row.
-    cand_pos = np.full((m, width), -1, dtype=np.int64)
-    cand_pos[rows, cols] = nbr_pos
-    cand_pos[~np.isfinite(scores)] = -1
-    ranked = np.take_along_axis(cand_pos, np.lexsort((nbr_ids, -scores), axis=-1), axis=1)
-    del rows, cols, pos_of, nbr_pos, surfaces, edits, scores, cand_pos, nbr_ids, nbr_sims
-
+    surfaces = editdist.Surfaces([vocab.token_of(i) for i in members])
     mapping: dict[int, int] = {}
     available = [True] * m
-    for r in range(m):  # members are ascending by construction
-        if not available[r]:
-            continue
-        for p in ranked[r].tolist():
-            if p < 0:
-                break
-            if available[p]:
-                i, j = members[r], members[p]
-                mapping[i] = j
-                mapping[j] = i
-                available[r] = available[p] = False
-                break
+    # The list iterator reads each flag as the walk reaches it, so every batch
+    # holds exactly the members that are unpaired when it forms.
+    unpaired = compress(range(m), available)
+    size = max(config.greedy_batch, _BATCH_CELLS // m)
+    while (batch := np.fromiter(islice(unpaired, size), np.int64)).size:
+        # One matmul block per batch: with blocks no larger than a selection
+        # slice, glibc's malloc returned each block's pages and faulted them
+        # in again, about 34K minor faults per 4K-token build.
+        nbr_ids, nbr_sims = topk_cosine(store, member_arr[batch], config.k, member_arr, block=size)
+        width = nbr_ids.shape[1]
+
+        # Score every retrieved candidate pair of the batch at once; the walk
+        # then only consults ranks.
+        rows, cols = np.nonzero(nbr_ids >= 0)
+        nbr_pos = pos_of[nbr_ids[rows, cols]]
+        edits = _edit_terms(surfaces, batch[rows], nbr_pos, config.edit_mode)
+        scores = np.full((batch.size, width), -np.inf, dtype=np.float64)
+        scores[rows, cols] = _pair_scores(edits, nbr_sims[rows, cols], config.mu)
+
+        # Candidate member positions per row, best score first, ties to the
+        # lower token id; -1 marks a missing or non-finite candidate and ends
+        # the row.
+        cand_pos = np.full((batch.size, width), -1, dtype=np.int64)
+        cand_pos[rows, cols] = nbr_pos
+        cand_pos[~np.isfinite(scores)] = -1
+        ranked = np.take_along_axis(cand_pos, np.lexsort((nbr_ids, -scores), axis=-1), axis=1)
+
+        for r, row in zip(batch.tolist(), ranked.tolist()):  # ascending positions
+            if not available[r]:  # taken by an earlier row of this batch
+                continue
+            for p in row:
+                if p < 0:
+                    break
+                if available[p]:
+                    i, j = members[r], members[p]
+                    mapping[i] = j
+                    mapping[j] = i
+                    available[r] = available[p] = False
+                    break
 
     leftovers = [members[r] for r in range(m) if available[r]]
     if leftovers:

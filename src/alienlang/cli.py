@@ -244,7 +244,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--greedy-batch",
         type=int,
-        help="least query rows per top-k retrieval block; never changes the key",
+        help="least rows per greedy batch, each retrieved as one top-k block; never changes the key",
     )
     p.add_argument("--edit-mode", choices=EDIT_MODES)
     p.add_argument("--out", required=True)

@@ -3,10 +3,13 @@
 ``levenshtein_batch`` and ``normalized_batch`` score a batch of pairs, each
 given as two indices into one list of ``surfaces``.  A key build scores
 about k pairs per token but holds one surface per token, so all per-string
-work is done once per surface:
+work is done once per surface, and once per cell: a list of surfaces
+becomes a :class:`Surfaces` on entry, and a caller that scores several
+batches against the same strings passes one ``Surfaces`` to each.  It
+holds, built on first use:
 
-* the bytes of every surface are mapped to a compact code (A is the number
-  of distinct bytes present) and concatenated into one code array;
+* the bytes of every surface as compact codes (A is the number of distinct
+  bytes present), concatenated into one code array;
 * one match-mask table of S × A ``uint64`` words holds, for surface s and
   code c, the bits i < 64 where byte i of s has code c (Myers 1999, J. ACM
   46(3)).  It takes S × A × 8 bytes, at most 2 KB per surface.
@@ -30,6 +33,7 @@ integer array; a surface is ``bytes``.  Anything else raises
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -76,6 +80,8 @@ class _MatchTable:
             rows = rows[lens[rows] > i]
             bit = np.uint64(1) << np.uint64(i)
             self.peq[rows * self.alphabet + self.codes[self.starts[rows] + i]] |= bit
+        # the table in each kernel word type: the low bits hold every pattern
+        self.peq_of = {word: self.peq.astype(word, copy=False) for _, word in _WORD_TYPES}
 
     def distances(self, pat: np.ndarray, txt: np.ndarray, m: np.ndarray, n: np.ndarray, word):
         """Distances for pairs whose pattern has 1 to 64 bytes and text at least 1.
@@ -88,7 +94,7 @@ class _MatchTable:
         pairs still consuming text at step j are a suffix; finished pairs are
         sliced off.
         """
-        peq = self.peq.astype(word, copy=False)  # the low bits hold every pattern
+        peq = self.peq_of[word]
         steps = np.arange(int(n[-1]))
         # look[j, p]: the table entry for text byte j of pair p.  Past a text's
         # end it reads an arbitrary in-range code; that pair has left by then.
@@ -139,19 +145,38 @@ def _indices(side) -> np.ndarray:
         raise IndexError("surface index out of range") from None
 
 
-def _distances(left, right, surfaces: Sequence[bytes]) -> tuple[np.ndarray, np.ndarray]:
+class Surfaces:
+    """A list of byte strings prepared for scoring: their lengths now, and their
+    codes and match-mask table on first use.  A key build prepares a cell's
+    surfaces once and scores each of its batches against them."""
+
+    def __init__(self, surfaces: Sequence[bytes]):
+        if not {bytes}.issuperset(map(type, surfaces)):
+            bad = next(s for s in surfaces if type(s) is not bytes)
+            raise ArgumentError(f"surface {bad!r:.40} is {type(bad).__name__}, not bytes")
+        self.strings = surfaces
+        self.lens = np.fromiter(map(len, surfaces), np.int32, len(surfaces))
+
+    def __len__(self) -> int:
+        return len(self.strings)
+
+    @cached_property
+    def table(self) -> _MatchTable:
+        return _MatchTable(self.strings, self.lens)
+
+
+def _distances(left, right, surfaces) -> tuple[np.ndarray, np.ndarray]:
     """Levenshtein distance and longer length of each pair, both int32."""
     left, right = _indices(left), _indices(right)
     if left.shape != right.shape:
         raise ArgumentError("paired batches must have equal length")
-    if not {bytes}.issuperset(map(type, surfaces)):
-        bad = next(s for s in surfaces if type(s) is not bytes)
-        raise ArgumentError(f"surface {bad!r:.40} is {type(bad).__name__}, not bytes")
+    if not isinstance(surfaces, Surfaces):
+        surfaces = Surfaces(surfaces)
     if left.size and (
         min(left.min(), right.min()) < 0 or max(left.max(), right.max()) >= len(surfaces)
     ):
         raise IndexError("surface index out of range")
-    lens = np.fromiter(map(len, surfaces), np.int32, len(surfaces))
+    lens = surfaces.lens
     # The pattern is a pair's longer surface if it fits in a word, else its
     # shorter one; the text, the other surface, sets the number of steps.
     a, b = lens[left], lens[right]
@@ -165,11 +190,11 @@ def _distances(left, right, surfaces: Sequence[bytes]) -> tuple[np.ndarray, np.n
     m, n = lens[pat], lens[txt]
     out = np.maximum(m, n)  # already final where one side is empty
     for i in np.flatnonzero(m > _WORD).tolist():  # both sides exceed a word
-        out[i] = _dp(surfaces[pat[i]], surfaces[txt[i]])
+        out[i] = _dp(surfaces.strings[pat[i]], surfaces.strings[txt[i]])
     todo = np.flatnonzero((m <= _WORD) & (m > 0) & (n > 0))
     if not todo.size:
         return out, np.maximum(m, n)
-    table = _MatchTable(surfaces, lens)
+    table = surfaces.table
     # Pairs by word type, each type's by text length: passes of similar length
     # step only as often as their longest text.
     todo = todo[np.argsort(n[todo])]
@@ -194,7 +219,7 @@ def _distances(left, right, surfaces: Sequence[bytes]) -> tuple[np.ndarray, np.n
     return out, np.maximum(m, n)
 
 
-def levenshtein_batch(left, right, surfaces: Sequence[bytes]) -> np.ndarray:
+def levenshtein_batch(left, right, surfaces: Sequence[bytes] | Surfaces) -> np.ndarray:
     """Levenshtein distance of each pair ``(surfaces[left[i]], surfaces[right[i]])`` as int32."""
     return _distances(left, right, surfaces)[0]
 
@@ -204,7 +229,7 @@ def levenshtein(a: bytes, b: bytes) -> int:
     return int(levenshtein_batch([0], [1], [a, b])[0])
 
 
-def normalized_batch(left, right, surfaces: Sequence[bytes]) -> np.ndarray:
+def normalized_batch(left, right, surfaces: Sequence[bytes] | Surfaces) -> np.ndarray:
     """Distance divided by the longer length, 0.0 for two empties; pairs as in
     :func:`levenshtein_batch`."""
     dist, longer = _distances(left, right, surfaces)

@@ -6,12 +6,14 @@ small d) exact retrieval is affordable and removes approximation as a
 correctness variable; blocking is purely a memory optimization.
 
 Blocks and selection slices are sized from a budget of 2^18 similarity
-cells: a block holds at least ``block`` query rows (``greedy_batch`` in a
-key build) and a slice at least 64, and either takes more rows while they
-fit in the budget.  A 256-member bucket cell thus takes one matmul and one
-selection, a 4K-token flat build 64-row blocks, and a 32K-token build with
-``greedy_batch=512`` 512-row blocks in 64-row slices.  The block width never
-changes a result.
+cells: a block holds at least ``block`` query rows and a slice at least 64,
+and either takes more rows while they fit in the budget.  A key build
+passes each greedy batch as one block: a 256-member bucket cell takes one
+matmul and one selection, a 4K-token flat build 256-row blocks in 64-row
+slices, and a 32K-token build with ``greedy_batch=512`` 512-row blocks in
+64-row slices.  The block width never changes a result.  Candidate ids may
+come in any iterable form; ids that form one run are read as a view of the
+store's rows, not gathered into a copy.
 
 Selection works on one slice of a similarity block: each query's own
 cell is set to -inf, one ``argpartition`` takes the k + 1 largest values of
@@ -260,16 +262,21 @@ def topk_cosine(
 
     Returns (neighbor_ids, sims) of shape (len(query_ids), k'), where
     k' = min(k, usable candidates).  Each query is excluded from its own
-    neighbor list.  ``block`` is the least number of query rows per matmul
-    block; blocks grow to the cell budget, and results are independent of
-    their width.  A query or candidate id without an embedding row raises
-    :class:`CoverageError`.
+    neighbor list.  ``candidate_ids`` may be any iterable of ids, in any
+    order and with repeats.  ``block`` is the least number of query rows per
+    matmul block; blocks grow to the cell budget, and results are
+    independent of their width.  A query or candidate id without an
+    embedding row raises :class:`CoverageError`.
     """
     if k <= 0:
         raise ArgumentError("k must be a positive integer")
     if not store.normalized:
         raise ArgumentError("topk_cosine requires a normalized store")
-    cand = np.asarray(sorted(set(candidate_ids)), dtype=np.int64)
+    if not isinstance(candidate_ids, (np.ndarray, list, tuple, range)):
+        candidate_ids = list(candidate_ids)  # a set or an iterator
+    cand = np.asarray(candidate_ids, dtype=np.int64)
+    if (cand[1:] <= cand[:-1]).any():
+        cand = np.unique(cand)
     queries = np.asarray(query_ids, dtype=np.int64)
     for what, ids in (("query", queries), ("candidate", cand)):
         outside = ids[(ids < 0) | (ids >= store.n)]
@@ -280,7 +287,10 @@ def topk_cosine(
     out_sims = np.full((queries.size, width), -np.inf, dtype=np.float64)
     if width == 0:
         return out_ids, out_sims
-    cand_rows = store.rows[cand]
+    if cand[-1] - cand[0] == cand.size - 1:  # one run of ids: a view, not a copy
+        cand_rows = store.rows[cand[0] : cand[-1] + 1]
+    else:
+        cand_rows = store.rows[cand]
     fit = _CELL_BUDGET // cand.size
     block = max(1, block, fit)
     select = max(_SELECT_ROWS, fit)

@@ -215,6 +215,13 @@ def reference_frequency_hypotheses(
 def reference_greedy_mapping(
     vocab: Vocabulary, store: EmbeddingStore, config: BuildConfig
 ) -> dict[int, int]:
+    """``build_key``'s mapping, the slow way: see :func:`reference_greedy_walk`."""
+    return reference_greedy_walk(vocab, store, config)[0]
+
+
+def reference_greedy_walk(
+    vocab: Vocabulary, store: EmbeddingStore, config: BuildConfig
+) -> tuple[dict[int, int], dict[int, int]]:
     """``build_key``'s mapping, the slow way: an oracle for the retrieval -> pairing handoff.
 
     Per bucket cell, each masked token's candidates are the first ``k`` of all
@@ -224,6 +231,9 @@ def reference_greedy_mapping(
     candidate (ties to the lower id); leftovers are paired by the same seeded
     shuffle as ``build_key``.  With exact cosines (:func:`axis_store`) float
     summation order cannot matter, so the mappings must be equal.
+
+    Also returns, for each greedily paired token, the token whose turn in
+    the walk paired it (the token itself, or the one that took it).
     """
     mask = select_mask(config.seed, config.rho, vocab.permutable_ids)
     cells: dict[int, list[int]] = {}
@@ -241,6 +251,7 @@ def reference_greedy_mapping(
         return edit - config.mu * (1.0 - cos(i, j))
 
     mapping: dict[int, int] = {}
+    paired_by: dict[int, int] = {}
     for cell, members in sorted(cells.items()):
         available = set(members)
         for i in members:
@@ -251,6 +262,7 @@ def reference_greedy_mapping(
             partner = next((j for j in ranked if j in available), None)
             if partner is not None:
                 mapping[i], mapping[partner] = partner, i
+                paired_by[i] = paired_by[partner] = i
                 available -= {i, partner}
         leftovers = np.asarray([i for i in members if i in available], dtype=np.int64)
         shuffled = derive_rng("fallback", config.seed, cell).permutation(leftovers).tolist()
@@ -259,7 +271,7 @@ def reference_greedy_mapping(
             mapping[fp] = fp
         for a, b in zip(shuffled[0::2], shuffled[1::2]):
             mapping[a], mapping[b] = b, a
-    return mapping
+    return mapping, paired_by
 
 
 def _first_divergence(ids: tuple[int, ...], recheck: tuple[int, ...]) -> int | None:

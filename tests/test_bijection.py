@@ -36,6 +36,7 @@ from helpers import (
     positive_unit_store,
     random_vocab,
     reference_greedy_mapping,
+    reference_greedy_walk,
     unit_store,
     vocab_from,
 )
@@ -301,7 +302,9 @@ class TestBuildKey:
         assert key_a.mapping == key_b.mapping
 
     def test_greedy_batch_width_does_not_change_key(self, monkeypatch):
-        monkeypatch.setattr(embeddings, "_CELL_BUDGET", 0)  # greedy_batch alone sets the width
+        # greedy_batch alone sets the batch and the block width
+        monkeypatch.setattr(bijection, "_BATCH_CELLS", 0)
+        monkeypatch.setattr(embeddings, "_CELL_BUDGET", 0)
         vocab, store = build_instance(10, 70)
         base = build_key(vocab, store, BuildConfig(k=5, seed=3, greedy_batch=1))
         wide = build_key(vocab, store, BuildConfig(k=5, seed=3, greedy_batch=64))
@@ -309,6 +312,7 @@ class TestBuildKey:
 
     @pytest.mark.parametrize("budget", [0, 1 << 18])
     def test_greedy_batch_width_does_not_change_bucketed_key(self, budget, monkeypatch):
+        monkeypatch.setattr(bijection, "_BATCH_CELLS", 0)
         monkeypatch.setattr(embeddings, "_CELL_BUDGET", budget)
         vocab, store = build_instance(12, 120)
         config = BuildConfig(k=30, seed=5, buckets=4)
@@ -369,6 +373,54 @@ class TestReferenceGreedy:
         )
         key = build_key(vocab, store, config)
         assert key.mapping == reference_greedy_mapping(vocab, store, config)
+
+
+class TestLazyGreedy:
+    """The walk retrieves a cell in batches of the members still unpaired.
+
+    With ``_BATCH_CELLS`` patched to 0, ``greedy_batch`` alone sets the batch
+    size, so these small cells take many batches.
+    """
+
+    @pytest.mark.parametrize("buckets", [1, 4])
+    def test_batch_size_does_not_change_mapping(self, buckets, monkeypatch):
+        monkeypatch.setattr(bijection, "_BATCH_CELLS", 0)
+        rng = np.random.default_rng(2600 + buckets)
+        vocab = sparse_vocab(rng, 160, specials=5)
+        store = axis_store(rng, max(vocab.id_to_token) + 1, 6)
+        config = BuildConfig(k=6, seed=9, buckets=buckets)
+        keys = [build_key(vocab, store, replace(config, greedy_batch=b)) for b in (1, 7, 64)]
+        assert keys[0].mapping == keys[1].mapping == keys[2].mapping
+        assert keys[0].mapping == reference_greedy_mapping(vocab, store, config)
+
+    def test_only_unpaired_members_are_retrieved(self, monkeypatch):
+        monkeypatch.setattr(bijection, "_BATCH_CELLS", 0)
+        batches = []
+        topk = bijection.topk_cosine
+
+        def spy(store, query_ids, *args, **kwargs):
+            batches.append(np.asarray(query_ids).tolist())
+            return topk(store, query_ids, *args, **kwargs)
+
+        monkeypatch.setattr(bijection, "topk_cosine", spy)
+        rng = np.random.default_rng(2610)
+        vocab = sparse_vocab(rng, 300, specials=5)
+        store = axis_store(rng, max(vocab.id_to_token) + 1, 16)
+        config = BuildConfig(k=30, seed=2, greedy_batch=7)
+        key = build_key(vocab, store, config)
+        mapping, paired_by = reference_greedy_walk(vocab, store, config)
+        assert key.mapping == mapping
+
+        queried = [i for batch in batches for i in batch]
+        assert queried == sorted(set(queried))  # ascending, none retrieved twice
+        assert [len(b) for b in batches[:-1]] == [7] * (len(batches) - 1)
+        # A batch forms once every turn before its first member has been
+        # walked, so each member was still unpaired then.
+        for batch in batches:
+            assert all(paired_by.get(i, i) >= batch[0] for i in batch)
+        # every member whose turn came while it was unpaired was retrieved
+        assert {i for i in key.mask if paired_by.get(i, i) == i} <= set(queried)
+        assert len(queried) <= 0.65 * len(key.mask)
 
 
 def key_sha256(key, tmp_path) -> str:

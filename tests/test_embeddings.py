@@ -346,6 +346,31 @@ class TestTopkBatched:
         assert np.array_equal(got, want)
 
 
+class TestCandidateForms:
+    """Every form of the same candidate set gives the same retrieval."""
+
+    FORMS = {
+        "list": list,
+        "tuple": tuple,
+        "set": set,
+        "generator": lambda ids: (i for i in ids),
+        "int32": lambda ids: np.asarray(ids, dtype=np.int32),
+        "int64": lambda ids: np.asarray(ids, dtype=np.int64),
+        "unsorted_with_repeats": lambda ids: np.asarray(ids[::-1] + ids[::3], dtype=np.int64),
+    }
+
+    @pytest.mark.parametrize("form", sorted(FORMS))
+    @pytest.mark.parametrize("cands", [list(range(10, 60)), list(range(3, 90, 4))])
+    def test_same_result_for_every_form(self, form, cands):
+        store = unit_store(np.random.default_rng(31), 90, 5)
+        queries = [12, 3, 59, 40, 80]
+        want = topk_cosine(store, queries, 6, range(cands[0], cands[-1] + 1, cands[1] - cands[0]))
+        got = topk_cosine(store, queries, 6, self.FORMS[form](cands))
+        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+        for r, q in enumerate(queries):
+            assert got[0][r].tolist() == oracle_knn(store, q, 6, cands)
+
+
 class TestExactTies:
     @pytest.mark.parametrize("block", range(1, 10))
     def test_topk_matches_oracle_on_tied_rows(self, block, monkeypatch):

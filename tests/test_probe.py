@@ -257,6 +257,21 @@ class TestProbe:
         assert len(stub_server.requests) == 1
 
 
+def test_package_import_leaves_http_stack_unloaded():
+    code = (
+        "import sys, alienlang\n"
+        "print(sorted(m for m in ('ssl', 'http.client', 'urllib.request') if m in sys.modules))\n"
+        "alienlang.EndpointConfig\n"
+        "print('ssl' in sys.modules)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(alienlang.__file__).parents[1])}
+    result = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "[]\nTrue\n"
+
+
 class TestEndpointConfig:
     @pytest.mark.parametrize(
         "field, value",
