@@ -54,8 +54,11 @@ EDIT_MODES = ("normalized", "raw")
 _FIELD_TYPES = {"int": int, "float": (int, float), "str": str}
 
 # Similarity cells per greedy batch: a batch takes at least ``greedy_batch``
-# members and more while they fit.  Chosen by a 2^18-2^21 sweep on the
-# 4,096-token flat build (see CHANGES.md).
+# members and more while they fit, and is retrieved in one matmul.  Chosen by
+# a 2^18-2^21 sweep on the 4,096-token flat build (see CHANGES.md).  With
+# matmuls no larger than a selection slice, glibc's malloc returned each
+# one's pages and faulted them in again, about 34K minor faults per
+# 4K-token build.
 _BATCH_CELLS = 1 << 20
 
 
@@ -179,6 +182,7 @@ def pair_score(
     edit_mode: str = "normalized",
 ) -> float:
     """Score candidate pair (i, j); symmetric, defined for distinct non-specials."""
+    _check_ids([i, j], ArgumentError)
     if i == j:
         raise ArgumentError("pair_score requires two distinct tokens")
     if i in vocab.specials or j in vocab.specials:
@@ -229,10 +233,7 @@ def _greedy_pair_cell(
     unpaired = compress(range(m), available)
     size = max(config.greedy_batch, _BATCH_CELLS // m)
     while (batch := np.fromiter(islice(unpaired, size), np.int64)).size:
-        # One matmul block per batch: with blocks no larger than a selection
-        # slice, glibc's malloc returned each block's pages and faulted them
-        # in again, about 34K minor faults per 4K-token build.
-        nbr_ids, nbr_sims = topk_cosine(store, member_arr[batch], config.k, member_arr, block=size)
+        nbr_ids, nbr_sims = topk_cosine(store, member_arr[batch], config.k, member_arr)
         width = nbr_ids.shape[1]
 
         # Score every retrieved candidate pair of the batch at once; the walk
@@ -243,13 +244,14 @@ def _greedy_pair_cell(
         scores = np.full((batch.size, width), -np.inf, dtype=np.float64)
         scores[rows, cols] = _pair_scores(edits, nbr_sims[rows, cols], config.mu)
 
-        # Candidate member positions per row, best score first, ties to the
-        # lower token id; -1 marks a missing or non-finite candidate and ends
-        # the row.
+        # Candidate member positions per row, best score first; a row's
+        # neighbours come in id order, so the stable sort sends ties to the
+        # lower token id.  -1 marks a missing or non-finite candidate and
+        # ends the row.
         cand_pos = np.full((batch.size, width), -1, dtype=np.int64)
         cand_pos[rows, cols] = nbr_pos
         cand_pos[~np.isfinite(scores)] = -1
-        ranked = np.take_along_axis(cand_pos, np.lexsort((nbr_ids, -scores), axis=-1), axis=1)
+        ranked = np.take_along_axis(cand_pos, np.argsort(-scores, axis=1, kind="stable"), axis=1)
 
         for r, row in zip(batch.tolist(), ranked.tolist()):  # ascending positions
             if not available[r]:  # taken by an earlier row of this batch
@@ -294,9 +296,9 @@ def build_key(
         raise ArgumentError("build_key requires a normalized store")
     permutable = vocab.permutable_ids
     mask = select_mask(config.seed, config.rho, permutable)
-    missing = [i for i in mask if i >= store.n]
-    if missing:
-        raise CoverageError(f"embedding row missing for masked id(s) {sorted(missing)[:5]}")
+    if mask and max(mask) >= store.n:
+        missing = sorted(i for i in mask if i >= store.n)
+        raise CoverageError(f"embedding row missing for masked id(s) {missing[:5]}")
 
     cells: dict[int, list[int]] = {}
     ids = sorted(mask)

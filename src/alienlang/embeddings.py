@@ -1,29 +1,26 @@
 """Token embedding stores: loading, normalization, proxy synthesis, exact top-k.
 
-Retrieval is exact top-k cosine via blocked dense inner products.  At the
+Retrieval is exact top-k cosine via dense inner products.  At the
 vocabulary scales this toolkit targets (up to a few hundred thousand rows,
 small d) exact retrieval is affordable and removes approximation as a
-correctness variable; blocking is purely a memory optimization.
+correctness variable.
 
-Blocks and selection slices are sized from a budget of 2^18 similarity
-cells: a block holds at least ``block`` query rows and a slice at least 64,
-and either takes more rows while they fit in the budget.  A key build
-passes each greedy batch as one block: a 256-member bucket cell takes one
-matmul and one selection, a 4K-token flat build 256-row blocks in 64-row
-slices, and a 32K-token build with ``greedy_batch=512`` 512-row blocks in
-64-row slices.  The block width never changes a result.  Candidate ids may
-come in any iterable form; ids that form one run are read as a view of the
-store's rows, not gathered into a copy.
+``topk_cosine`` computes one matmul over its queries and selects in slices
+of at least 64 rows, more while a slice fits in 2^18 similarity cells: a
+256-member bucket cell takes one selection, and 4,096 or 32K candidates
+take 64-row slices.  A key build bounds the matmul by passing each greedy
+batch as one call.  Candidate ids may come in any iterable form; ids that
+form one run are read as a view of the store's rows, not gathered into a
+copy.
 
-Selection works on one slice of a similarity block: each query's own
-cell is set to -inf, one ``argpartition`` takes the k + 1 largest values of
-every row, and that small set is put in id order and stably sorted by
-descending cosine.  Its first k entries are the answer unless its k-th and
-(k + 1)-th values are equal: then ties may lie outside the set, and only
-that row is re-chosen from its full row, keeping the lowest-id ties.  Every
-row thus follows the (-cosine, ascending id) order of an exhaustive sort
-whatever the block width, and no step reads a whole row a second time
-except in a repaired row.
+Each row's answer is a set, returned in ascending id order, not by cosine:
+its query's own cell is set to -inf, and one ``argpartition`` puts the
+(k + 1)-th largest value before the k largest.  Those k are the answer
+unless the least of them equals the (k + 1)-th: then ties may lie outside
+the set, and only that row is re-chosen from its full row, keeping the
+lowest-id ties.  Every row thus holds the first k of an exhaustive
+(-cosine, ascending id) sort, and no step sorts by value or reads a whole
+row a second time except in a repaired row.
 """
 
 from __future__ import annotations
@@ -50,8 +47,8 @@ _NORM_TOL = 1e-5
 _NUMBER = rf"[+-]?{DIGIT}+(?:\.{DIGIT}+)?(?:[eE][+-]?{DIGIT}+)?"
 _HEADER = re.compile(rf"\s*{DIGIT}+\s+{DIGIT}+\s*", re.ASCII)
 _ROW = re.compile(rf"\s*(?:{DIGIT}+(?:\s+{_NUMBER})*)?\s*", re.ASCII)
-# Similarity cells a matmul block or a selection slice takes beyond its least
-# rows; each selection holds int64 index arrays as large as its slice.
+# Similarity cells a selection slice takes beyond its least rows; each
+# selection holds int64 index arrays as large as its slice.
 _CELL_BUDGET = 1 << 18
 # The least query rows per top-k selection.
 _SELECT_ROWS = 64
@@ -197,56 +194,47 @@ def derive_proxy_store(
     target_vocab: Vocabulary, proxy_vocab: Vocabulary, proxy_store: EmbeddingStore
 ) -> EmbeddingStore:
     """Proxy-derived store covering every target token id (rows 0..max_id)."""
-    max_id = max(target_vocab.id_to_token)
+    max_id = max(target_vocab.id_to_token, default=-1)  # an empty vocabulary: no rows
     rows = np.zeros((max_id + 1, proxy_store.d), dtype=np.float64)
     for tid, tok in target_vocab.id_to_token.items():
         rows[tid] = proxy_embed(tok, proxy_vocab, proxy_store)
     return EmbeddingStore(rows=rows)
 
 
-def _by_descending_value(sims: np.ndarray, cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Each row's ``cols`` and their values, by descending value; ties keep column order."""
-    vals = np.take_along_axis(sims, cols, axis=1)
-    order = np.argsort(-vals, axis=1, kind="stable")
-    return np.take_along_axis(cols, order, axis=1), np.take_along_axis(vals, order, axis=1)
-
-
 def _topk_rows(
     sims: np.ndarray, query_ids: np.ndarray, cand_ids: np.ndarray, width: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Exact top-``width`` of every row of a similarity block, (-sim, id) order.
+    """Exact top-``width`` set of every row of ``sims``, in ascending id order.
 
     ``sims`` has one row per query and one column per ascending candidate id;
     it is modified in place (each query's own cell becomes -inf).  One
-    ``argpartition`` takes the width + 1 largest values of each row, and only
-    that small set is sorted.  Where its width-th and (width + 1)-th values
-    differ, its first ``width`` entries are the answer.  Where they are equal,
+    ``argpartition`` puts each row's (width + 1)-th largest value just before
+    its ``width`` largest.  Where the least of those equals the (width + 1)-th,
     the partition may have kept a higher id than a tie it left out, so that
     row is re-chosen from all its values, ties at the cut going to the lowest
-    ids as in an exhaustive sort.  Slots left holding -inf (the query itself,
-    when width covers every candidate) come back as id -1.
+    ids as in an exhaustive (-sim, id) sort.  Slots left holding -inf (the
+    query itself, when width covers every candidate) come back as id -1.
     """
     rows, m = sims.shape
     pos = np.searchsorted(cand_ids, query_ids)
     hit = np.flatnonzero(cand_ids[np.minimum(pos, m - 1)] == query_ids)
     sims[hit, pos[hit]] = -np.inf
     if width < m:
-        top = np.argpartition(sims, m - width - 1, axis=1)[:, m - width - 1 :]
-        top.sort(axis=1)  # position order is id order
-    else:
-        top = np.broadcast_to(np.arange(m), (rows, m))
-    chosen, vals = _by_descending_value(sims, top)
-    if width < m:
-        cut = np.flatnonzero(vals[:, width - 1] == vals[:, width])
-        chosen, vals = chosen[:, :width], vals[:, :width]
+        part = np.argpartition(sims, m - width - 1, axis=1)
+        nxt = np.take_along_axis(sims, part[:, m - width - 1 : m - width], axis=1)
+        top = np.sort(part[:, m - width :], axis=1)  # position order is id order
+        vals = np.take_along_axis(sims, top, axis=1)
+        cut = np.flatnonzero(vals.min(axis=1) == nxt[:, 0])
         if cut.size:
-            s, t = sims[cut], vals[cut, width - 1 :]
+            s, t = sims[cut], nxt[cut]
             tied = s == t
             need = width - (s > t).sum(axis=1, keepdims=True)
             keep = (s > t) | (tied & (np.cumsum(tied, axis=1) <= need))
-            cols = np.nonzero(keep)[1].reshape(cut.size, width)
-            chosen[cut], vals[cut] = _by_descending_value(s, cols)
-    ids = cand_ids[chosen]
+            top[cut] = np.nonzero(keep)[1].reshape(cut.size, width)
+            vals[cut] = s[keep].reshape(cut.size, width)
+        ids = cand_ids[top]
+    else:  # every candidate
+        ids, vals = np.tile(cand_ids, (rows, 1)), sims
     ids[vals == -np.inf] = -1
     return ids, vals
 
@@ -256,17 +244,16 @@ def topk_cosine(
     query_ids: Sequence[int],
     k: int,
     candidate_ids: Iterable[int],
-    block: int = 512,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Batched exact top-k over a shared candidate set.
 
     Returns (neighbor_ids, sims) of shape (len(query_ids), k'), where
-    k' = min(k, usable candidates).  Each query is excluded from its own
-    neighbor list.  ``candidate_ids`` may be any iterable of ids, in any
-    order and with repeats.  ``block`` is the least number of query rows per
-    matmul block; blocks grow to the cell budget, and results are
-    independent of their width.  A query or candidate id without an
-    embedding row raises :class:`CoverageError`.
+    k' = min(k, usable candidates).  Each row holds its query's exact top-k'
+    set under the (-cosine, id) order, in ascending id order, not by cosine;
+    the query itself is excluded, and a slot it leaves empty holds id -1 and
+    -inf.  ``candidate_ids`` may be any iterable of ids, in any order and
+    with repeats.  A query or candidate id without an embedding row raises
+    :class:`CoverageError`.
     """
     if k <= 0:
         raise ArgumentError("k must be a positive integer")
@@ -291,17 +278,10 @@ def topk_cosine(
         cand_rows = store.rows[cand[0] : cand[-1] + 1]
     else:
         cand_rows = store.rows[cand]
-    fit = _CELL_BUDGET // cand.size
-    block = max(1, block, fit)
-    select = max(_SELECT_ROWS, fit)
-    for start in range(0, queries.size, block):
-        stop = min(start + block, queries.size)
-        sims_block = store.rows[queries[start:stop]] @ cand_rows.T
-        # Rows select independently; slicing caps the selection's index arrays.
-        for lo in range(start, stop, select):
-            hi = min(lo + select, stop)
-            out_ids[lo:hi], out_sims[lo:hi] = _topk_rows(
-                sims_block[lo - start : hi - start], queries[lo:hi], cand, width
-            )
-        del sims_block  # free this block before the next one is computed
+    sims = store.rows[queries] @ cand_rows.T
+    # Rows select independently; slicing caps the selection's index arrays.
+    select = max(_SELECT_ROWS, _CELL_BUDGET // cand.size)
+    for lo in range(0, queries.size, select):
+        hi = lo + select
+        out_ids[lo:hi], out_sims[lo:hi] = _topk_rows(sims[lo:hi], queries[lo:hi], cand, width)
     return out_ids, out_sims

@@ -86,6 +86,12 @@ class TestPairScore:
         with pytest.raises(ArgumentError):
             pair_score(3, 3, vocab, store)
 
+    @pytest.mark.parametrize("i, j", [(True, 3), (3, True), (1, 2.0), (np.int64(1), 2)])
+    def test_non_id_rejected(self, i, j):
+        vocab, store = table8_fixture()
+        with pytest.raises(ArgumentError, match="is not an int"):
+            pair_score(i, j, vocab, store)
+
     def test_special_rejected(self):
         vocab = vocab_from([b"a", b"b", b"<s>"], specials=[b"<s>"])
         store = unit_store(np.random.default_rng(0), 3, 4)

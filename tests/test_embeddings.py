@@ -7,6 +7,7 @@ from alienlang import (
     DegenerateInputError,
     EmbeddingStore,
     FormatError,
+    Vocabulary,
     derive_proxy_store,
     load_embeddings,
     normalize,
@@ -218,15 +219,22 @@ class TestProxyEmbed:
         assert np.allclose(derived.rows[0], [0.5, 0.5])
         assert np.allclose(derived.rows[1], [1.0, 0.0])
 
+    def test_derive_proxy_store_of_empty_vocabulary_has_no_rows(self):
+        proxy_vocab = vocab_from([b"ab", b"cd"])
+        store = EmbeddingStore(rows=np.array([[1.0, 0.0], [0.0, 1.0]]))
+        derived = derive_proxy_store(Vocabulary.from_entries([]), proxy_vocab, store)
+        assert derived.rows.shape == (0, 2)
+
 
 def nearest(store, query_id, k, candidates):
     """One query's neighbours from a one-row topk_cosine call, empty slots dropped."""
-    ids, _ = topk_cosine(store, [query_id], k, candidates)
+    ids, sims = topk_cosine(store, [query_id], k, candidates)
+    assert np.all(sims[ids < 0] == -np.inf)
     return [i for i in ids[0].tolist() if i >= 0]
 
 
 def oracle_knn(store, query_id, k, candidates):
-    """Exhaustive sort by (-cosine, id)."""
+    """The first k of an exhaustive sort by (-cosine, id), as a set in id order."""
     scored = []
     q = store.rows[query_id]
     for cid in sorted(set(candidates)):
@@ -234,7 +242,16 @@ def oracle_knn(store, query_id, k, candidates):
             continue
         scored.append((-float(np.dot(q, store.rows[cid])), cid))
     scored.sort()
-    return [cid for _, cid in scored[:k]]
+    return sorted(cid for _, cid in scored[:k])
+
+
+def assert_oracle_rows(store, queries, k, candidates, ids, sims):
+    """Each row of a topk_cosine result, -1 slots dropped, is the oracle's set,
+    and each -1 slot holds -inf."""
+    assert ids.shape == sims.shape == (len(queries), min(k, len(set(candidates))))
+    for r, qid in enumerate(queries):
+        assert [i for i in ids[r].tolist() if i >= 0] == oracle_knn(store, qid, k, candidates)
+        assert np.all(sims[r][ids[r] < 0] == -np.inf)
 
 
 class TestKnn:
@@ -271,14 +288,6 @@ class TestKnn:
             for k in (1, 5, n):
                 assert nearest(store, qid, k, cands) == oracle_knn(store, qid, k, cands)
 
-    def test_descending_cosine_invariant(self):
-        rng = np.random.default_rng(17)
-        store = unit_store(rng, 64, 5)
-        q = store.rows[3]
-        result = nearest(store, 3, 20, range(64))
-        sims = [float(np.dot(q, store.rows[i])) for i in result]
-        assert all(a >= b for a, b in zip(sims, sims[1:]))
-
 
 class TestIdRange:
     @pytest.mark.parametrize(
@@ -293,42 +302,17 @@ class TestIdRange:
             nearest(store, query, 2, candidates)
 
 
-def exact_blocks(monkeypatch):
-    """Make ``block`` the exact block width: no cell budget widens it."""
-    monkeypatch.setattr(embeddings, "_CELL_BUDGET", 0)
-
-
 class TestTopkBatched:
-    def test_matches_single_query_path(self, monkeypatch):
-        exact_blocks(monkeypatch)
-        rng = np.random.default_rng(4)
-        store = unit_store(rng, 80, 6)
-        cands = list(range(80))
-        ids, sims = topk_cosine(store, cands, 7, cands, block=13)
-        for r, qid in enumerate(cands):
-            expected = oracle_knn(store, qid, 7, cands)
-            got = [i for i in ids[r].tolist() if i >= 0]
-            assert got == expected
-
-    def test_block_width_does_not_matter(self, monkeypatch):
-        exact_blocks(monkeypatch)
-        rng = np.random.default_rng(8)
-        store = unit_store(rng, 50, 4)
-        cands = list(range(50))
-        a, _ = topk_cosine(store, cands, 5, cands, block=1)
-        b, _ = topk_cosine(store, cands, 5, cands, block=50)
-        assert np.array_equal(a, b)
-
     @pytest.mark.parametrize(
-        "cands,queries,block,slices",
+        "cands,queries,slices",
         [
-            (256, 256, 50, [256]),  # a bucket cell: one matmul, one selection
-            (4096, 200, 50, [64, 64, 64, 8]),  # a flat build: the budget sets 64 rows
-            (4096, 200, 100, [64, 36, 64, 36]),  # ``block`` is the floor of a block
-            (300, 1000, 1, [873, 127]),  # a slice grows with its block
+            (256, 256, [256]),  # a bucket cell: one selection
+            (4096, 200, [64, 64, 64, 8]),  # a flat build: the budget sets 64 rows
+            (8192, 200, [64, 64, 64, 8]),  # 64 rows is the floor of a slice
+            (300, 1000, [873, 127]),  # a narrow row set takes wider slices
         ],
     )
-    def test_cell_budget_sizes_blocks_and_slices(self, cands, queries, block, slices, monkeypatch):
+    def test_cell_budget_sizes_slices(self, cands, queries, slices, monkeypatch):
         seen = []
         topk_rows = embeddings._topk_rows
 
@@ -339,10 +323,11 @@ class TestTopkBatched:
         monkeypatch.setattr(embeddings, "_topk_rows", spy)
         store = unit_store(np.random.default_rng(cands), cands, 4)
         ids = np.arange(queries) % cands
-        got, _ = topk_cosine(store, ids, 5, range(cands), block=block)
+        got, _ = topk_cosine(store, ids, 5, range(cands))
         assert seen == slices
-        exact_blocks(monkeypatch)
-        want, _ = topk_cosine(store, ids, 5, range(cands), block=1)
+        monkeypatch.setattr(embeddings, "_CELL_BUDGET", 0)
+        monkeypatch.setattr(embeddings, "_SELECT_ROWS", 1)
+        want, _ = topk_cosine(store, ids, 5, range(cands))
         assert np.array_equal(got, want)
 
 
@@ -367,15 +352,15 @@ class TestCandidateForms:
         want = topk_cosine(store, queries, 6, range(cands[0], cands[-1] + 1, cands[1] - cands[0]))
         got = topk_cosine(store, queries, 6, self.FORMS[form](cands))
         assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
-        for r, q in enumerate(queries):
-            assert got[0][r].tolist() == oracle_knn(store, q, 6, cands)
+        assert_oracle_rows(store, queries, 6, cands, *got)
 
 
 class TestExactTies:
-    @pytest.mark.parametrize("block", range(1, 10))
-    def test_topk_matches_oracle_on_tied_rows(self, block, monkeypatch):
-        exact_blocks(monkeypatch)
-        rng = np.random.default_rng(900 + block)
+    @pytest.mark.parametrize("select", range(1, 10))
+    def test_topk_matches_oracle_on_tied_rows(self, select, monkeypatch):
+        monkeypatch.setattr(embeddings, "_CELL_BUDGET", 0)
+        monkeypatch.setattr(embeddings, "_SELECT_ROWS", select)
+        rng = np.random.default_rng(900 + select)
         for _ in range(12):
             n = int(rng.integers(2, 40))
             store = axis_store(rng, n, int(rng.integers(1, 5)))
@@ -384,15 +369,13 @@ class TestExactTies:
             # queries include ids outside the candidate set, and repeats
             queries = [int(q) for q in rng.integers(0, n, size=int(rng.integers(1, n + 1)))]
             for k in {1, int(rng.integers(1, len(cands) + 1)), len(cands), len(cands) + 3}:
-                ids, sims = topk_cosine(store, queries, k, cands, block=block)
-                assert ids.shape == (len(queries), min(k, len(cands)))
+                ids, sims = topk_cosine(store, queries, k, cands)
+                assert_oracle_rows(store, queries, k, cands, ids, sims)
                 for r, qid in enumerate(queries):
-                    expected = oracle_knn(store, qid, k, cands)
-                    assert ids[r].tolist() == expected + [-1] * (ids.shape[1] - len(expected))
-                    assert sims[r, : len(expected)].tolist() == [
-                        float(store.rows[qid] @ store.rows[j]) for j in expected
+                    found = ids[r] >= 0
+                    assert sims[r][found].tolist() == [
+                        float(store.rows[qid] @ store.rows[j]) for j in ids[r][found]
                     ]
-                    assert np.all(sims[r, len(expected) :] == -np.inf)
 
     def test_knn_matches_oracle_on_tied_rows(self):
         rng = np.random.default_rng(77)
@@ -417,7 +400,7 @@ class TestExactTies:
         zeros = [i for i in range(5, 41) if i not in (20, 33)]
         for k in range(1, 41):
             ids, _ = topk_cosine(store, [0], k, range(41))
-            assert ids[0].tolist() == ([20, 33] + zeros + [1, 2, 3, 4])[:k]
+            assert ids[0].tolist() == sorted(([20, 33] + zeros + [1, 2, 3, 4])[:k])
             assert ids[0].tolist() == oracle_knn(store, 0, k, range(41))
 
     def test_cut_straddles_a_tie(self):
@@ -428,5 +411,5 @@ class TestExactTies:
         ids, sims = topk_cosine(store, [0], 2, range(7))
         assert ids.tolist() == [[2, 4]] and sims.tolist() == [[1.0, 1.0]]
         ids, _ = topk_cosine(store, [0], 5, range(7))
-        assert ids.tolist() == [[2, 4, 6, 1, 3]]
-        assert nearest(store, 0, 4, range(7)) == [2, 4, 6, 1]
+        assert ids.tolist() == [[1, 2, 3, 4, 6]]
+        assert nearest(store, 0, 4, range(7)) == [1, 2, 4, 6]
