@@ -24,13 +24,13 @@ import reprlib
 from collections import Counter
 from dataclasses import asdict, dataclass, field
 from itertools import chain
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .embeddings import EmbeddingStore
+from .embeddings import EmbeddingStore, id_array
 from .errors import ArgumentError, CoverageError, FormatError
-from .vocab import TokenSequence, first_non_id
+from .vocab import TokenSequence, check_count, first_non_id
 
 
 # Rows per dense scoring block in ngram_hypotheses.
@@ -132,14 +132,6 @@ def _pair_sides(pairs) -> tuple[list, list]:
     return firsts, seconds
 
 
-def _check_count(name: str, value, least: int) -> None:
-    """Raise ArgumentError unless ``value`` is an int, not a bool, and at least ``least``."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ArgumentError(f"{name} must be int, not {type(value).__name__}")
-    if value < least:
-        raise ArgumentError(f"{name} must be >= {least}")
-
-
 def _rank_by_frequency(ids: np.ndarray) -> np.ndarray:
     """Distinct ids ranked by descending frequency, ties by ascending id."""
     values, counts = np.unique(ids, return_counts=True)
@@ -157,7 +149,7 @@ def frequency_hypotheses(
     reference = _corpus(reference_corpus)[0]
     if not alien.size or not reference.size:
         raise ArgumentError("corpora must be non-empty")
-    _check_count("top_m", top_m, 1)
+    check_count("top_m", top_m, 1)
     alien_ranks = _rank_by_frequency(alien)[:top_m]
     ref_ranks = _rank_by_frequency(reference)[: alien_ranks.size]
     return list(zip(alien_ranks.tolist(), ref_ranks.tolist()))
@@ -235,7 +227,7 @@ def ngram_hypotheses(
     entries, 24 bytes each, so a block's extra memory stays within a few
     dense blocks however dense the corpus.  Pure inference: no key involved.
     """
-    _check_count("n-gram order", n, 2)
+    check_count("n-gram order", n, 2)
 
     plain_sides, alien_sides = _pair_sides(leaked_pairs)
     leaked_plain, plain_lengths = _sequences(plain_sides)
@@ -364,11 +356,15 @@ def ngram_attack(
     )
 
 
-def nn_hypotheses(store: EmbeddingStore, masked: Sequence[int]) -> dict[int, int]:
-    """O3 inference: each masked token's top-1 cosine neighbor within the mask."""
+def nn_hypotheses(store: EmbeddingStore, masked: Iterable[int]) -> dict[int, int]:
+    """O3 inference: each masked token's top-1 cosine neighbor within the mask.
+
+    ``masked`` is any iterable of token ids, such as a ``range`` or a set, or
+    a 1-D integer array (:func:`~alienlang.embeddings.id_array`).
+    """
     if not store.normalized:
         raise ArgumentError("nn attack requires a normalized store")
-    ids = np.asarray(sorted(set(masked)), dtype=np.int64)
+    ids = np.unique(id_array(masked, "mask"))
     if ids.size and (ids[0] < 0 or ids[-1] >= store.n):
         raise CoverageError("mask contains ids without embedding rows")
     guesses: dict[int, int] = {}

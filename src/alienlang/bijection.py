@@ -234,22 +234,19 @@ def _greedy_pair_cell(
     size = max(config.greedy_batch, _BATCH_CELLS // m)
     while (batch := np.fromiter(islice(unpaired, size), np.int64)).size:
         nbr_ids, nbr_sims = topk_cosine(store, member_arr[batch], config.k, member_arr)
-        width = nbr_ids.shape[1]
+        # Candidate member positions per row, -1 for a missing candidate.
+        cand_pos = np.where(nbr_ids >= 0, pos_of[nbr_ids], -1)
 
         # Score every retrieved candidate pair of the batch at once; the walk
         # then only consults ranks.
-        rows, cols = np.nonzero(nbr_ids >= 0)
-        nbr_pos = pos_of[nbr_ids[rows, cols]]
-        edits = _edit_terms(surfaces, batch[rows], nbr_pos, config.edit_mode)
-        scores = np.full((batch.size, width), -np.inf, dtype=np.float64)
+        rows, cols = np.nonzero(cand_pos >= 0)
+        edits = _edit_terms(surfaces, batch[rows], cand_pos[rows, cols], config.edit_mode)
+        scores = np.full(cand_pos.shape, -np.inf)
         scores[rows, cols] = _pair_scores(edits, nbr_sims[rows, cols], config.mu)
 
-        # Candidate member positions per row, best score first; a row's
-        # neighbours come in id order, so the stable sort sends ties to the
-        # lower token id.  -1 marks a missing or non-finite candidate and
-        # ends the row.
-        cand_pos = np.full((batch.size, width), -1, dtype=np.int64)
-        cand_pos[rows, cols] = nbr_pos
+        # Best score first; a row's neighbours come in id order, so the stable
+        # sort sends ties to the lower token id.  -1 marks a missing or
+        # non-finite candidate and ends the row.
         cand_pos[~np.isfinite(scores)] = -1
         ranked = np.take_along_axis(cand_pos, np.argsort(-scores, axis=1, kind="stable"), axis=1)
 

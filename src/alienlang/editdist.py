@@ -14,17 +14,18 @@ holds, built on first use:
   code c, the bits i < 64 where byte i of s has code c (Myers 1999, J. ACM
   46(3)).  It takes S × A × 8 bytes, at most 2 KB per surface.
 
-Myers' bit-vector algorithm in its edit-distance form (Hyyrö 2003) then runs
-on a pass of pairs at once.  Each pair keeps one word of state whose bits
-stand for the bytes of its pattern, and one numpy step consumes one byte of
-every pair's text: a single gather from the table gives the match bits.
-Levenshtein distance is symmetric, so the pattern is a pair's longer string
-whenever that fits in 64 bits, and a pair costs one step per byte of its
-shorter string.  Where only the shorter string fits, it is the pattern and
-the longer one the text.  Pairs whose strings both exceed 64 bytes take the
-plain two-row DP.  A pair whose longer string fits in 16 bits runs in
-``uint16`` words, so each step moves a quarter of the bytes.  The scalar
-entry points are batches of one.
+Myers' bit-vector algorithm in its edit-distance form (Hyyrö 2003),
+:meth:`Surfaces.distances`, then runs on a pass of pairs at once.  Each pair
+keeps one word of state whose bits stand for the bytes of its pattern, and
+one numpy step consumes one byte of every pair's text: a single gather from
+the table gives the match bits.  Levenshtein distance is symmetric, so the
+pattern is a pair's longer string whenever that fits in 64 bits, and a pair
+costs one step per byte of its shorter string.  Where only the shorter
+string fits, it is the pattern and the longer one the text.  Pairs whose
+strings both exceed 64 bytes take the plain two-row DP.  Pairs run in two
+lanes, each ordered by text length: a longer string of at most 16 bytes in
+``uint16`` words, so each step moves a quarter of the bytes, any other in
+``uint64``.  The scalar entry points are batches of one.
 
 An index is an int that is not a bool, a numpy integer, or an element of an
 integer array; a surface is ``bytes``.  Anything else raises
@@ -40,11 +41,12 @@ import numpy as np
 
 from .errors import ArgumentError
 
-BACKEND = "numpy"  # there is one lane; kept for callers that record it
+BACKEND = "numpy"  # the only backend; kept for callers that record it
 
 _WORD = 64
-# Kernel word types; a pair runs in the narrowest that holds its longer string.
-_WORD_TYPES = ((16, np.uint16), (_WORD, np.uint64))
+# A pair whose longer string has at most this many bytes runs in the narrow
+# lane, in uint16 words; every other pair runs in uint64 words.
+_NARROW = 16
 # Table-index entries per kernel pass, 8 bytes each: a pass takes as many
 # pairs as fit with its longest text, so passes of short texts are long.
 _CHUNK = 1 << 16
@@ -61,27 +63,40 @@ def _dp(a: bytes, b: bytes) -> int:
     return prev[-1]
 
 
-class _MatchTable:
-    """Every surface's bytes as compact codes, and the match-mask table."""
+class Surfaces:
+    """A list of byte strings prepared for scoring: their lengths now, and their
+    codes and match-mask table on first use.  A key build prepares a cell's
+    surfaces once and scores each of its batches against them."""
 
-    def __init__(self, surfaces: Sequence[bytes], lens: np.ndarray):
-        flat = np.frombuffer(b"".join(surfaces), np.uint8)
+    def __init__(self, surfaces: Sequence[bytes]):
+        if not {bytes}.issuperset(map(type, surfaces)):
+            bad = next(s for s in surfaces if type(s) is not bytes)
+            raise ArgumentError(f"surface {bad!r:.40} is {type(bad).__name__}, not bytes")
+        self.strings = surfaces
+        self.lens = np.fromiter(map(len, surfaces), np.int32, len(surfaces))
+
+    def __len__(self) -> int:
+        return len(self.strings)
+
+    @cached_property
+    def _table(self) -> tuple[np.ndarray, np.ndarray, int, dict]:
+        """The surfaces' bytes as compact codes, each surface's start in them,
+        the alphabet size A, and the match-mask table in each lane's word type."""
+        lens = self.lens
+        flat = np.frombuffer(b"".join(self.strings), np.uint8)
         present = np.flatnonzero(np.bincount(flat, minlength=256))
         code = np.zeros(256, np.uint8)
         code[present] = np.arange(present.size)
-        self.alphabet = present.size
-        self.codes = code[flat]
-        self.starts = np.cumsum(lens) - lens
+        codes, starts, alphabet = code[flat], np.cumsum(lens) - lens, present.size
         # peq[s * A + c] has bit i set where byte i of surface s has code c.
         # Only surfaces of at most 64 bytes can be a pattern.
-        self.peq = np.zeros(len(surfaces) * self.alphabet, np.uint64)
+        peq = np.zeros(len(lens) * alphabet, np.uint64)
         rows = np.flatnonzero((lens > 0) & (lens <= _WORD))
         for i in range(int(lens[rows].max(initial=0))):
             rows = rows[lens[rows] > i]
-            bit = np.uint64(1) << np.uint64(i)
-            self.peq[rows * self.alphabet + self.codes[self.starts[rows] + i]] |= bit
-        # the table in each kernel word type: the low bits hold every pattern
-        self.peq_of = {word: self.peq.astype(word, copy=False) for _, word in _WORD_TYPES}
+            peq[rows * alphabet + codes[starts[rows] + i]] |= np.uint64(1) << np.uint64(i)
+        # the low 16 bits hold every narrow-lane pattern
+        return codes, starts, alphabet, {np.uint16: peq.astype(np.uint16), np.uint64: peq}
 
     def distances(self, pat: np.ndarray, txt: np.ndarray, m: np.ndarray, n: np.ndarray, word):
         """Distances for pairs whose pattern has 1 to 64 bytes and text at least 1.
@@ -94,13 +109,14 @@ class _MatchTable:
         pairs still consuming text at step j are a suffix; finished pairs are
         sliced off.
         """
-        peq = self.peq_of[word]
+        codes, starts, alphabet, peq_of = self._table
+        peq = peq_of[word]
         steps = np.arange(int(n[-1]))
         # look[j, p]: the table entry for text byte j of pair p.  Past a text's
         # end it reads an arbitrary in-range code; that pair has left by then.
-        pos = self.starts[txt] + steps[:, None]
-        np.minimum(pos, self.codes.size - 1, out=pos)
-        look = self.codes[pos] + pat * self.alphabet
+        pos = starts[txt] + steps[:, None]
+        np.minimum(pos, codes.size - 1, out=pos)
+        look = codes[pos] + pat * alphabet
         del pos
         first = np.searchsorted(n, steps, side="right")
         one = word(1)
@@ -145,26 +161,6 @@ def _indices(side) -> np.ndarray:
         raise IndexError("surface index out of range") from None
 
 
-class Surfaces:
-    """A list of byte strings prepared for scoring: their lengths now, and their
-    codes and match-mask table on first use.  A key build prepares a cell's
-    surfaces once and scores each of its batches against them."""
-
-    def __init__(self, surfaces: Sequence[bytes]):
-        if not {bytes}.issuperset(map(type, surfaces)):
-            bad = next(s for s in surfaces if type(s) is not bytes)
-            raise ArgumentError(f"surface {bad!r:.40} is {type(bad).__name__}, not bytes")
-        self.strings = surfaces
-        self.lens = np.fromiter(map(len, surfaces), np.int32, len(surfaces))
-
-    def __len__(self) -> int:
-        return len(self.strings)
-
-    @cached_property
-    def table(self) -> _MatchTable:
-        return _MatchTable(self.strings, self.lens)
-
-
 def _distances(left, right, surfaces) -> tuple[np.ndarray, np.ndarray]:
     """Levenshtein distance and longer length of each pair, both int32."""
     left, right = _indices(left), _indices(right)
@@ -194,27 +190,18 @@ def _distances(left, right, surfaces) -> tuple[np.ndarray, np.ndarray]:
     todo = np.flatnonzero((m <= _WORD) & (m > 0) & (n > 0))
     if not todo.size:
         return out, np.maximum(m, n)
-    table = surfaces.table
-    # Pairs by word type, each type's by text length: passes of similar length
-    # step only as often as their longest text.
+    # Two lanes, each by text length: passes of similar length step only as
+    # often as their longest text.
     todo = todo[np.argsort(n[todo])]
-    longer = out[todo]  # out still holds each pending pair's longer length
-    word_of = np.zeros(todo.size, np.uint8)
-    for bits, _ in _WORD_TYPES[:-1]:
-        word_of += longer > bits
-    del longer
-    todo = todo[np.argsort(word_of, kind="stable")]
-    counts = np.bincount(word_of, minlength=len(_WORD_TYPES)).tolist()
-    del word_of
-    lo = 0
-    for count, (_, word) in zip(counts, _WORD_TYPES):
-        stop = lo + count
-        while lo < stop:
+    narrow = out[todo] <= _NARROW  # out still holds each pending pair's longer length
+    for lane, word in ((todo[narrow], np.uint16), (todo[~narrow], np.uint64)):
+        lo = 0
+        while lo < lane.size:
             # texts ascend, so sizing a pass by the longest text among as many
             # pairs as its shortest allows keeps it within _CHUNK entries
-            end = min(lo + max(1, _CHUNK // int(n[todo[lo]])), stop)
-            sel = todo[lo : min(lo + max(1, _CHUNK // int(n[todo[end - 1]])), stop)]
-            out[sel] = table.distances(pat[sel], txt[sel], m[sel], n[sel], word)
+            end = min(lo + max(1, _CHUNK // int(n[lane[lo]])), lane.size)
+            sel = lane[lo : min(lo + max(1, _CHUNK // int(n[lane[end - 1]])), lane.size)]
+            out[sel] = surfaces.distances(pat[sel], txt[sel], m[sel], n[sel], word)
             lo += sel.size
     return out, np.maximum(m, n)
 

@@ -26,6 +26,7 @@ row a second time except in a repaired row.
 from __future__ import annotations
 
 import re
+import reprlib
 import struct
 from array import array
 from contextlib import closing
@@ -37,7 +38,7 @@ import numpy as np
 
 from .errors import ArgumentError, CoverageError, DegenerateInputError, FormatError
 from .fileio import atomic_write
-from .vocab import DIGIT, Vocabulary, read_lines, reference_tokenize
+from .vocab import DIGIT, Vocabulary, check_count, first_non_id, read_lines, reference_tokenize
 
 _MAGIC = b"AEMB"
 _VERSION = 1
@@ -239,6 +240,35 @@ def _topk_rows(
     return ids, vals
 
 
+def id_array(ids: Iterable[int], what: str) -> np.ndarray:
+    """``ids`` as an int64 array: a 1-D integer array or a ``range`` as it
+    is, any other iterable item by item (:func:`~alienlang.vocab.first_non_id`).
+
+    Any other array, a non-iterable, or an item that is not a token id raises
+    ArgumentError naming ``what`` (and the item); an id beyond the int64
+    range has no embedding row and raises CoverageError.
+    """
+    if isinstance(ids, np.ndarray):
+        if ids.dtype.kind not in "iu" or ids.ndim != 1:
+            raise ArgumentError(
+                f"{what} ids must be a 1-D integer array, not {ids.ndim}-D {ids.dtype}"
+            )
+    elif not isinstance(ids, range):
+        try:
+            ids = list(ids)  # a set or an iterator is read once
+        except TypeError:
+            raise ArgumentError(
+                f"{what} {reprlib.repr(ids)} is not a sequence of token ids"
+            ) from None
+        bad = first_non_id(ids)
+        if bad is not None:
+            raise ArgumentError(f"{what} id {reprlib.repr(ids[bad])} is not a token id")
+    try:
+        return np.asarray(ids, dtype=np.int64)
+    except OverflowError:
+        raise CoverageError(f"no embedding row for a {what} id beyond the int64 range") from None
+
+
 def topk_cosine(
     store: EmbeddingStore,
     query_ids: Sequence[int],
@@ -252,19 +282,17 @@ def topk_cosine(
     set under the (-cosine, id) order, in ascending id order, not by cosine;
     the query itself is excluded, and a slot it leaves empty holds id -1 and
     -inf.  ``candidate_ids`` may be any iterable of ids, in any order and
-    with repeats.  A query or candidate id without an embedding row raises
+    with repeats; both id arguments are read by :func:`id_array`.  ``k`` is an
+    int, not a bool.  A query or candidate id without an embedding row raises
     :class:`CoverageError`.
     """
-    if k <= 0:
-        raise ArgumentError("k must be a positive integer")
+    check_count("k", k, 1)
     if not store.normalized:
         raise ArgumentError("topk_cosine requires a normalized store")
-    if not isinstance(candidate_ids, (np.ndarray, list, tuple, range)):
-        candidate_ids = list(candidate_ids)  # a set or an iterator
-    cand = np.asarray(candidate_ids, dtype=np.int64)
+    cand = id_array(candidate_ids, "candidate")
     if (cand[1:] <= cand[:-1]).any():
         cand = np.unique(cand)
-    queries = np.asarray(query_ids, dtype=np.int64)
+    queries = id_array(query_ids, "query")
     for what, ids in (("query", queries), ("candidate", cand)):
         outside = ids[(ids < 0) | (ids >= store.n)]
         if outside.size:

@@ -22,10 +22,11 @@ from typing import Sequence
 from urllib.error import HTTPError
 from urllib.parse import urlsplit
 
-from .attacks import AttackReport, _check_count, bleu, rouge_l
+from .attacks import AttackReport, bleu, rouge_l
 from .bijection import _check_field_types
 from .errors import ArgumentError, FormatError, ProtocolError, TransportError
 from .fileio import atomic_write, parse_json
+from .vocab import check_count
 
 DEFAULT_PROMPT = (
     "The following text is written in a substitution-encoded language. "
@@ -152,7 +153,7 @@ def llm_inverse_probe(
     ``shots`` pairs become the examples and are removed from evaluation.  The
     transcript (JSONL) records every exchange for audit.
     """
-    _check_count("shots", shots, 0)
+    check_count("shots", shots, 0)
     if "{alien}" not in prompt_template:
         raise ArgumentError("prompt template must contain an {alien} placeholder")
     try:

@@ -38,6 +38,14 @@ def first_non_id(values: Sequence) -> int | None:
     return next(i for i, value in enumerate(values) if type(value) is not int)
 
 
+def check_count(name: str, value, least: int) -> None:
+    """Raise ArgumentError unless ``value`` is an int, not a bool, and at least ``least``."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ArgumentError(f"{name} must be int, not {type(value).__name__}")
+    if value < least:
+        raise ArgumentError(f"{name} must be >= {least}")
+
+
 def _surrogate_encode(s: str) -> bytes:
     try:
         return s.encode("utf-8", errors="surrogateescape")

@@ -343,6 +343,31 @@ def test_nn_hypotheses_rejects_negative_ids():
         nn_hypotheses(store, [0, 4])
 
 
+@pytest.mark.parametrize(
+    "masked, message",
+    [
+        ([True, 2, 3], "mask id True is not a token id"),
+        ([1.5, 2], "mask id 1.5 is not a token id"),
+        (["1", 2], "mask id '1' is not a token id"),
+        (5, "mask 5 is not a sequence of token ids"),
+        (np.array([1.0, 2.0]), "mask ids must be a 1-D integer array, not 1-D float64"),
+        (np.array([[1, 2]]), "mask ids must be a 1-D integer array, not 2-D int64"),
+    ],
+)
+def test_nn_hypotheses_rejects_non_ids(masked, message):
+    store = EmbeddingStore(np.eye(4), normalized=True)
+    with pytest.raises(ArgumentError, match=f"^{re.escape(message)}$"):
+        nn_hypotheses(store, masked)
+
+
+@pytest.mark.parametrize(
+    "masked", [[1, 2, 3], (3, 2, 1), range(1, 4), {1, 2, 3}, iter([1, 2, 3]), np.arange(1, 4)]
+)
+def test_nn_hypotheses_reads_any_id_sequence(masked):
+    store = EmbeddingStore(np.eye(4), normalized=True)
+    assert nn_hypotheses(store, masked) == {1: 2, 2: 1, 3: 1}
+
+
 def test_nn_hypotheses_never_guesses_a_repeated_id_as_its_own_partner():
     store = EmbeddingStore(np.eye(4), normalized=True)
     assert nn_hypotheses(store, [1, 1, 2]) == nn_hypotheses(store, [1, 2]) == {1: 2, 2: 1}

@@ -344,10 +344,11 @@ class TestBuildKey:
             build_key(vocab, short_store, BuildConfig(k=2))
 
 
-def sparse_vocab(rng, n: int, specials: int) -> Vocabulary:
-    """n random lowercase tokens at sparse, unordered ids; ``specials`` of them,
-    drawn at random, are special, so they interleave with the permutable ids."""
-    tokens = random_vocab(rng, n).id_to_token
+def sparse_vocab(rng, n: int, specials: int, min_len: int = 3, max_len: int = 10) -> Vocabulary:
+    """n random lowercase tokens of ``min_len`` to ``max_len`` bytes at sparse,
+    unordered ids; ``specials`` of them, drawn at random, are special, so they
+    interleave with the permutable ids."""
+    tokens = random_vocab(rng, n, min_len, max_len).id_to_token
     ids = rng.choice(3 * n, size=n, replace=False)
     entries = [(tokens[p], int(tid)) for p, tid in enumerate(ids)]
     special_ids = [int(i) for i in rng.choice(ids, specials, replace=False)]
@@ -360,13 +361,22 @@ class TestReferenceGreedy:
     Axis stores make every cosine exactly -1, 0 or 1, so rows are full of ties
     at the top-k cut, and the member ids of a cell are sparse: specials sit
     between them, ``rho < 1`` drops some and ``buckets > 1`` scatters the rest.
+    The ``long`` trials draw tokens of 1-90 bytes, so pairs run in both kernel
+    lanes, with either string as the pattern, and in the two-row DP; their
+    cells are small because the oracle's DP is pure Python.
     """
 
-    @pytest.mark.parametrize("trial", range(24))
+    @pytest.mark.parametrize(
+        "trial", [*range(24), *(pytest.param(t, id=f"long{t}") for t in range(24, 30))]
+    )
     def test_build_key_matches_reference(self, trial):
         rng = np.random.default_rng(4100 + trial)
-        n = int(rng.integers(8, 70))
-        vocab = sparse_vocab(rng, n, specials=int(rng.integers(1, 6)))
+        if trial < 24:
+            n = int(rng.integers(8, 70))
+            vocab = sparse_vocab(rng, n, specials=int(rng.integers(1, 6)))
+        else:
+            n = int(rng.integers(16, 48))
+            vocab = sparse_vocab(rng, n, specials=int(rng.integers(1, 6)), min_len=1, max_len=90)
         store = axis_store(rng, max(vocab.id_to_token) + 1, int(rng.integers(1, 5)))
         config = BuildConfig(
             k=int(rng.integers(1, 9)),

@@ -271,13 +271,13 @@ def test_passes_stay_within_the_index_budget(monkeypatch):
     # single pair; every distance still lands at its own index.
     monkeypatch.setattr(editdist, "_CHUNK", 100)
     passes = []
-    distances = editdist._MatchTable.distances
+    distances = editdist.Surfaces.distances
 
     def spy(self, pat, txt, m, n, word):
         passes.append((len(pat), int(n.max())))
         return distances(self, pat, txt, m, n, word)
 
-    monkeypatch.setattr(editdist._MatchTable, "distances", spy)
+    monkeypatch.setattr(editdist.Surfaces, "distances", spy)
     rng = np.random.default_rng(25)
     surfaces = [rng.integers(97, 100, size=n, dtype=np.uint8).tobytes() for n in range(1, 140, 11)]
     _assert_index_form(*_all_pairs(surfaces), surfaces)

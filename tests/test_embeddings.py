@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -292,7 +294,8 @@ class TestKnn:
 class TestIdRange:
     @pytest.mark.parametrize(
         "query, candidates",
-        [(-1, range(4)), (4, range(4)), (0, [-2, 1, 2]), (0, [1, 4]), (9, [])],
+        [(-1, range(4)), (4, range(4)), (0, [-2, 1, 2]), (0, [1, 4]), (9, []), (2**63, range(4)),
+         (0, [1, 2**64])],
     )
     def test_ids_without_rows_rejected(self, query, candidates):
         store = EmbeddingStore(rows=np.eye(4), normalized=True)
@@ -300,6 +303,27 @@ class TestIdRange:
             topk_cosine(store, [0, query], 2, candidates)
         with pytest.raises(CoverageError):
             nearest(store, query, 2, candidates)
+
+    @pytest.mark.parametrize(
+        "k, queries, candidates, message",
+        [
+            (2.5, [0], range(4), "k must be int, not float"),
+            (True, [0], range(4), "k must be int, not bool"),
+            (0, [0], range(4), "k must be >= 1"),
+            (2, [0.0], range(4), "query id 0.0 is not a token id"),
+            (2, [True], range(4), "query id True is not a token id"),
+            (2, np.array([0.0]), range(4), "query ids must be a 1-D integer array, not 1-D float64"),
+            (2, [0], [1.5, 2], "candidate id 1.5 is not a token id"),
+            (2, [0], {True, 2}, "candidate id True is not a token id"),
+            (2, [0], np.array([True, False]), "candidate ids must be a 1-D integer array, not 1-D bool"),
+            (2, 0, range(4), "query 0 is not a sequence of token ids"),
+        ],
+    )
+    def test_non_int_k_and_ids_rejected(self, k, queries, candidates, message):
+        # an id is never truncated to the int it rounds to
+        store = EmbeddingStore(rows=np.eye(4), normalized=True)
+        with pytest.raises(ArgumentError, match=f"^{re.escape(message)}$"):
+            topk_cosine(store, queries, k, candidates)
 
 
 class TestTopkBatched:
