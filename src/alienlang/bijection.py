@@ -9,11 +9,16 @@ shuffle; an odd leftover becomes a recorded fixed point.
 
 Neighbors are retrieved lazily: the walk takes a cell in batches of the next
 members still unpaired, at least ``greedy_batch`` of them and more while a
-batch's similarities fit in ``_BATCH_CELLS``, and retrieves, scores and
-walks each batch before the next one forms.  About half of a cell is taken
-as a partner before its turn and is never retrieved.  A token's neighbors
-depend only on its own similarity row, so the batch size never changes a
-key.
+batch's similarities fit in ``_BATCH_CELLS`` and it holds at most a quarter
+of the cell, and retrieves, scores and walks each batch before the next one
+forms.  About half of a cell is taken as a partner before its turn and is
+never retrieved.  A token's neighbors depend only on its own similarity row,
+so the batch size never changes a key.
+
+Cells advance together in rounds: each unfinished cell forms and retrieves
+its next batch, and one edit-kernel call scores the candidate pairs of every
+batch of the round against the surfaces of the whole mask.  A cell's walk
+and fallback read only its own members, so the rounds never change a key.
 
 The pair score trades surface opacity against embedding closeness:
 
@@ -54,11 +59,14 @@ EDIT_MODES = ("normalized", "raw")
 _FIELD_TYPES = {"int": int, "float": (int, float), "str": str}
 
 # Similarity cells per greedy batch: a batch takes at least ``greedy_batch``
-# members and more while they fit, and is retrieved in one matmul.  Chosen by
-# a 2^18-2^21 sweep on the 4,096-token flat build (see CHANGES.md).  With
-# matmuls no larger than a selection slice, glibc's malloc returned each
-# one's pages and faulted them in again, about 34K minor faults per
-# 4K-token build.
+# members and more while they fit, up to a quarter of its cell, and is
+# retrieved in one matmul.  Chosen by a 2^18-2^21 sweep on the 4,096-token
+# flat build (see CHANGES.md).  With matmuls no larger than a selection
+# slice, glibc's malloc returned each one's pages and faulted them in again,
+# about 34K minor faults per 4K-token build.  The quarter cap keeps a small
+# cell lazy: a whole 256-member cell in one batch retrieved every member,
+# where quarters retrieve about two thirds (divisors 2, 4 and 8 swept on the
+# 16-bucket build, see CHANGES.md).
 _BATCH_CELLS = 1 << 20
 
 
@@ -212,37 +220,43 @@ def select_mask(seed: int, rho: float, permutable: Iterable[int]) -> frozenset[i
 
 def _greedy_pair_cell(
     members: list[int],
-    vocab: Vocabulary,
+    first: int,
+    pos_of: np.ndarray,
     store: EmbeddingStore,
     config: BuildConfig,
     cell: int,
-) -> dict[int, int]:
-    """Pair one non-empty bucket cell, batch by batch; returns its mapping fragment."""
+):
+    """Pair one non-empty bucket cell, batch by batch: a generator.
+
+    ``members`` hold positions ``first`` onward of the mask-wide order that
+    ``pos_of`` maps ids to.  For each batch it yields the positions
+    ``(left, right)`` of the batch's candidate pairs and is sent their edit
+    terms; it returns the cell's mapping fragment.
+    """
     m = len(members)
     if m == 1:
         return {members[0]: members[0]}
 
     member_arr = np.asarray(members, dtype=np.int64)
-    pos_of = np.empty(member_arr[-1] + 1, dtype=np.int64)  # member id -> its position
-    pos_of[member_arr] = np.arange(m)
-    surfaces = editdist.Surfaces([vocab.token_of(i) for i in members])
     mapping: dict[int, int] = {}
     available = [True] * m
     # The list iterator reads each flag as the walk reaches it, so every batch
     # holds exactly the members that are unpaired when it forms.
     unpaired = compress(range(m), available)
-    size = max(config.greedy_batch, _BATCH_CELLS // m)
+    size = max(config.greedy_batch, min(_BATCH_CELLS // m, m // 4))
     while (batch := np.fromiter(islice(unpaired, size), np.int64)).size:
         nbr_ids, nbr_sims = topk_cosine(store, member_arr[batch], config.k, member_arr)
-        # Candidate member positions per row, -1 for a missing candidate.
-        cand_pos = np.where(nbr_ids >= 0, pos_of[nbr_ids], -1)
+        # Candidate member positions per row; ``found`` masks out a missing one.
+        found = nbr_ids >= 0
+        cand_pos = pos_of[nbr_ids]
+        del nbr_ids  # every cell of a round holds its batch until the round is scored
 
-        # Score every retrieved candidate pair of the batch at once; the walk
-        # then only consults ranks.
-        rows, cols = np.nonzero(cand_pos >= 0)
-        edits = _edit_terms(surfaces, batch[rows], cand_pos[rows, cols], config.edit_mode)
-        scores = np.full(cand_pos.shape, -np.inf)
-        scores[rows, cols] = _pair_scores(edits, nbr_sims[rows, cols], config.mu)
+        # Every retrieved candidate pair of the batch is scored at once; the
+        # walk then only consults ranks.
+        edits = yield batch[np.nonzero(found)[0]] + first, cand_pos[found]
+        cand_pos -= first
+        scores = np.full(found.shape, -np.inf)
+        scores[found] = _pair_scores(edits, nbr_sims[found], config.mu)
 
         # Best score first; a row's neighbours come in id order, so the stable
         # sort sends ties to the lower token id.  -1 marks a missing or
@@ -284,10 +298,12 @@ def build_key(
 ) -> BijectionKey:
     """Construct a key: mask, bucket, retrieve, greedily pair, fall back.
 
-    Deterministic in (vocab, store, config).  Bucket cells are paired one by
-    one in ascending order on the calling thread; BLAS threads the similarity
-    matmul.  ``threads`` is accepted and ignored; ROADMAP item 6 deletes it
-    together with the benchmark's ``threads=`` argument.
+    Deterministic in (vocab, store, config).  Bucket cells are paired in
+    lockstep rounds on the calling thread: each unfinished cell retrieves its
+    next batch, then one edit-kernel call scores the candidate pairs of every
+    batch of the round.  BLAS threads the similarity matmul.  ``threads`` is
+    accepted and ignored; ROADMAP item 6 deletes it together with the
+    benchmark's ``threads=`` argument.
     """
     if not store.normalized:
         raise ArgumentError("build_key requires a normalized store")
@@ -301,10 +317,41 @@ def build_key(
     ids = sorted(mask)
     for i, cell in zip(ids, _bucket_layout(config.seed, config.buckets, ids)):
         cells.setdefault(cell, []).append(i)
-    mapping: dict[int, int] = {}
-    for cell in sorted(cells):
-        mapping.update(_greedy_pair_cell(cells[cell], vocab, store, config, cell))
+    # The mask in cell order, ids ascending within a cell: each cell is one
+    # run of positions into the surfaces.
+    order = [i for cell in sorted(cells) for i in cells[cell]]
+    pos_of = np.empty(ids[-1] + 1 if ids else 0, dtype=np.int64)
+    pos_of[order] = np.arange(len(order))
+    surfaces = editdist.Surfaces([vocab.token_of(i) for i in order])
 
+    walks, requests, fragments = {}, {}, {}
+    first = 0
+    for cell in sorted(cells):
+        walks[cell] = _greedy_pair_cell(cells[cell], first, pos_of, store, config, cell)
+        first += len(cells[cell])
+
+    def advance(cell, edits):
+        try:
+            requests[cell] = walks[cell].send(edits)
+        except StopIteration as done:
+            fragments[cell] = done.value
+
+    for cell in walks:
+        advance(cell, None)
+    while requests:
+        pending = list(requests)
+        lefts, rights = zip(*requests.values())
+        requests.clear()  # the round's pairs are held once, joined
+        cuts = np.cumsum([len(left) for left in lefts[:-1]])
+        left, right = np.concatenate(lefts), np.concatenate(rights)
+        del lefts, rights
+        edits = _edit_terms(surfaces, left, right, config.edit_mode)
+        for cell, part in zip(pending, np.split(edits, cuts)):
+            advance(cell, part)
+
+    mapping: dict[int, int] = {}
+    for cell in sorted(fragments):
+        mapping.update(fragments[cell])
     key = BijectionKey(KEY_FORMAT_VERSION, vocab.fingerprint, config, mapping)
     key.validate()
     return key

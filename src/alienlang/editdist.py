@@ -3,10 +3,11 @@
 ``levenshtein_batch`` and ``normalized_batch`` score a batch of pairs, each
 given as two indices into one list of ``surfaces``.  A key build scores
 about k pairs per token but holds one surface per token, so all per-string
-work is done once per surface, and once per cell: a list of surfaces
+work is done once per surface, and once per build: a list of surfaces
 becomes a :class:`Surfaces` on entry, and a caller that scores several
-batches against the same strings passes one ``Surfaces`` to each.  It
-holds, built on first use:
+batches against the same strings passes one ``Surfaces`` to each.  A build
+prepares the surfaces of its whole mask once, and each of its rounds scores
+the batches of every bucket cell in one call.  It holds, built on first use:
 
 * the bytes of every surface as compact codes (A is the number of distinct
   bytes present), concatenated into one code array;
@@ -65,8 +66,8 @@ def _dp(a: bytes, b: bytes) -> int:
 
 class Surfaces:
     """A list of byte strings prepared for scoring: their lengths now, and their
-    codes and match-mask table on first use.  A key build prepares a cell's
-    surfaces once and scores each of its batches against them."""
+    codes and match-mask table on first use.  A key build prepares its mask's
+    surfaces once and scores each of its rounds against them."""
 
     def __init__(self, surfaces: Sequence[bytes]):
         if not {bytes}.issuperset(map(type, surfaces)):

@@ -145,9 +145,14 @@ class Vocabulary:
         return len(self.id_to_token)
 
     @cached_property
-    def _lengths_desc(self) -> tuple[int, ...]:
-        """Match lengths tried by the greedy tokenizer, longest first; derived on first use."""
-        return tuple(sorted({len(t) for t in self.token_to_id}, reverse=True))
+    def _lengths_by_first_byte(self) -> tuple[tuple[int, ...], ...]:
+        """For each byte value, the lengths of the entries starting with it,
+        longest first: the match lengths the greedy tokenizer tries there.
+        Derived on first use."""
+        lengths: list[set[int]] = [set() for _ in range(256)]
+        for tok in self.token_to_id:
+            lengths[tok[0]].add(len(tok))
+        return tuple(tuple(sorted(found, reverse=True)) for found in lengths)
 
     @cached_property
     def extension_lengths(self) -> dict[int, tuple[int, ...]]:
@@ -265,18 +270,17 @@ def reference_tokenize(text: bytes, vocab: Vocabulary) -> TokenSequence:
         raise ArgumentError("reference_tokenize expects bytes")
     ids: list[int] = []
     table = vocab.token_to_id
-    lengths = vocab._lengths_desc
+    lengths = vocab._lengths_by_first_byte
     pos = 0
     n = len(text)
     while pos < n:
-        remaining = n - pos
-        for length in lengths:
-            if length > remaining:
-                continue
-            tid = table.get(text[pos : pos + length])
+        # A slice past the end is the rest of the text, the longest match there.
+        for length in lengths[text[pos]]:
+            piece = text[pos : pos + length]
+            tid = table.get(piece)
             if tid is not None:
                 ids.append(tid)
-                pos += length
+                pos += len(piece)
                 break
         else:
             raise CoverageError(

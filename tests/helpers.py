@@ -191,6 +191,22 @@ def oracle_levenshtein(a: bytes, b: bytes) -> int:
     return dp[m][n]
 
 
+def oracle_tokenize(text: bytes, vocab: Vocabulary) -> list[int] | int:
+    """Greedy longest match the slow way: at each offset, try every entry length
+    that fits in the rest of the text, longest first.  Returns the ids, or the
+    offset at which no entry matches."""
+    lengths = sorted({len(t) for t in vocab.token_to_id}, reverse=True)
+    ids: list[int] = []
+    pos = 0
+    while pos < len(text):
+        fits = [n for n in lengths if pos + n <= len(text) and text[pos : pos + n] in vocab.token_to_id]
+        if not fits:
+            return pos
+        ids.append(vocab.token_to_id[text[pos : pos + fits[0]]])
+        pos += fits[0]
+    return ids
+
+
 def reference_frequency_hypotheses(
     alien_corpus, reference_corpus, top_m: int
 ) -> list[tuple[int, int]]:

@@ -3,7 +3,7 @@ import os
 import re
 import subprocess
 import sys
-from collections import Counter, defaultdict
+from collections import Counter, defaultdict, namedtuple
 from pathlib import Path
 
 import numpy as np
@@ -608,6 +608,28 @@ class TestMalformedCorpora:
         assert named in str(err.value)
         with pytest.raises(ArgumentError, match="corpus item"):
             frequency_hypotheses([5, 5, 6], corpus, 3)
+
+    @pytest.mark.parametrize(
+        "bad, named",
+        [
+            ([1, 2.5], "[1, 2.5]"),
+            ("ab", "'ab'"),
+            (7, "7"),
+            (np.asarray([1.0]), "array([1.])"),
+            (np.asarray([True]), "array([ True])"),
+            (TokenSequence(ids=(1, True)), "TokenSequence...gerprint=None)"),  # reprlib cuts it
+        ],
+    )
+    def test_sequences_name_the_first_bad_item_after_good_ones(self, bad, named):
+        # array items mixed with TokenSequence items, a tuple subclass among them
+        pair = namedtuple("Pair", "a b")
+        good = [[1, 2], TokenSequence(ids=(3,)), np.asarray([4, 5], np.int32), pair(6, 7), np.arange(2)]
+        ids, lengths = attacks._sequences(good)
+        assert ids.tolist() == [1, 2, 3, 4, 5, 6, 7, 0, 1]
+        assert lengths.tolist() == [2, 1, 2, 2, 2]
+        with pytest.raises(ArgumentError) as err:
+            attacks._sequences([*good, bad, [8], "cd"])
+        assert str(err.value) == f"corpus item {named} is not a sequence of token ids"
 
     def test_ngram_rejects_character_sequences(self):
         with pytest.raises(ArgumentError, match="'12'"):

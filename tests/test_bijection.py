@@ -288,9 +288,9 @@ class TestBuildKey:
         calls = []
         pair_cell = bijection._greedy_pair_cell
 
-        def recording(members, vocab, store, config, cell):
-            calls.append((cell, threading.get_ident()))
-            return pair_cell(members, vocab, store, config, cell)
+        def recording(*args):  # a cell's walk, recorded where its body first runs
+            calls.append((args[-1], threading.get_ident()))
+            return (yield from pair_cell(*args))
 
         monkeypatch.setattr(bijection, "_greedy_pair_cell", recording)
         key = build_key(vocab, store, config, threads=4)  # accepted and ignored
@@ -437,6 +437,63 @@ class TestLazyGreedy:
         # every member whose turn came while it was unpaired was retrieved
         assert {i for i in key.mask if paired_by.get(i, i) == i} <= set(queried)
         assert len(queried) <= 0.65 * len(key.mask)
+
+    def test_cells_are_scored_in_rounds(self, monkeypatch):
+        monkeypatch.setattr(bijection, "_BATCH_CELLS", 0)
+        batches, scoring_calls = [], []
+        topk, edit_terms = bijection.topk_cosine, bijection._edit_terms
+
+        def topk_spy(store, query_ids, *args, **kwargs):
+            batches.append(np.asarray(query_ids).tolist())
+            return topk(store, query_ids, *args, **kwargs)
+
+        def edit_spy(surfaces, left, right, edit_mode):
+            scoring_calls.append(len(left))
+            return edit_terms(surfaces, left, right, edit_mode)
+
+        monkeypatch.setattr(bijection, "topk_cosine", topk_spy)
+        monkeypatch.setattr(bijection, "_edit_terms", edit_spy)
+        rng = np.random.default_rng(2620)
+        vocab = sparse_vocab(rng, 300, specials=5)
+        store = axis_store(rng, max(vocab.id_to_token) + 1, 16)
+        config = BuildConfig(k=30, seed=4, buckets=4, greedy_batch=7)
+        key = build_key(vocab, store, config)
+        mapping, paired_by = reference_greedy_walk(vocab, store, config)
+        assert key.mapping == mapping
+
+        by_cell: dict[int, list[list[int]]] = {}
+        for batch in batches:
+            cells = {bucket_index(config.seed, config.buckets, i) for i in batch}
+            assert len(cells) == 1  # a batch never spans cells
+            by_cell.setdefault(cells.pop(), []).append(batch)
+        assert sorted(by_cell) == [0, 1, 2, 3]
+        # one scoring call per round: as many as the longest cell has batches
+        assert len(scoring_calls) == max(map(len, by_cell.values())) > 1
+        for cell_batches in by_cell.values():
+            queried = [i for batch in cell_batches for i in batch]
+            assert queried == sorted(set(queried))  # ascending, none retrieved twice
+            for batch in cell_batches:  # each member was unpaired when its batch formed
+                assert all(paired_by.get(i, i) >= batch[0] for i in batch)
+
+    def test_a_cell_is_retrieved_in_quarters_at_most(self, monkeypatch):
+        # ~200-member cells fit _BATCH_CELLS whole, but a batch holds at most a
+        # quarter of its cell, so members taken before their turn stay unretrieved
+        retrieved = []
+        topk = bijection.topk_cosine
+
+        def spy(store, query_ids, *args, **kwargs):
+            retrieved.append(len(query_ids))
+            return topk(store, query_ids, *args, **kwargs)
+
+        monkeypatch.setattr(bijection, "topk_cosine", spy)
+        rng = np.random.default_rng(2630)
+        vocab = random_vocab(rng, 800)
+        store = unit_store(rng, 800, 16)
+        config = BuildConfig(k=50, seed=6, buckets=4)
+        key = build_key(vocab, store, config)
+        assert sum(retrieved) <= 0.75 * len(key.mask)
+        whole = build_key(vocab, store, replace(config, greedy_batch=4096))  # one batch per cell
+        assert key.mapping == whole.mapping
 
 
 def key_sha256(key, tmp_path) -> str:

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from alienlang import (
     ArgumentError,
+    CoverageError,
     FormatError,
     TokenSequence,
     UnknownTokenError,
@@ -27,7 +28,7 @@ from alienlang import (
 )
 from alienlang.attacks import frequency_hypotheses, ngram_hypotheses
 from alienlang.vocab import first_merge, parse_id_line
-from helpers import byte_complete_vocab, vocab_from
+from helpers import byte_complete_vocab, oracle_tokenize, vocab_from
 
 
 def write_vocab_file(tmp_path, mapping, specials=None):
@@ -219,6 +220,33 @@ class TestReferenceTokenize:
     def test_input_that_is_not_bytes_rejected(self, text):
         with pytest.raises(ArgumentError, match="^reference_tokenize expects bytes$"):
             reference_tokenize(text, vocab_from([b"a", b"b", b"c"]))
+
+    @pytest.mark.parametrize("trial", range(30))
+    def test_matches_oracle_on_vocabularies_that_are_not_byte_complete(self, trial):
+        # Entries of 1-5 bytes over "abcde" leave some bytes without a token,
+        # and most texts end inside a proper prefix of the longest entry.
+        rng = np.random.default_rng(5300 + trial)
+        alphabet = list(b"abcde")
+        tokens = {bytes(rng.choice(alphabet, size=int(rng.integers(1, 6))).tolist()) for _ in range(14)}
+        tokens = sorted(tokens | {bytes([c]) for c in b"abcd" if rng.random() < 0.8})
+        vocab = vocab_from(tokens)
+        longest = max(tokens, key=len)
+        for _ in range(40):
+            picks = rng.integers(0, len(tokens), size=int(rng.integers(0, 8)))
+            text = b"".join(tokens[i] for i in picks.tolist())
+            if rng.random() < 0.3:
+                text += bytes(rng.choice(alphabet, size=3).tolist())
+            text += longest[: int(rng.integers(0, len(longest)))]
+            expected = oracle_tokenize(text, vocab)
+            if isinstance(expected, list):
+                assert list(reference_tokenize(text, vocab).ids) == expected
+                continue
+            with pytest.raises(CoverageError) as err:
+                reference_tokenize(text, vocab)
+            assert str(err.value) == (
+                f"no token matches input at byte offset {expected} "
+                f"(next bytes: {text[expected : expected + 8]!r})"
+            )
 
     def test_deterministic(self):
         vocab = byte_complete_vocab(extra_tokens=[b"ab", b"abc"])
