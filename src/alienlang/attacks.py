@@ -76,18 +76,11 @@ class TruthOracle:
     mask: frozenset[int]
 
 
-def _unwrapped(seq):
-    """The ids of a TokenSequence or a 1-D array as a tuple or list; anything else as it is."""
-    if isinstance(seq, TokenSequence):
-        return seq.ids
-    if isinstance(seq, np.ndarray) and seq.ndim == 1:
-        return seq.tolist()
-    return seq
-
-
 def _ids_of(seq) -> list | tuple | None:
     """The ids of one id sequence, or None if ``seq`` is not one."""
-    ids = _unwrapped(seq)
+    if isinstance(seq, np.ndarray) and seq.ndim == 1:
+        seq = seq.tolist()
+    ids = seq.ids if isinstance(seq, TokenSequence) else seq
     return ids if isinstance(ids, (list, tuple)) and first_non_id(ids) is None else None
 
 
@@ -113,17 +106,10 @@ def _listed(items) -> list:
 def _sequences(seqs) -> tuple[np.ndarray, np.ndarray]:
     """:func:`_joined` over id sequences; an item that is not one raises ArgumentError naming it."""
     seqs = _listed(seqs)
-    id_lists = list(map(_unwrapped, seqs))
-    # One pass over the item types and one over all ids; only a failure, or a
-    # list or tuple subclass, reads the items one by one.
-    if not (
-        {list, tuple}.issuperset(map(type, id_lists))
-        and {int}.issuperset(map(type, chain.from_iterable(id_lists)))
-    ):
-        id_lists = list(map(_ids_of, seqs))
-        if None in id_lists:
-            bad = seqs[id_lists.index(None)]
-            raise ArgumentError(f"corpus item {reprlib.repr(bad)} is not a sequence of token ids")
+    id_lists = list(map(_ids_of, seqs))
+    if None in id_lists:
+        bad = seqs[id_lists.index(None)]
+        raise ArgumentError(f"corpus item {reprlib.repr(bad)} is not a sequence of token ids")
     return _joined(id_lists)
 
 

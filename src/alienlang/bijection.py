@@ -17,8 +17,10 @@ so the batch size never changes a key.
 
 Cells advance together in rounds: each unfinished cell forms and retrieves
 its next batch, and one edit-kernel call scores the candidate pairs of every
-batch of the round against the surfaces of the whole mask.  A cell's walk
-and fallback read only its own members, so the rounds never change a key.
+batch of the round against the surfaces of the cells, prepared once.  Rounds
+run over groups of consecutive cells of at most ``_GROUP_MEMBERS`` members,
+one group after another.  A cell's walk and fallback read only its own
+members, so neither the rounds nor the groups ever change a key.
 
 The pair score trades surface opacity against embedding closeness:
 
@@ -68,6 +70,14 @@ _FIELD_TYPES = {"int": int, "float": (int, float), "str": str}
 # where quarters retrieve about two thirds (divisors 2, 4 and 8 swept on the
 # 16-bucket build, see CHANGES.md).
 _BATCH_CELLS = 1 << 20
+
+# Most members in one group of bucket cells paired in lockstep rounds; a
+# larger cell is a group of its own.  A group's surfaces are prepared at once
+# (S x A x 10 bytes for S surfaces over A distinct bytes) and each of its
+# rounds holds about a batch's pairs per cell, so this bounds both.  Swept
+# from 2,048 to the whole mask on a 32K-token 16-bucket build: peak RSS grew
+# with the group and wall time did not tell the sizes apart (see CHANGES.md).
+_GROUP_MEMBERS = 4096
 
 
 def _check_field_types(config) -> None:
@@ -220,7 +230,6 @@ def select_mask(seed: int, rho: float, permutable: Iterable[int]) -> frozenset[i
 
 def _greedy_pair_cell(
     members: list[int],
-    first: int,
     pos_of: np.ndarray,
     store: EmbeddingStore,
     config: BuildConfig,
@@ -228,10 +237,9 @@ def _greedy_pair_cell(
 ):
     """Pair one non-empty bucket cell, batch by batch: a generator.
 
-    ``members`` hold positions ``first`` onward of the mask-wide order that
-    ``pos_of`` maps ids to.  For each batch it yields the positions
-    ``(left, right)`` of the batch's candidate pairs and is sent their edit
-    terms; it returns the cell's mapping fragment.
+    For each batch it yields its candidate pairs ``(left, right)`` as
+    positions in ``members``, which ``pos_of`` maps each member id to, and is
+    sent their edit terms; it returns the cell's mapping fragment.
     """
     m = len(members)
     if m == 1:
@@ -253,8 +261,7 @@ def _greedy_pair_cell(
 
         # Every retrieved candidate pair of the batch is scored at once; the
         # walk then only consults ranks.
-        edits = yield batch[np.nonzero(found)[0]] + first, cand_pos[found]
-        cand_pos -= first
+        edits = yield batch[np.nonzero(found)[0]], cand_pos[found]
         scores = np.full(found.shape, -np.inf)
         scores[found] = _pair_scores(edits, nbr_sims[found], config.mu)
 
@@ -290,6 +297,54 @@ def _greedy_pair_cell(
     return mapping
 
 
+def _pair_cells(
+    cells: dict[int, list[int]],
+    pos_of: np.ndarray,
+    vocab: Vocabulary,
+    store: EmbeddingStore,
+    config: BuildConfig,
+) -> dict[int, int]:
+    """Pair bucket cells in lockstep rounds; returns their fragments merged in
+    the order of ``cells``.
+
+    Each round, every unfinished cell forms and retrieves its next batch, and
+    one edit-kernel call scores the candidate pairs of all of them against the
+    cells' surfaces, prepared once.
+    """
+    starts, order = {}, []  # each cell's first position in the surfaces
+    for cell, members in cells.items():
+        starts[cell] = len(order)
+        order += members
+    surfaces = editdist.Surfaces([vocab.token_of(i) for i in order])
+    walks = {cell: _greedy_pair_cell(cells[cell], pos_of, store, config, cell) for cell in cells}
+    requests, fragments = {}, {}
+
+    def advance(cell, edits):
+        try:
+            requests[cell] = walks[cell].send(edits)
+        except StopIteration as done:
+            fragments[cell] = done.value
+
+    for cell in walks:
+        advance(cell, None)
+    while requests:
+        pending = list(requests)
+        lefts = [requests[cell][0] + starts[cell] for cell in pending]
+        rights = [requests[cell][1] + starts[cell] for cell in pending]
+        requests.clear()
+        cuts = np.cumsum([len(left) for left in lefts[:-1]])
+        left, right = np.concatenate(lefts), np.concatenate(rights)
+        del lefts, rights  # the round's pairs are held once, joined
+        edits = _edit_terms(surfaces, left, right, config.edit_mode)
+        for cell, part in zip(pending, np.split(edits, cuts)):
+            advance(cell, part)
+
+    mapping: dict[int, int] = {}
+    for cell in cells:
+        mapping.update(fragments[cell])
+    return mapping
+
+
 def build_key(
     vocab: Vocabulary,
     store: EmbeddingStore,
@@ -298,12 +353,12 @@ def build_key(
 ) -> BijectionKey:
     """Construct a key: mask, bucket, retrieve, greedily pair, fall back.
 
-    Deterministic in (vocab, store, config).  Bucket cells are paired in
-    lockstep rounds on the calling thread: each unfinished cell retrieves its
-    next batch, then one edit-kernel call scores the candidate pairs of every
-    batch of the round.  BLAS threads the similarity matmul.  ``threads`` is
-    accepted and ignored; ROADMAP item 6 deletes it together with the
-    benchmark's ``threads=`` argument.
+    Deterministic in (vocab, store, config).  Bucket cells are paired on the
+    calling thread in groups of consecutive cells, at most ``_GROUP_MEMBERS``
+    members each unless one cell is larger, and within a group in lockstep
+    rounds (:func:`_pair_cells`).  BLAS threads the similarity matmul.
+    ``threads`` is accepted and ignored; ROADMAP item 6 deletes it together
+    with the benchmark's ``threads=`` argument.
     """
     if not store.normalized:
         raise ArgumentError("build_key requires a normalized store")
@@ -317,41 +372,21 @@ def build_key(
     ids = sorted(mask)
     for i, cell in zip(ids, _bucket_layout(config.seed, config.buckets, ids)):
         cells.setdefault(cell, []).append(i)
-    # The mask in cell order, ids ascending within a cell: each cell is one
-    # run of positions into the surfaces.
-    order = [i for cell in sorted(cells) for i in cells[cell]]
-    pos_of = np.empty(ids[-1] + 1 if ids else 0, dtype=np.int64)
-    pos_of[order] = np.arange(len(order))
-    surfaces = editdist.Surfaces([vocab.token_of(i) for i in order])
-
-    walks, requests, fragments = {}, {}, {}
-    first = 0
+    pos_of = np.empty(ids[-1] + 1 if ids else 0, dtype=np.int64)  # id -> position in its cell
+    groups: list[dict[int, list[int]]] = []
+    size = _GROUP_MEMBERS
     for cell in sorted(cells):
-        walks[cell] = _greedy_pair_cell(cells[cell], first, pos_of, store, config, cell)
-        first += len(cells[cell])
-
-    def advance(cell, edits):
-        try:
-            requests[cell] = walks[cell].send(edits)
-        except StopIteration as done:
-            fragments[cell] = done.value
-
-    for cell in walks:
-        advance(cell, None)
-    while requests:
-        pending = list(requests)
-        lefts, rights = zip(*requests.values())
-        requests.clear()  # the round's pairs are held once, joined
-        cuts = np.cumsum([len(left) for left in lefts[:-1]])
-        left, right = np.concatenate(lefts), np.concatenate(rights)
-        del lefts, rights
-        edits = _edit_terms(surfaces, left, right, config.edit_mode)
-        for cell, part in zip(pending, np.split(edits, cuts)):
-            advance(cell, part)
+        members = cells[cell]
+        pos_of[members] = np.arange(len(members))
+        if size + len(members) > _GROUP_MEMBERS:
+            groups.append({})
+            size = 0
+        groups[-1][cell] = members
+        size += len(members)
 
     mapping: dict[int, int] = {}
-    for cell in sorted(fragments):
-        mapping.update(fragments[cell])
+    for group in groups:  # ascending cells, so ``key.mapping`` keeps cell order
+        mapping.update(_pair_cells(group, pos_of, vocab, store, config))
     key = BijectionKey(KEY_FORMAT_VERSION, vocab.fingerprint, config, mapping)
     key.validate()
     return key

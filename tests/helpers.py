@@ -63,9 +63,11 @@ def random_vocab(
     min_len: int = 3,
     max_len: int = 10,
     specials: int = 0,
+    letters: bytes = LOWER.encode(),
 ) -> Vocabulary:
-    """n unique random lowercase tokens; the last `specials` ids are special."""
-    alphabet = np.frombuffer(LOWER.encode(), dtype=np.uint8)
+    """n unique random tokens spelled from `letters` (lowercase by default);
+    the last `specials` ids are special."""
+    alphabet = np.frombuffer(letters, dtype=np.uint8)
     seen: set[bytes] = set()
     tokens: list[bytes] = []
     while len(tokens) < n:

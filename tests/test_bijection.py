@@ -475,6 +475,52 @@ class TestLazyGreedy:
             for batch in cell_batches:  # each member was unpaired when its batch formed
                 assert all(paired_by.get(i, i) >= batch[0] for i in batch)
 
+    def test_groups_of_cells_prepare_their_own_surfaces(self, monkeypatch):
+        monkeypatch.setattr(bijection, "_BATCH_CELLS", 0)
+        monkeypatch.setattr(bijection, "_GROUP_MEMBERS", 130)
+        batches, scored = [], []  # scored: the surfaces of each scoring call
+        topk, edit_terms = bijection.topk_cosine, bijection._edit_terms
+
+        def topk_spy(store, query_ids, *args, **kwargs):
+            batches.append(np.asarray(query_ids).tolist())
+            return topk(store, query_ids, *args, **kwargs)
+
+        def edit_spy(surfaces, left, right, edit_mode):
+            scored.append(surfaces)
+            return edit_terms(surfaces, left, right, edit_mode)
+
+        monkeypatch.setattr(bijection, "topk_cosine", topk_spy)
+        monkeypatch.setattr(bijection, "_edit_terms", edit_spy)
+        rng = np.random.default_rng(2625)
+        vocab = sparse_vocab(rng, 400, specials=5)
+        store = axis_store(rng, max(vocab.id_to_token) + 1, 16)
+        config = BuildConfig(k=20, seed=3, buckets=6, greedy_batch=9)
+        key = build_key(vocab, store, config)
+        assert key.mapping == reference_greedy_mapping(vocab, store, config)
+
+        # consecutive cells, at most 130 members a group unless one cell is larger
+        sizes: dict[int, int] = {}
+        for i in sorted(key.mask):
+            cell = bucket_index(config.seed, config.buckets, i)
+            sizes[cell] = sizes.get(cell, 0) + 1
+        groups, total = [], 130
+        for cell in sorted(sizes):
+            if total + sizes[cell] > 130:
+                groups.append([])
+                total = 0
+            groups[-1].append(cell)
+            total += sizes[cell]
+        assert 1 < len(groups) < len(sizes)  # some group holds several cells
+
+        rounds: dict[int, int] = {}  # per cell, its number of batches
+        for batch in batches:
+            cell = bucket_index(config.seed, config.buckets, batch[0])
+            rounds[cell] = rounds.get(cell, 0) + 1
+        prepared = list(dict.fromkeys(scored))  # each group's surfaces, in order
+        assert [len(s) for s in prepared] == [sum(sizes[c] for c in g) for g in groups]
+        # a group's surfaces serve one scoring call per round of its longest cell
+        assert [scored.count(s) for s in prepared] == [max(rounds[c] for c in g) for g in groups]
+
     def test_a_cell_is_retrieved_in_quarters_at_most(self, monkeypatch):
         # ~200-member cells fit _BATCH_CELLS whole, but a batch holds at most a
         # quarter of its cell, so members taken before their turn stay unretrieved
