@@ -15,12 +15,13 @@ forms.  About half of a cell is taken as a partner before its turn and is
 never retrieved.  A token's neighbors depend only on its own similarity row,
 so the batch size never changes a key.
 
-Cells advance together in rounds: each unfinished cell forms and retrieves
-its next batch, and one edit-kernel call scores the candidate pairs of every
-batch of the round against the surfaces of the cells, prepared once.  Rounds
-run over groups of consecutive cells of at most ``_GROUP_MEMBERS`` members,
-one group after another.  A cell's walk and fallback read only its own
-members, so neither the rounds nor the groups ever change a key.
+Cells advance together in rounds over groups of consecutive cells of at most
+``_GROUP_MEMBERS`` members, one group after another.  In a round each cell
+with members left forms and retrieves its next batch; the batches' rows
+stack into one round matrix of candidates, which one edit-kernel call
+scores, one sort ranks and one loop walks.  A row's candidates lie in its
+own cell, and each cell's fallback reads only its own members, so neither
+the rounds nor the groups ever change a key.
 
 The pair score trades surface opacity against embedding closeness:
 
@@ -46,7 +47,7 @@ from typing import Iterable
 import numpy as np
 
 from . import editdist
-from .embeddings import EmbeddingStore, topk_cosine
+from .embeddings import EmbeddingStore, id_array, topk_cosine
 from .errors import ArgumentError, CompatibilityError, CoverageError, FormatError, ToolkitError
 from .fileio import atomic_write, parse_json
 from .seeding import derive_rng, derive_seed, derive_seeds
@@ -74,7 +75,7 @@ _BATCH_CELLS = 1 << 20
 # Most members in one group of bucket cells paired in lockstep rounds; a
 # larger cell is a group of its own.  A group's surfaces are prepared at once
 # (S x A x 10 bytes for S surfaces over A distinct bytes) and each of its
-# rounds holds about a batch's pairs per cell, so this bounds both.  Swept
+# rounds stacks one batch per cell into its matrix, so this bounds both.  Swept
 # from 2,048 to the whole mask on a 32K-token 16-bucket build: peak RSS grew
 # with the group and wall time did not tell the sizes apart (see CHANGES.md).
 _GROUP_MEMBERS = 4096
@@ -200,14 +201,15 @@ def pair_score(
     edit_mode: str = "normalized",
 ) -> float:
     """Score candidate pair (i, j); symmetric, defined for distinct non-specials."""
+    config = BuildConfig(mu=mu, edit_mode=edit_mode)  # refuses what a build refuses
     _check_ids([i, j], ArgumentError)
     if i == j:
         raise ArgumentError("pair_score requires two distinct tokens")
     if i in vocab.specials or j in vocab.specials:
         raise ArgumentError("special tokens cannot be paired")
-    edit = _edit_terms([vocab.token_of(i), vocab.token_of(j)], [0], [1], edit_mode)
+    edit = _edit_terms([vocab.token_of(i), vocab.token_of(j)], [0], [1], config.edit_mode)
     cos = _cosines(np.atleast_2d(store.row(i)), np.atleast_2d(store.row(j)))
-    return float(_pair_scores(edit, cos, mu)[0])
+    return float(_pair_scores(edit, cos, config.mu)[0])
 
 
 def select_mask(seed: int, rho: float, permutable: Iterable[int]) -> frozenset[int]:
@@ -218,7 +220,7 @@ def select_mask(seed: int, rho: float, permutable: Iterable[int]) -> frozenset[i
     """
     if not 0.0 <= rho <= 1.0:
         raise ArgumentError("rho must lie in [0, 1]")
-    ids = np.asarray(sorted(set(permutable)), dtype=np.int64)
+    ids = np.unique(id_array(permutable, "permutable"))
     size = math.floor(rho * ids.size)
     if size == 0:
         return frozenset()
@@ -228,120 +230,99 @@ def select_mask(seed: int, rho: float, permutable: Iterable[int]) -> frozenset[i
     return frozenset(rng.permutation(ids)[:size].tolist())
 
 
-def _greedy_pair_cell(
-    members: list[int],
-    pos_of: np.ndarray,
+def _pair_group(
+    cells: dict[int, list[int]],
+    vocab: Vocabulary,
     store: EmbeddingStore,
     config: BuildConfig,
-    cell: int,
-):
-    """Pair one non-empty bucket cell, batch by batch: a generator.
+) -> dict[int, int]:
+    """Pair a group of non-empty bucket cells in lockstep rounds; returns their mapping.
 
-    For each batch it yields its candidate pairs ``(left, right)`` as
-    positions in ``members``, which ``pos_of`` maps each member id to, and is
-    sent their edit terms; it returns the cell's mapping fragment.
+    Positions number the group's members, cell after cell.  Each round, every
+    cell with members left takes its next batch and retrieves it; the round's
+    candidates are scored in one edit-kernel call and walked in one loop.  A
+    row's candidates lie in its own cell, so each cell pairs as it would alone.
     """
-    m = len(members)
-    if m == 1:
-        return {members[0]: members[0]}
+    order = list(chain.from_iterable(cells.values()))
+    ids = np.asarray(order, dtype=np.int64)
+    # id -> position; a missing neighbour, id -1, reads the last slot, which stays -1
+    pos_of = np.full(int(ids.max()) + 2, -1, dtype=np.int64)
+    pos_of[ids] = np.arange(ids.size)
+    surfaces = editdist.Surfaces([vocab.token_of(i) for i in order])
+    available = [True] * len(order)
+    walks = []  # per cell: its member ids, its unpaired positions, its batch size
+    lo = 0
+    for m in map(len, cells.values()):
+        # The list iterator reads each flag as the walk reaches it, so every
+        # batch holds exactly the cell's members that are unpaired when it forms.
+        unpaired = compress(range(lo, lo + m), islice(available, lo, None))
+        size = max(config.greedy_batch, min(_BATCH_CELLS // m, m // 4))
+        walks.append((ids[lo : lo + m], unpaired, size))
+        lo += m
 
-    member_arr = np.asarray(members, dtype=np.int64)
     mapping: dict[int, int] = {}
-    available = [True] * m
-    # The list iterator reads each flag as the walk reaches it, so every batch
-    # holds exactly the members that are unpaired when it forms.
-    unpaired = compress(range(m), available)
-    size = max(config.greedy_batch, min(_BATCH_CELLS // m, m // 4))
-    while (batch := np.fromiter(islice(unpaired, size), np.int64)).size:
-        nbr_ids, nbr_sims = topk_cosine(store, member_arr[batch], config.k, member_arr)
-        # Candidate member positions per row; ``found`` masks out a missing one.
-        found = nbr_ids >= 0
-        cand_pos = pos_of[nbr_ids]
-        del nbr_ids  # every cell of a round holds its batch until the round is scored
+    while True:
+        batches = []
+        for cand, unpaired, size in walks:
+            if (batch := np.fromiter(islice(unpaired, size), np.int64)).size:
+                batches.append((cand, batch))
+        if not batches:
+            break
+        rows = np.concatenate([batch for _, batch in batches])
+        # A cell of at most k members has narrower rows; -1 and -inf pad them.
+        width = min(config.k, max(cand.size for cand, _ in batches))
+        cand_pos = np.full((rows.size, width), -1, dtype=np.int64)
+        cos = np.full((rows.size, width), -np.inf)
+        r = 0
+        for cand, batch in batches:
+            nbr_ids, nbr_sims = topk_cosine(store, ids[batch], config.k, cand)
+            cand_pos[r : r + batch.size, : nbr_ids.shape[1]] = pos_of[nbr_ids]
+            cos[r : r + batch.size, : nbr_sims.shape[1]] = nbr_sims
+            r += batch.size
+        del nbr_ids, nbr_sims  # the round matrix holds them
 
-        # Every retrieved candidate pair of the batch is scored at once; the
+        # Every retrieved candidate pair of the round is scored at once; the
         # walk then only consults ranks.
-        edits = yield batch[np.nonzero(found)[0]], cand_pos[found]
+        found = cand_pos >= 0
+        edits = _edit_terms(
+            surfaces, rows[np.nonzero(found)[0]], cand_pos[found], config.edit_mode
+        )
         scores = np.full(found.shape, -np.inf)
-        scores[found] = _pair_scores(edits, nbr_sims[found], config.mu)
+        scores[found] = _pair_scores(edits, cos[found], config.mu)
+        del edits, cos
 
         # Best score first; a row's neighbours come in id order, so the stable
-        # sort sends ties to the lower token id.  -1 marks a missing or
+        # sort ranks a tie's lower token id first.  -1 marks a missing or
         # non-finite candidate and ends the row.
         cand_pos[~np.isfinite(scores)] = -1
         ranked = np.take_along_axis(cand_pos, np.argsort(-scores, axis=1, kind="stable"), axis=1)
 
-        for r, row in zip(batch.tolist(), ranked.tolist()):  # ascending positions
-            if not available[r]:  # taken by an earlier row of this batch
+        for r, row in zip(rows.tolist(), ranked.tolist()):  # cell after cell, ascending
+            if not available[r]:  # taken by an earlier row of this round
                 continue
             for p in row:
                 if p < 0:
                     break
                 if available[p]:
-                    i, j = members[r], members[p]
+                    i, j = order[r], order[p]
                     mapping[i] = j
                     mapping[j] = i
                     available[r] = available[p] = False
                     break
 
-    leftovers = [members[r] for r in range(m) if available[r]]
-    if leftovers:
-        rng = derive_rng("fallback", config.seed, cell)
-        shuffled = rng.permutation(np.asarray(leftovers, dtype=np.int64)).tolist()
-        if len(shuffled) % 2 == 1:
-            fp = shuffled.pop()
-            mapping[fp] = fp
-        for a, b in zip(shuffled[0::2], shuffled[1::2]):
-            mapping[a] = b
-            mapping[b] = a
-    return mapping
-
-
-def _pair_cells(
-    cells: dict[int, list[int]],
-    pos_of: np.ndarray,
-    vocab: Vocabulary,
-    store: EmbeddingStore,
-    config: BuildConfig,
-) -> dict[int, int]:
-    """Pair bucket cells in lockstep rounds; returns their fragments merged in
-    the order of ``cells``.
-
-    Each round, every unfinished cell forms and retrieves its next batch, and
-    one edit-kernel call scores the candidate pairs of all of them against the
-    cells' surfaces, prepared once.
-    """
-    starts, order = {}, []  # each cell's first position in the surfaces
-    for cell, members in cells.items():
-        starts[cell] = len(order)
-        order += members
-    surfaces = editdist.Surfaces([vocab.token_of(i) for i in order])
-    walks = {cell: _greedy_pair_cell(cells[cell], pos_of, store, config, cell) for cell in cells}
-    requests, fragments = {}, {}
-
-    def advance(cell, edits):
-        try:
-            requests[cell] = walks[cell].send(edits)
-        except StopIteration as done:
-            fragments[cell] = done.value
-
-    for cell in walks:
-        advance(cell, None)
-    while requests:
-        pending = list(requests)
-        lefts = [requests[cell][0] + starts[cell] for cell in pending]
-        rights = [requests[cell][1] + starts[cell] for cell in pending]
-        requests.clear()
-        cuts = np.cumsum([len(left) for left in lefts[:-1]])
-        left, right = np.concatenate(lefts), np.concatenate(rights)
-        del lefts, rights  # the round's pairs are held once, joined
-        edits = _edit_terms(surfaces, left, right, config.edit_mode)
-        for cell, part in zip(pending, np.split(edits, cuts)):
-            advance(cell, part)
-
-    mapping: dict[int, int] = {}
-    for cell in cells:
-        mapping.update(fragments[cell])
+    lo = 0
+    for cell, members in cells.items():  # a lone member is left over, and a fixed point
+        leftovers = list(compress(members, islice(available, lo, None)))
+        lo += len(members)
+        if leftovers:
+            rng = derive_rng("fallback", config.seed, cell)
+            shuffled = rng.permutation(np.asarray(leftovers, dtype=np.int64)).tolist()
+            if len(shuffled) % 2 == 1:
+                fp = shuffled.pop()
+                mapping[fp] = fp
+            for a, b in zip(shuffled[0::2], shuffled[1::2]):
+                mapping[a] = b
+                mapping[b] = a
     return mapping
 
 
@@ -356,7 +337,7 @@ def build_key(
     Deterministic in (vocab, store, config).  Bucket cells are paired on the
     calling thread in groups of consecutive cells, at most ``_GROUP_MEMBERS``
     members each unless one cell is larger, and within a group in lockstep
-    rounds (:func:`_pair_cells`).  BLAS threads the similarity matmul.
+    rounds (:func:`_pair_group`).  BLAS threads the similarity matmul.
     ``threads`` is accepted and ignored; ROADMAP item 6 deletes it together
     with the benchmark's ``threads=`` argument.
     """
@@ -372,12 +353,10 @@ def build_key(
     ids = sorted(mask)
     for i, cell in zip(ids, _bucket_layout(config.seed, config.buckets, ids)):
         cells.setdefault(cell, []).append(i)
-    pos_of = np.empty(ids[-1] + 1 if ids else 0, dtype=np.int64)  # id -> position in its cell
     groups: list[dict[int, list[int]]] = []
     size = _GROUP_MEMBERS
     for cell in sorted(cells):
         members = cells[cell]
-        pos_of[members] = np.arange(len(members))
         if size + len(members) > _GROUP_MEMBERS:
             groups.append({})
             size = 0
@@ -385,8 +364,10 @@ def build_key(
         size += len(members)
 
     mapping: dict[int, int] = {}
-    for group in groups:  # ascending cells, so ``key.mapping`` keeps cell order
-        mapping.update(_pair_cells(group, pos_of, vocab, store, config))
+    # ``key.mapping``'s order may interleave a group's cells; it is no part of a
+    # key, since save_key sorts the pairs
+    for group in groups:
+        mapping.update(_pair_group(group, vocab, store, config))
     key = BijectionKey(KEY_FORMAT_VERSION, vocab.fingerprint, config, mapping)
     key.validate()
     return key

@@ -3,12 +3,10 @@
 ``levenshtein_batch`` and ``normalized_batch`` score a batch of pairs, each
 given as two indices into one list of ``surfaces``.  A key build scores
 about k pairs per token but holds one surface per token, so all per-string
-work is done once per surface, and once per group of bucket cells: a list
-of surfaces becomes a :class:`Surfaces` on entry, and a caller that scores
-several batches against the same strings passes one ``Surfaces`` to each.
-A build prepares the surfaces of a group of cells once, and each of the
-group's rounds scores the batches of all its cells in one call.  It holds,
-built on first use:
+work is done once per surface: a list of surfaces becomes a
+:class:`Surfaces` on entry, and a caller that scores several batches against
+the same strings passes one ``Surfaces`` to each.  It holds, built on first
+use:
 
 * the bytes of every surface as compact codes (A is the number of distinct
   bytes present), concatenated into one code array;
@@ -67,8 +65,8 @@ def _dp(a: bytes, b: bytes) -> int:
 
 class Surfaces:
     """A list of byte strings prepared for scoring: their lengths now, and their
-    codes and match-mask table on first use.  A key build prepares a group of
-    cells' surfaces once and scores each of the group's rounds against them."""
+    codes and match-mask table on first use.  A caller that scores several
+    batches against the same strings passes one ``Surfaces`` to each."""
 
     def __init__(self, surfaces: Sequence[bytes]):
         if not {bytes}.issuperset(map(type, surfaces)):

@@ -92,6 +92,23 @@ class TestPairScore:
         with pytest.raises(ArgumentError, match="is not an int"):
             pair_score(i, j, vocab, store)
 
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"mu": "x"}, "mu must be float, not str"),
+            ({"mu": True}, "mu must be float, not bool"),
+            ({"mu": float("nan")}, "mu must be finite and >= 0"),
+            ({"mu": -1.0}, "mu must be finite and >= 0"),
+            ({"edit_mode": "fuzzy"}, "edit_mode must be one of"),
+        ],
+    )
+    def test_config_refused_as_by_build_config(self, kwargs, message):
+        vocab, store = table8_fixture()
+        with pytest.raises(ArgumentError, match=message):
+            BuildConfig(**kwargs)
+        with pytest.raises(ArgumentError, match=message):
+            pair_score(0, 1, vocab, store, **kwargs)
+
     def test_special_rejected(self):
         vocab = vocab_from([b"a", b"b", b"<s>"], specials=[b"<s>"])
         store = unit_store(np.random.default_rng(0), 3, 4)
@@ -154,6 +171,16 @@ class TestSelectMask:
     def test_rho_outside_unit_interval_rejected(self, rho):
         with pytest.raises(ArgumentError, match=r"^rho must lie in \[0, 1\]$"):
             select_mask(1, rho, range(10))
+
+    @pytest.mark.parametrize("ids", [[True, 2], [1.5, 2], ["a"], [np.int64(1), 2], 7])
+    def test_non_ids_rejected(self, ids):
+        with pytest.raises(ArgumentError, match="permutable"):
+            select_mask(0, 1.0, ids)
+
+    def test_ids_in_any_order_with_repeats(self):
+        ids = [9, 3, 3, 7, 1]
+        assert select_mask(4, 0.5, ids) == select_mask(4, 0.5, [1, 3, 7, 9])
+        assert select_mask(4, 0.5, np.array(ids)) == select_mask(4, 0.5, ids)
 
     def test_masks_nested_across_rho(self):
         ids = range(500)
@@ -283,19 +310,39 @@ class TestBuildKey:
 
     def test_cells_pair_in_order_on_calling_thread(self, monkeypatch):
         vocab, store = build_instance(8, 80)
-        config = BuildConfig(k=5, seed=5, buckets=4)
+        config = BuildConfig(k=5, seed=5, buckets=4, greedy_batch=3)
+        monkeypatch.setattr(bijection, "_BATCH_CELLS", 0)  # several rounds
         expected = build_key(vocab, store, config)
-        calls = []
-        pair_cell = bijection._greedy_pair_cell
+        events = []  # per top-k call its cell and thread; None where a round is scored
+        topk, edit_terms = bijection.topk_cosine, bijection._edit_terms
 
-        def recording(*args):  # a cell's walk, recorded where its body first runs
-            calls.append((args[-1], threading.get_ident()))
-            return (yield from pair_cell(*args))
+        def topk_spy(store, query_ids, *args, **kwargs):
+            cell = bucket_index(config.seed, config.buckets, int(query_ids[0]))
+            events.append((cell, threading.get_ident()))
+            return topk(store, query_ids, *args, **kwargs)
 
-        monkeypatch.setattr(bijection, "_greedy_pair_cell", recording)
+        def edit_spy(*args):
+            events.append(None)
+            return edit_terms(*args)
+
+        monkeypatch.setattr(bijection, "topk_cosine", topk_spy)
+        monkeypatch.setattr(bijection, "_edit_terms", edit_spy)
         key = build_key(vocab, store, config, threads=4)  # accepted and ignored
-        assert calls == [(cell, threading.get_ident()) for cell in range(4)]
         assert key.mapping == expected.mapping
+
+        rounds, current = [], []
+        for event in events:
+            if event is None:
+                rounds.append(current)
+                current = []
+            else:
+                current.append(event)
+        assert current == [] and len(rounds) > 1
+        assert rounds[0] == [(cell, threading.get_ident()) for cell in range(4)]
+        for calls in rounds:  # each round's batches on this thread, in ascending cell order
+            cells = [cell for cell, _ in calls]
+            assert cells == sorted(set(cells))
+            assert {thread for _, thread in calls} == {threading.get_ident()}
 
     def test_embedding_scaling_leaves_key_unchanged(self, tmp_path):
         vocab, store = build_instance(9, 40)
@@ -520,6 +567,42 @@ class TestLazyGreedy:
         assert [len(s) for s in prepared] == [sum(sizes[c] for c in g) for g in groups]
         # a group's surfaces serve one scoring call per round of its longest cell
         assert [scored.count(s) for s in prepared] == [max(rounds[c] for c in g) for g in groups]
+
+    @pytest.mark.parametrize("seed", [0, 2, 4])
+    def test_narrow_and_lone_cells_share_rounds(self, seed, monkeypatch):
+        # a one-member cell and cells of at most k members pad their rows
+        # beside wider cells in the same round matrix
+        monkeypatch.setattr(bijection, "_BATCH_CELLS", 0)
+        batch_cells, scoring_calls = [], []  # batch_cells: the cell of each batch
+        topk, edit_terms = bijection.topk_cosine, bijection._edit_terms
+
+        def topk_spy(store, query_ids, *args, **kwargs):
+            batch_cells.append(bucket_index(seed, 12, int(query_ids[0])))
+            return topk(store, query_ids, *args, **kwargs)
+
+        def edit_spy(*args):
+            scoring_calls.append(len(args[1]))
+            return edit_terms(*args)
+
+        monkeypatch.setattr(bijection, "topk_cosine", topk_spy)
+        monkeypatch.setattr(bijection, "_edit_terms", edit_spy)
+        rng = np.random.default_rng(seed)
+        vocab = random_vocab(rng, 40)
+        store = axis_store(rng, 40, 4)
+        config = BuildConfig(k=6, seed=seed, buckets=12, greedy_batch=2)
+        cells: dict[int, list[int]] = {}
+        for i in vocab.permutable_ids:
+            cells.setdefault(bucket_index(seed, 12, i), []).append(i)
+        sizes = sorted(map(len, cells.values()))
+        assert sizes[0] == 1 and any(1 < m <= config.k for m in sizes) and sizes[-1] > config.k
+
+        key = build_key(vocab, store, config)
+        assert key.mapping == reference_greedy_mapping(vocab, store, config)
+        for members in cells.values():
+            if len(members) == 1:
+                assert key.mapping[members[0]] == members[0]
+        # one scoring call per round: as many as the cell with the most batches
+        assert len(scoring_calls) == max(map(batch_cells.count, batch_cells)) > 1
 
     def test_a_cell_is_retrieved_in_quarters_at_most(self, monkeypatch):
         # ~200-member cells fit _BATCH_CELLS whole, but a batch holds at most a
