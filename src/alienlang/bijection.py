@@ -8,20 +8,18 @@ its top-k cosine neighbors.  Neighborless leftovers are paired by a seeded
 shuffle; an odd leftover becomes a recorded fixed point.
 
 Neighbors are retrieved lazily: the walk takes a cell in batches of the next
-members still unpaired, at least ``greedy_batch`` of them and more while a
-batch's similarities fit in ``_BATCH_CELLS`` and it holds at most a quarter
-of the cell, and retrieves, scores and walks each batch before the next one
-forms.  About half of a cell is taken as a partner before its turn and is
-never retrieved.  A token's neighbors depend only on its own similarity row,
-so the batch size never changes a key.
+members still unpaired, and retrieves, scores and walks each batch before
+the next one forms.  About half of a cell is taken as a partner before its
+turn and is never retrieved.  A token's neighbors depend only on its own
+similarity row, so the batch size never changes a key.
 
-Cells advance together in rounds over groups of consecutive cells of at most
-``_GROUP_MEMBERS`` members, one group after another.  In a round each cell
-with members left forms and retrieves its next batch; the batches' rows
-stack into one round matrix of candidates, which one edit-kernel call
-scores, one sort ranks and one loop walks.  A row's candidates lie in its
-own cell, and each cell's fallback reads only its own members, so neither
-the rounds nor the groups ever change a key.
+Cells advance together in rounds over groups of consecutive cells, one group
+after another.  In a round each cell with members left forms and retrieves
+its next batch; the batches' rows stack into one round matrix of candidates,
+which one edit-kernel call scores, one sort ranks and one loop walks.  A
+row's candidates lie in its own cell, and each cell's fallback reads only its
+own members, so neither the rounds nor the groups ever change a key.  One
+budget, ``embeddings._BLOCK_BYTES``, sizes the batches and the groups.
 
 The pair score trades surface opacity against embedding closeness:
 
@@ -46,7 +44,7 @@ from typing import Iterable
 
 import numpy as np
 
-from . import editdist
+from . import editdist, embeddings
 from .embeddings import EmbeddingStore, id_array, topk_cosine
 from .errors import ArgumentError, CompatibilityError, CoverageError, FormatError, ToolkitError
 from .fileio import atomic_write, parse_json
@@ -60,25 +58,6 @@ EDIT_MODES = ("normalized", "raw")
 # the values a config field of each annotated type accepts; for BuildConfig these
 # are also the JSON types of a key file
 _FIELD_TYPES = {"int": int, "float": (int, float), "str": str}
-
-# Similarity cells per greedy batch: a batch takes at least ``greedy_batch``
-# members and more while they fit, up to a quarter of its cell, and is
-# retrieved in one matmul.  Chosen by a 2^18-2^21 sweep on the 4,096-token
-# flat build (see CHANGES.md).  With matmuls no larger than a selection
-# slice, glibc's malloc returned each one's pages and faulted them in again,
-# about 34K minor faults per 4K-token build.  The quarter cap keeps a small
-# cell lazy: a whole 256-member cell in one batch retrieved every member,
-# where quarters retrieve about two thirds (divisors 2, 4 and 8 swept on the
-# 16-bucket build, see CHANGES.md).
-_BATCH_CELLS = 1 << 20
-
-# Most members in one group of bucket cells paired in lockstep rounds; a
-# larger cell is a group of its own.  A group's surfaces are prepared at once
-# (S x A x 10 bytes for S surfaces over A distinct bytes) and each of its
-# rounds stacks one batch per cell into its matrix, so this bounds both.  Swept
-# from 2,048 to the whole mask on a 32K-token 16-bucket build: peak RSS grew
-# with the group and wall time did not tell the sizes apart (see CHANGES.md).
-_GROUP_MEMBERS = 4096
 
 
 def _check_field_types(config) -> None:
@@ -95,7 +74,11 @@ def _check_field_types(config) -> None:
 
 @dataclass(frozen=True)
 class BuildConfig:
-    """Key construction parameters.  Defaults mirror the published setup."""
+    """Key construction parameters.  Defaults mirror the published setup.
+
+    ``greedy_batch`` has no effect on a build: it is kept because v1 key
+    files record it and :func:`load_key` checks it.
+    """
 
     k: int = 100
     mu: float = 1.0
@@ -230,6 +213,15 @@ def select_mask(seed: int, rho: float, permutable: Iterable[int]) -> frozenset[i
     return frozenset(rng.permutation(ids)[:size].tolist())
 
 
+def _batch_rows(m: int) -> int:
+    """Members per greedy batch in a cell of ``m``: a budget of similarities,
+    at most a quarter of the cell."""
+    # The quarter keeps a small cell lazy: a whole 256-member cell in one batch
+    # retrieved every member, where quarters retrieve about two thirds (divisors
+    # 2, 4 and 8 swept on the 16-bucket build, see CHANGES.md).
+    return max(1, min(m // 4, embeddings._BLOCK_BYTES // (8 * m)))
+
+
 def _pair_group(
     cells: dict[int, list[int]],
     vocab: Vocabulary,
@@ -256,8 +248,7 @@ def _pair_group(
         # The list iterator reads each flag as the walk reaches it, so every
         # batch holds exactly the cell's members that are unpaired when it forms.
         unpaired = compress(range(lo, lo + m), islice(available, lo, None))
-        size = max(config.greedy_batch, min(_BATCH_CELLS // m, m // 4))
-        walks.append((ids[lo : lo + m], unpaired, size))
+        walks.append((ids[lo : lo + m], unpaired, _batch_rows(m)))
         lo += m
 
     mapping: dict[int, int] = {}
@@ -335,9 +326,9 @@ def build_key(
     """Construct a key: mask, bucket, retrieve, greedily pair, fall back.
 
     Deterministic in (vocab, store, config).  Bucket cells are paired on the
-    calling thread in groups of consecutive cells, at most ``_GROUP_MEMBERS``
-    members each unless one cell is larger, and within a group in lockstep
-    rounds (:func:`_pair_group`).  BLAS threads the similarity matmul.
+    calling thread in groups of consecutive cells that fit the budget, a
+    larger cell alone, and within a group in lockstep rounds
+    (:func:`_pair_group`).  BLAS threads the similarity matmul.
     ``threads`` is accepted and ignored; ROADMAP item 6 deletes it together
     with the benchmark's ``threads=`` argument.
     """
@@ -353,15 +344,18 @@ def build_key(
     ids = sorted(mask)
     for i, cell in zip(ids, _bucket_layout(config.seed, config.buckets, ids)):
         cells.setdefault(cell, []).append(i)
+    alphabet = len(set(b"".join(map(vocab.token_of, ids))))
     groups: list[dict[int, list[int]]] = []
-    size = _GROUP_MEMBERS
+    held = embeddings._BLOCK_BYTES
     for cell in sorted(cells):
-        members = cells[cell]
-        if size + len(members) > _GROUP_MEMBERS:
+        # a cell's match table and its batch's rows of the round matrix
+        m = len(cells[cell])
+        cost = m * 10 * alphabet + _batch_rows(m) * min(config.k, m) * 64
+        if held + cost > embeddings._BLOCK_BYTES:
             groups.append({})
-            size = 0
-        groups[-1][cell] = members
-        size += len(members)
+            held = 0
+        groups[-1][cell] = cells[cell]
+        held += cost
 
     mapping: dict[int, int] = {}
     # ``key.mapping``'s order may interleave a group's cells; it is no part of a

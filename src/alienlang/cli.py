@@ -241,14 +241,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mu", type=float, help="similarity trade-off weight")
     p.add_argument("--k", type=int, help="neighbor count for candidate reduction")
     p.add_argument("--buckets", type=int, help="> 1 makes keys built with different seeds differ")
-    p.add_argument(
-        "--greedy-batch",
-        type=int,
-        help="least rows per greedy batch, each retrieved as one top-k block; never changes the key",
-    )
     p.add_argument("--edit-mode", choices=EDIT_MODES)
     p.add_argument("--out", required=True)
-    # every BuildConfig flag defaults to the class's own default
+    # every BuildConfig field defaults to the class's own default
     p.set_defaults(func=_cmd_build_key, **asdict(BuildConfig()))
 
     p = sub.add_parser("encode", parents=[vocab, key], help="plaintext -> alien")

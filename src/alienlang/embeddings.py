@@ -6,12 +6,12 @@ small d) exact retrieval is affordable and removes approximation as a
 correctness variable.
 
 ``topk_cosine`` computes one matmul over its queries and selects in slices
-of at least 64 rows, more while a slice fits in 2^18 similarity cells: a
-256-member bucket cell takes one selection, and 4,096 or 32K candidates
-take 64-row slices.  A key build bounds the matmul by passing each greedy
-batch as one call.  Candidate ids may come in any iterable form; ids that
-form one run are read as a view of the store's rows, not gathered into a
-copy.
+sized by ``_BLOCK_BYTES``, the one memory budget of a key build: a
+256-member bucket cell takes one selection, 4,096 candidates take 64-row
+slices and 32K take 8-row ones.  A key build bounds the matmul by passing
+each greedy batch as one call.  Candidate ids may come in any iterable form;
+ids that form one run are read as a view of the store's rows, not gathered
+into a copy.
 
 Each row's answer is a set, returned in ascending id order, not by cosine:
 its query's own cell is set to -inf, and one ``argpartition`` puts the
@@ -48,11 +48,13 @@ _NORM_TOL = 1e-5
 _NUMBER = rf"[+-]?{DIGIT}+(?:\.{DIGIT}+)?(?:[eE][+-]?{DIGIT}+)?"
 _HEADER = re.compile(rf"\s*{DIGIT}+\s+{DIGIT}+\s*", re.ASCII)
 _ROW = re.compile(rf"\s*(?:{DIGIT}+(?:\s+{_NUMBER})*)?\s*", re.ASCII)
-# Similarity cells a selection slice takes beyond its least rows; each
-# selection holds int64 index arrays as large as its slice.
-_CELL_BUDGET = 1 << 18
-# The least query rows per top-k selection.
-_SELECT_ROWS = 64
+# The bytes a key build's temporaries may hold.  A top-k selection slice
+# takes 32 B a similarity cell (2^18 cells), a greedy batch's matmul 8 B
+# (2^20), and a group of bucket cells 10 B per surface and distinct byte for
+# its match table and 64 B per candidate for its round matrix.  With batches
+# no larger than a slice, glibc's malloc returned each matmul's pages and
+# faulted them in again, about 34K minor faults per 4K-token build.
+_BLOCK_BYTES = 1 << 23
 
 
 @dataclass(frozen=True)
@@ -308,7 +310,7 @@ def topk_cosine(
         cand_rows = store.rows[cand]
     sims = store.rows[queries] @ cand_rows.T
     # Rows select independently; slicing caps the selection's index arrays.
-    select = max(_SELECT_ROWS, _CELL_BUDGET // cand.size)
+    select = max(1, _BLOCK_BYTES // (32 * cand.size))
     for lo in range(0, queries.size, select):
         hi = lo + select
         out_ids[lo:hi], out_sims[lo:hi] = _topk_rows(sims[lo:hi], queries[lo:hi], cand, width)

@@ -287,6 +287,7 @@ def test_c05_build_budget_32k(tmp_path):
         key = build_key(
             vocab,
             store,
+            # the pinned key file records greedy_batch=512; the build ignores it
             BuildConfig(k=50, seed=0, rho=1.0, greedy_batch=512),
             threads=4,
         )

@@ -2,7 +2,6 @@ import hashlib
 import math
 import re
 import threading
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -310,8 +309,7 @@ class TestBuildKey:
 
     def test_cells_pair_in_order_on_calling_thread(self, monkeypatch):
         vocab, store = build_instance(8, 80)
-        config = BuildConfig(k=5, seed=5, buckets=4, greedy_batch=3)
-        monkeypatch.setattr(bijection, "_BATCH_CELLS", 0)  # several rounds
+        config = BuildConfig(k=5, seed=5, buckets=4)  # ~20-member cells: quarters, several rounds
         expected = build_key(vocab, store, config)
         events = []  # per top-k call its cell and thread; None where a round is scored
         topk, edit_terms = bijection.topk_cosine, bijection._edit_terms
@@ -354,26 +352,18 @@ class TestBuildKey:
         key_b = build_key(vocab, normalize(scaled), config)
         assert key_a.mapping == key_b.mapping
 
-    def test_greedy_batch_width_does_not_change_key(self, monkeypatch):
-        # greedy_batch alone sets the batch and the block width
-        monkeypatch.setattr(bijection, "_BATCH_CELLS", 0)
-        monkeypatch.setattr(embeddings, "_CELL_BUDGET", 0)
-        vocab, store = build_instance(10, 70)
-        base = build_key(vocab, store, BuildConfig(k=5, seed=3, greedy_batch=1))
-        wide = build_key(vocab, store, BuildConfig(k=5, seed=3, greedy_batch=64))
-        assert base.mapping == wide.mapping
-
-    @pytest.mark.parametrize("budget", [0, 1 << 18])
+    # 0 gives one-row batches and slices and one cell per group; 4 KiB gives
+    # batches of 6-8 rows, slices of 3-4 and one cell per group
+    @pytest.mark.parametrize("budget", [0, 1 << 12])
     def test_greedy_batch_width_does_not_change_bucketed_key(self, budget, monkeypatch):
-        monkeypatch.setattr(bijection, "_BATCH_CELLS", 0)
-        monkeypatch.setattr(embeddings, "_CELL_BUDGET", budget)
         vocab, store = build_instance(12, 120)
         config = BuildConfig(k=30, seed=5, buckets=4)
         sizes = np.bincount([bucket_index(5, 4, i) for i in vocab.permutable_ids])
         assert sizes.min() < config.k + 1 < sizes.max()  # one cell's top-k takes all of it
-        keys = [build_key(vocab, store, replace(config, greedy_batch=b)) for b in (1, 50, 4096)]
-        assert keys[0].mapping == keys[1].mapping == keys[2].mapping
-        assert keys[0].mapping == reference_greedy_mapping(vocab, store, config)
+        default = build_key(vocab, store, config)
+        monkeypatch.setattr(embeddings, "_BLOCK_BYTES", budget)
+        assert build_key(vocab, store, config).mapping == default.mapping
+        assert default.mapping == reference_greedy_mapping(vocab, store, config)
 
     @pytest.mark.parametrize("seed", [0, 7, -3, 2**100])
     @pytest.mark.parametrize("buckets", [2, 16, 1000])
@@ -416,7 +406,7 @@ class TestReferenceGreedy:
     @pytest.mark.parametrize(
         "trial", [*range(24), *(pytest.param(t, id=f"long{t}") for t in range(24, 30))]
     )
-    def test_build_key_matches_reference(self, trial):
+    def test_build_key_matches_reference(self, trial, monkeypatch):
         rng = np.random.default_rng(4100 + trial)
         if trial < 24:
             n = int(rng.integers(8, 70))
@@ -431,9 +421,11 @@ class TestReferenceGreedy:
             rho=float(rng.choice([0.6, 0.85, 1.0])),
             seed=trial,
             buckets=int(rng.choice([1, 2, 3, 5])),
-            greedy_batch=int(rng.integers(1, 9)),
             edit_mode=str(rng.choice(["normalized", "raw"])),
         )
+        # 1-8 KiB: batches and selection slices of a few rows, groups of one
+        # cell or a few
+        monkeypatch.setattr(embeddings, "_BLOCK_BYTES", int(rng.integers(1, 9)) << 10)
         key = build_key(vocab, store, config)
         assert key.mapping == reference_greedy_mapping(vocab, store, config)
 
@@ -441,23 +433,25 @@ class TestReferenceGreedy:
 class TestLazyGreedy:
     """The walk retrieves a cell in batches of the members still unpaired.
 
-    With ``_BATCH_CELLS`` patched to 0, ``greedy_batch`` alone sets the batch
-    size, so these small cells take many batches.
+    A batch holds at most a quarter of its cell, so these small cells take
+    several batches; a budget patched into ``embeddings._BLOCK_BYTES`` sets
+    smaller ones.
     """
 
     @pytest.mark.parametrize("buckets", [1, 4])
     def test_batch_size_does_not_change_mapping(self, buckets, monkeypatch):
-        monkeypatch.setattr(bijection, "_BATCH_CELLS", 0)
         rng = np.random.default_rng(2600 + buckets)
         vocab = sparse_vocab(rng, 160, specials=5)
         store = axis_store(rng, max(vocab.id_to_token) + 1, 6)
         config = BuildConfig(k=6, seed=9, buckets=buckets)
-        keys = [build_key(vocab, store, replace(config, greedy_batch=b)) for b in (1, 7, 64)]
+        keys = []
+        for budget in (0, 1 << 12, embeddings._BLOCK_BYTES):
+            monkeypatch.setattr(embeddings, "_BLOCK_BYTES", budget)
+            keys.append(build_key(vocab, store, config))
         assert keys[0].mapping == keys[1].mapping == keys[2].mapping
         assert keys[0].mapping == reference_greedy_mapping(vocab, store, config)
 
     def test_only_unpaired_members_are_retrieved(self, monkeypatch):
-        monkeypatch.setattr(bijection, "_BATCH_CELLS", 0)
         batches = []
         topk = bijection.topk_cosine
 
@@ -469,7 +463,9 @@ class TestLazyGreedy:
         rng = np.random.default_rng(2610)
         vocab = sparse_vocab(rng, 300, specials=5)
         store = axis_store(rng, max(vocab.id_to_token) + 1, 16)
-        config = BuildConfig(k=30, seed=2, greedy_batch=7)
+        config = BuildConfig(k=30, seed=2)
+        # one cell of m members: a budget of 7 similarity rows, 8 B a cell
+        monkeypatch.setattr(embeddings, "_BLOCK_BYTES", 8 * 7 * len(vocab.permutable_ids))
         key = build_key(vocab, store, config)
         mapping, paired_by = reference_greedy_walk(vocab, store, config)
         assert key.mapping == mapping
@@ -486,7 +482,6 @@ class TestLazyGreedy:
         assert len(queried) <= 0.65 * len(key.mask)
 
     def test_cells_are_scored_in_rounds(self, monkeypatch):
-        monkeypatch.setattr(bijection, "_BATCH_CELLS", 0)
         batches, scoring_calls = [], []
         topk, edit_terms = bijection.topk_cosine, bijection._edit_terms
 
@@ -503,7 +498,7 @@ class TestLazyGreedy:
         rng = np.random.default_rng(2620)
         vocab = sparse_vocab(rng, 300, specials=5)
         store = axis_store(rng, max(vocab.id_to_token) + 1, 16)
-        config = BuildConfig(k=30, seed=4, buckets=4, greedy_batch=7)
+        config = BuildConfig(k=30, seed=4, buckets=4)
         key = build_key(vocab, store, config)
         mapping, paired_by = reference_greedy_walk(vocab, store, config)
         assert key.mapping == mapping
@@ -523,8 +518,8 @@ class TestLazyGreedy:
                 assert all(paired_by.get(i, i) >= batch[0] for i in batch)
 
     def test_groups_of_cells_prepare_their_own_surfaces(self, monkeypatch):
-        monkeypatch.setattr(bijection, "_BATCH_CELLS", 0)
-        monkeypatch.setattr(bijection, "_GROUP_MEMBERS", 130)
+        budget = 1 << 17
+        monkeypatch.setattr(embeddings, "_BLOCK_BYTES", budget)
         batches, scored = [], []  # scored: the surfaces of each scoring call
         topk, edit_terms = bijection.topk_cosine, bijection._edit_terms
 
@@ -541,22 +536,28 @@ class TestLazyGreedy:
         rng = np.random.default_rng(2625)
         vocab = sparse_vocab(rng, 400, specials=5)
         store = axis_store(rng, max(vocab.id_to_token) + 1, 16)
-        config = BuildConfig(k=20, seed=3, buckets=6, greedy_batch=9)
+        config = BuildConfig(k=20, seed=3, buckets=6)
         key = build_key(vocab, store, config)
         assert key.mapping == reference_greedy_mapping(vocab, store, config)
 
-        # consecutive cells, at most 130 members a group unless one cell is larger
+        # consecutive cells while their match tables (10 B per surface and
+        # distinct byte) and round matrices (64 B per candidate of a batch)
+        # fit the budget, unless one cell is larger
         sizes: dict[int, int] = {}
         for i in sorted(key.mask):
             cell = bucket_index(config.seed, config.buckets, i)
             sizes[cell] = sizes.get(cell, 0) + 1
-        groups, total = [], 130
+        alphabet = len(set(b"".join(map(vocab.token_of, key.mask))))
+        groups, total = [], budget
         for cell in sorted(sizes):
-            if total + sizes[cell] > 130:
+            m = sizes[cell]
+            batch = max(1, min(m // 4, budget // (8 * m)))
+            cost = m * 10 * alphabet + batch * min(config.k, m) * 64
+            if total + cost > budget:
                 groups.append([])
                 total = 0
             groups[-1].append(cell)
-            total += sizes[cell]
+            total += cost
         assert 1 < len(groups) < len(sizes)  # some group holds several cells
 
         rounds: dict[int, int] = {}  # per cell, its number of batches
@@ -572,7 +573,6 @@ class TestLazyGreedy:
     def test_narrow_and_lone_cells_share_rounds(self, seed, monkeypatch):
         # a one-member cell and cells of at most k members pad their rows
         # beside wider cells in the same round matrix
-        monkeypatch.setattr(bijection, "_BATCH_CELLS", 0)
         batch_cells, scoring_calls = [], []  # batch_cells: the cell of each batch
         topk, edit_terms = bijection.topk_cosine, bijection._edit_terms
 
@@ -589,7 +589,7 @@ class TestLazyGreedy:
         rng = np.random.default_rng(seed)
         vocab = random_vocab(rng, 40)
         store = axis_store(rng, 40, 4)
-        config = BuildConfig(k=6, seed=seed, buckets=12, greedy_batch=2)
+        config = BuildConfig(k=6, seed=seed, buckets=12)
         cells: dict[int, list[int]] = {}
         for i in vocab.permutable_ids:
             cells.setdefault(bucket_index(seed, 12, i), []).append(i)
@@ -605,8 +605,9 @@ class TestLazyGreedy:
         assert len(scoring_calls) == max(map(batch_cells.count, batch_cells)) > 1
 
     def test_a_cell_is_retrieved_in_quarters_at_most(self, monkeypatch):
-        # ~200-member cells fit _BATCH_CELLS whole, but a batch holds at most a
-        # quarter of its cell, so members taken before their turn stay unretrieved
+        # ~200-member cells' similarities fit the budget whole, but a batch holds
+        # at most a quarter of its cell, so members taken before their turn stay
+        # unretrieved
         retrieved = []
         topk = bijection.topk_cosine
 
@@ -621,8 +622,8 @@ class TestLazyGreedy:
         config = BuildConfig(k=50, seed=6, buckets=4)
         key = build_key(vocab, store, config)
         assert sum(retrieved) <= 0.75 * len(key.mask)
-        whole = build_key(vocab, store, replace(config, greedy_batch=4096))  # one batch per cell
-        assert key.mapping == whole.mapping
+        monkeypatch.setattr(embeddings, "_BLOCK_BYTES", 0)  # one-row batches
+        assert build_key(vocab, store, config).mapping == key.mapping
 
 
 def key_sha256(key, tmp_path) -> str:
@@ -657,6 +658,7 @@ class TestKeyBytesPinned:
                           "cf9b13d507d86bcb2bcafe4a2a036571ed7c3edcf93ffad8e11c6bb78795e096"),
         "rho_half": (BuildConfig(k=10, seed=5, rho=0.5), None, False,
                      "864bb3a60ba36abe76ceea90b49ea691bf334bc11d150d9efff41ca8c628c76e"),
+        # a key file records greedy_batch, which changes nothing else
         "batch1": (BuildConfig(k=10, seed=6, greedy_batch=1), None, False,
                    "57230d6ca9ba85b33c25645ae84776af0df246a1143404419f8700c2971e4960"),
         "batch64": (BuildConfig(k=10, seed=6, greedy_batch=64), None, False,
@@ -680,6 +682,17 @@ class TestKeyBytesPinned:
         save_key(build_key(vocab, axis_store if ties else store, config, threads=threads), first)
         save_key(load_key(first), second)
         assert second.read_bytes() == first.read_bytes()
+
+    # 0 gives one-row batches and slices and one cell per group; 2^40 one
+    # group over the whole mask, quarter-cell batches and whole-batch slices
+    @pytest.mark.parametrize("budget", [0, 1 << 12, 1 << 16, 1 << 18, 1 << 40])
+    @pytest.mark.parametrize("name", ["flat", "buckets4_threads2", "raw", "axis_ties"])
+    def test_budget_does_not_change_key_bytes(self, name, budget, tmp_path, monkeypatch):
+        config, _, ties, digest = self.CASES[name]
+        vocab, store, axis_store = pinned_instance()
+        monkeypatch.setattr(embeddings, "_BLOCK_BYTES", budget)
+        key = build_key(vocab, axis_store if ties else store, config)
+        assert key_sha256(key, tmp_path) == digest
 
     def test_k_covers_every_cell(self):
         # the k_covers_cell case exercises k >= cell size only if no cell exceeds k

@@ -548,6 +548,11 @@ class TestExitCodes:
             build_key_cli(workspace, workspace["dir"] / "key.json", extra=["--threads", "2"])
         assert exc_info.value.code == 2
 
+    def test_build_key_greedy_batch_flag_is_2(self, workspace):
+        with pytest.raises(SystemExit) as exc_info:
+            build_key_cli(workspace, workspace["dir"] / "key.json", extra=["--greedy-batch", "8"])
+        assert exc_info.value.code == 2
+
     def test_unknown_subcommand_is_2(self):
         with pytest.raises(SystemExit) as exc_info:
             run(["frobnicate"])

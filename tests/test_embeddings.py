@@ -332,7 +332,7 @@ class TestTopkBatched:
         [
             (256, 256, [256]),  # a bucket cell: one selection
             (4096, 200, [64, 64, 64, 8]),  # a flat build: the budget sets 64 rows
-            (8192, 200, [64, 64, 64, 8]),  # 64 rows is the floor of a slice
+            (8192, 200, [32] * 6 + [8]),  # twice the candidates, half the rows
             (300, 1000, [873, 127]),  # a narrow row set takes wider slices
         ],
     )
@@ -349,8 +349,7 @@ class TestTopkBatched:
         ids = np.arange(queries) % cands
         got, _ = topk_cosine(store, ids, 5, range(cands))
         assert seen == slices
-        monkeypatch.setattr(embeddings, "_CELL_BUDGET", 0)
-        monkeypatch.setattr(embeddings, "_SELECT_ROWS", 1)
+        monkeypatch.setattr(embeddings, "_BLOCK_BYTES", 0)  # one-row slices
         want, _ = topk_cosine(store, ids, 5, range(cands))
         assert np.array_equal(got, want)
 
@@ -382,14 +381,14 @@ class TestCandidateForms:
 class TestExactTies:
     @pytest.mark.parametrize("select", range(1, 10))
     def test_topk_matches_oracle_on_tied_rows(self, select, monkeypatch):
-        monkeypatch.setattr(embeddings, "_CELL_BUDGET", 0)
-        monkeypatch.setattr(embeddings, "_SELECT_ROWS", select)
         rng = np.random.default_rng(900 + select)
         for _ in range(12):
             n = int(rng.integers(2, 40))
             store = axis_store(rng, n, int(rng.integers(1, 5)))
             size = int(rng.integers(1, n + 1))
             cands = sorted(int(i) for i in rng.choice(n, size=size, replace=False))
+            # slices of ``select`` rows: 32 B per similarity cell
+            monkeypatch.setattr(embeddings, "_BLOCK_BYTES", 32 * select * size)
             # queries include ids outside the candidate set, and repeats
             queries = [int(q) for q in rng.integers(0, n, size=int(rng.integers(1, n + 1)))]
             for k in {1, int(rng.integers(1, len(cands) + 1)), len(cands), len(cands) + 3}:
