@@ -22,7 +22,6 @@ from .bijection import (
     OpacityReport,
     build_key,
     check_key,
-    identity_key,
     key_from_pairs,
     key_overlap,
     load_key,
@@ -32,7 +31,7 @@ from .bijection import (
     save_key,
     select_mask,
 )
-from .editdist import BACKEND, levenshtein, normalized_levenshtein
+from .editdist import BACKEND
 from .embeddings import (
     EmbeddingStore,
     derive_proxy_store,

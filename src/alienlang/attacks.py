@@ -28,15 +28,10 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
+from . import embeddings
 from .embeddings import EmbeddingStore, id_array
 from .errors import ArgumentError, CoverageError, FormatError
 from .vocab import TokenSequence, check_count, first_non_id
-
-
-# Rows per dense scoring block in ngram_hypotheses.
-_BLOCK_ROWS = 1024
-# Rows per similarity block in nn_hypotheses: 64 MB of float64 at a 32K mask.
-_NN_BLOCK_ROWS = 256
 
 
 @dataclass
@@ -221,11 +216,12 @@ def ngram_hypotheses(
     mapping is a bijection.  Each unseen token gets the candidate with the
     largest context overlap, ties (and an empty signature) going to the more
     frequent candidate, then the lower id.  Unseen tokens are scored in
-    blocks of ``_BLOCK_ROWS`` rows.  A block's dense scores hold rows by
-    candidates; its join, one entry for each alien (token, context) entry
-    and candidate sharing that context, is taken in pieces of about as many
-    entries, 24 bytes each, so a block's extra memory stays within a few
-    dense blocks however dense the corpus.  Pure inference: no key involved.
+    blocks whose dense scores, rows by candidates at 8 bytes each, fill
+    ``embeddings._BLOCK_BYTES``.  A block's join, one entry for each alien
+    (token, context) entry and candidate sharing that context, is taken in
+    pieces of about as many entries, 24 bytes each, so its extra memory stays
+    within a few budgets however dense the corpus.  Pure inference: no key
+    involved.
     """
     check_count("n-gram order", n, 2)
 
@@ -281,10 +277,11 @@ def ngram_hypotheses(
     # block's join is taken in pieces of about one dense block of entries
     begin = first[cols]
     size = first[cols + 1] - begin
-    budget = _BLOCK_ROWS * free.size
-    bounds = np.searchsorted(rows, np.arange(0, unseen.size + _BLOCK_ROWS, _BLOCK_ROWS))
-    for start, lo, hi in zip(range(0, unseen.size, _BLOCK_ROWS), bounds, bounds[1:]):
-        block = min(_BLOCK_ROWS, unseen.size - start)
+    step = max(1, embeddings._BLOCK_BYTES // (8 * free.size))
+    budget = step * free.size
+    bounds = np.searchsorted(rows, np.arange(0, unseen.size + step, step))
+    for start, lo, hi in zip(range(0, unseen.size, step), bounds, bounds[1:]):
+        block = min(step, unseen.size - start)
         # a piece ends at each multiple of the budget; one entry joins at most
         # free.size entries, so no piece passes the budget by more than that
         end = np.cumsum(size[lo:hi])
@@ -371,8 +368,9 @@ def nn_hypotheses(store: EmbeddingStore, masked: Iterable[int]) -> dict[int, int
     if ids.size < 2:
         return guesses
     rows = store.rows[ids]
-    for start in range(0, ids.size, _NN_BLOCK_ROWS):
-        stop = min(start + _NN_BLOCK_ROWS, ids.size)
+    step = max(1, embeddings._BLOCK_BYTES // (8 * ids.size))  # similarity rows per block
+    for start in range(0, ids.size, step):
+        stop = min(start + step, ids.size)
         sims = rows[start:stop] @ rows.T
         local = np.arange(stop - start)
         sims[local, start + local] = -np.inf  # exclude self

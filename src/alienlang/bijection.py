@@ -36,7 +36,7 @@ import json
 import math
 import statistics
 import sys
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import asdict, dataclass, fields
 from functools import cached_property
 from itertools import chain, compress, islice
 from pathlib import Path
@@ -521,12 +521,6 @@ def load_key(path: str | Path) -> BijectionKey:
     if not all(fp >= 0 for fp in fixed_points):
         raise FormatError("key file fixed points must be non-negative integers")
     return key
-
-
-def identity_key(vocab: Vocabulary, config: BuildConfig | None = None) -> BijectionKey:
-    """A rho=0 key for the vocabulary: empty mask, encode is identity."""
-    config = replace(config or BuildConfig(), rho=0.0)
-    return BijectionKey(KEY_FORMAT_VERSION, vocab.fingerprint, config, {})
 
 
 def key_from_pairs(

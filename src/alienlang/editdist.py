@@ -44,6 +44,10 @@ from .errors import ArgumentError
 BACKEND = "numpy"  # the only backend; kept for callers that record it
 
 _WORD = 64
+# _NARROW and _CHUNK are kernel tuning constants set by measurement, not memory
+# bounds: without the narrow lane the 4K-token bucketed build took 44.4 against
+# 40.5 ms, and passes of 2^20 entries took 47.7 against 44.3 ms (bucketed) and
+# 70.5 against 69.0 ms (flat), medians of 12 alternating builds.
 # A pair whose longer string has at most this many bytes runs in the narrow
 # lane, in uint16 words; every other pair runs in uint64 words.
 _NARROW = 16

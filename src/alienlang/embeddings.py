@@ -6,12 +6,14 @@ small d) exact retrieval is affordable and removes approximation as a
 correctness variable.
 
 ``topk_cosine`` computes one matmul over its queries and selects in slices
-sized by ``_BLOCK_BYTES``, the one memory budget of a key build: a
-256-member bucket cell takes one selection, 4,096 candidates take 64-row
-slices and 32K take 8-row ones.  A key build bounds the matmul by passing
-each greedy batch as one call.  Candidate ids may come in any iterable form;
-ids that form one run are read as a view of the store's rows, not gathered
-into a copy.
+sized by ``_BLOCK_BYTES``, the toolkit's one memory budget: a 256-member
+bucket cell takes one selection, 4,096 candidates take 64-row slices and 32K
+take 8-row ones.  The budget also bounds a key build's greedy batches, each
+one call and so one matmul, and its groups of bucket cells; the
+nearest-neighbour attack's similarity blocks; and the n-gram attack's score
+blocks and join pieces.  Candidate ids may come in any iterable form; ids
+that form one run are read as a view of the store's rows, not gathered into
+a copy.
 
 Each row's answer is a set, returned in ascending id order, not by cosine:
 its query's own cell is set to -inf, and one ``argpartition`` puts the
@@ -48,12 +50,15 @@ _NORM_TOL = 1e-5
 _NUMBER = rf"[+-]?{DIGIT}+(?:\.{DIGIT}+)?(?:[eE][+-]?{DIGIT}+)?"
 _HEADER = re.compile(rf"\s*{DIGIT}+\s+{DIGIT}+\s*", re.ASCII)
 _ROW = re.compile(rf"\s*(?:{DIGIT}+(?:\s+{_NUMBER})*)?\s*", re.ASCII)
-# The bytes a key build's temporaries may hold.  A top-k selection slice
-# takes 32 B a similarity cell (2^18 cells), a greedy batch's matmul 8 B
-# (2^20), and a group of bucket cells 10 B per surface and distinct byte for
-# its match table and 64 B per candidate for its round matrix.  With batches
-# no larger than a slice, glibc's malloc returned each matmul's pages and
-# faulted them in again, about 34K minor faults per 4K-token build.
+# The bytes a block of temporaries may hold, in a key build and in the
+# attacks.  A top-k selection slice takes 32 B a similarity cell (2^18
+# cells); a greedy batch's matmul, the nearest-neighbour attack's similarity
+# block and the n-gram attack's score block 8 B (2^20); an n-gram join piece
+# about as many entries, 24 B each; and a group of bucket cells 10 B per
+# surface and distinct byte for its match table and 64 B per candidate for
+# its round matrix.  With batches no larger than a slice, glibc's malloc
+# returned each matmul's pages and faulted them in again, about 34K minor
+# faults per 4K-token build.
 _BLOCK_BYTES = 1 << 23
 
 

@@ -10,6 +10,7 @@ from collections import Counter
 import numpy as np
 
 from alienlang import (
+    BijectionKey,
     BuildConfig,
     EmbeddingStore,
     StabilityError,
@@ -20,7 +21,7 @@ from alienlang import (
     reference_tokenize,
     select_mask,
 )
-from alienlang.bijection import bucket_index
+from alienlang.bijection import KEY_FORMAT_VERSION, bucket_index
 from alienlang.seeding import derive_rng
 from alienlang.translator import ID_STREAM_MAGIC
 
@@ -55,6 +56,11 @@ def vocab_from(tokens: list[bytes], specials: list[bytes] = ()) -> Vocabulary:
     entries = [(tok, idx) for idx, tok in enumerate(tokens)]
     special_ids = [tokens.index(s) for s in specials]
     return Vocabulary.from_entries(entries, special_ids)
+
+
+def identity_key(vocab: Vocabulary) -> BijectionKey:
+    """A rho=0 key for the vocabulary: empty mask, encode is identity."""
+    return BijectionKey(KEY_FORMAT_VERSION, vocab.fingerprint, BuildConfig(rho=0.0), {})
 
 
 def random_vocab(

@@ -5,6 +5,7 @@ import subprocess
 import sys
 from collections import Counter, defaultdict, namedtuple
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -24,17 +25,17 @@ from alienlang import (
     build_key,
     encode_ids,
     frequency_attack,
-    identity_key,
     key_from_pairs,
     llm_inverse_probe,
     ngram_attack,
     nn_mapping_attack,
     rouge_l,
 )
-from alienlang import attacks
+from alienlang import attacks, embeddings
 from alienlang.attacks import frequency_hypotheses, ngram_hypotheses, nn_hypotheses
 from helpers import (
     axis_store,
+    identity_key,
     markov_ngram_inputs,
     random_vocab,
     reference_frequency_hypotheses,
@@ -373,6 +374,17 @@ def test_nn_hypotheses_never_guesses_a_repeated_id_as_its_own_partner():
     assert nn_hypotheses(store, [1, 1, 2]) == nn_hypotheses(store, [1, 2]) == {1: 2, 2: 1}
 
 
+class CountedRows(np.ndarray):
+    """Embedding rows that record the row count of each matrix product they
+    lead, which in nn_hypotheses is one per similarity block."""
+
+    blocks: list[int] = []
+
+    def __matmul__(self, other):
+        CountedRows.blocks.append(len(self))
+        return np.asarray(self) @ np.asarray(other)
+
+
 class TestNnHypothesesTies:
     @pytest.mark.parametrize("block", [1, 2, 3, 7, 1024])
     def test_ties_break_to_lowest_id(self, block, monkeypatch):
@@ -380,13 +392,42 @@ class TestNnHypothesesTies:
         store = axis_store(rng, 60, 4)
         rows = store.rows
         masked = sorted(int(i) for i in rng.choice(60, size=40, replace=False))
-        monkeypatch.setattr(attacks, "_NN_BLOCK_ROWS", block)
-        guesses = nn_hypotheses(store, masked)
+        # a block's similarities take 8 B per row and masked token
+        monkeypatch.setattr(embeddings, "_BLOCK_BYTES", 8 * block * len(masked))
+        monkeypatch.setattr(CountedRows, "blocks", [])
+        counted = SimpleNamespace(n=store.n, normalized=True, rows=rows.view(CountedRows))
+        guesses = nn_hypotheses(counted, masked)
+        whole, rest = divmod(len(masked), block)
+        assert CountedRows.blocks == [block] * whole + [rest] * (rest > 0)
         assert sorted(guesses) == masked
         for i in masked:
             others = [j for j in masked if j != i]
             best = max(float(rows[i] @ rows[j]) for j in others)
             assert guesses[i] == min(j for j in others if float(rows[i] @ rows[j]) == best)
+
+
+def ngram_budget(rows, leaked, reference):
+    """The ``_BLOCK_BYTES`` that gives ngram_hypotheses dense blocks of ``rows``
+    rows: 8 B per row and candidate, a candidate being a reference id that no
+    leaked alien id is known to map to."""
+    known = {a: p for plain, alien in leaked for p, a in zip(plain, alien)}
+    candidates = {t for seq in reference for t in seq} - set(known.values())
+    return 8 * rows * len(candidates)
+
+
+def spy_join_pieces(monkeypatch) -> list[bool]:
+    """Record each join piece of ngram_hypotheses, one weighted ``np.bincount``
+    call apiece: True for a block's first piece, which sizes the block's scores."""
+    pieces = []
+    bincount = np.bincount
+
+    def spy(x, weights=None, minlength=0):
+        if weights is not None:
+            pieces.append(minlength > 0)
+        return bincount(x, weights, minlength)
+
+    monkeypatch.setattr(np, "bincount", spy)
+    return pieces
 
 
 def reference_ngram_guesses(leaked, evals, n, reference):
@@ -500,8 +541,11 @@ class TestNgramHypothesesTies:
         leaked, evals = pairs[:6], pairs[6:]
         whole = ngram_hypotheses(leaked, evals, 3, plain)
         assert len(whole[1]) > rows
-        monkeypatch.setattr(attacks, "_BLOCK_ROWS", rows)
+        monkeypatch.setattr(embeddings, "_BLOCK_BYTES", ngram_budget(rows, leaked, plain))
+        pieces = spy_join_pieces(monkeypatch)
         assert ngram_hypotheses(leaked, evals, 3, plain) == whole
+        assert sum(pieces) == -(-len(whole[1]) // rows)  # one block per `rows` unseen tokens
+        assert len(pieces) > sum(pieces)
 
     @pytest.mark.parametrize("rows", [1, 5, 1024])
     def test_join_pieces_match_loop_reference_on_a_dense_source(self, rows, monkeypatch):
@@ -509,9 +553,13 @@ class TestNgramHypothesesTies:
         # per block a block's join outgrows its budget and is taken in pieces
         rng = np.random.default_rng(17)
         leaked, evals, public = markov_ngram_inputs(rng, 48, 4, 0.5, (60, 1_500, 3_000), 300)
-        monkeypatch.setattr(attacks, "_BLOCK_ROWS", rows)
+        monkeypatch.setattr(embeddings, "_BLOCK_BYTES", ngram_budget(rows, leaked, public))
+        pieces = spy_join_pieces(monkeypatch)
         _, guesses = ngram_hypotheses(leaked, evals, 3, public)
         assert len(guesses) > 10
+        assert sum(pieces) == -(-len(guesses) // rows)
+        if rows < len(guesses):
+            assert len(pieces) > sum(pieces)
         assert guesses == reference_ngram_guesses(leaked, evals, 3, public)
 
     @pytest.mark.parametrize("form", ["list", "token_sequence", "numpy"])

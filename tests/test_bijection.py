@@ -16,7 +16,6 @@ from alienlang import (
     Vocabulary,
     build_key,
     check_key,
-    identity_key,
     key_from_pairs,
     key_overlap,
     load_key,
@@ -31,6 +30,7 @@ from alienlang.bijection import bucket_index
 from helpers import (
     axis_store,
     clustered_store,
+    identity_key,
     oracle_levenshtein,
     positive_unit_store,
     random_vocab,

@@ -10,7 +10,6 @@ import pytest
 from alienlang import (
     BuildConfig,
     EndpointConfig,
-    identity_key,
     load_key,
     save_embeddings,
     save_key,
@@ -19,7 +18,7 @@ from alienlang import (
 from alienlang.bijection import EDIT_MODES
 from alienlang.cli import build_parser, main
 from alienlang.probe import SHOT_BUDGETS
-from helpers import byte_complete_vocab, unit_store, vocab_from
+from helpers import byte_complete_vocab, identity_key, unit_store, vocab_from
 
 
 @pytest.fixture

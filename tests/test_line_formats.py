@@ -12,10 +12,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from alienlang import ToolkitError, alienize_dataset, decode_text, identity_key, read_id_stream
+from alienlang import ToolkitError, alienize_dataset, decode_text, read_id_stream
 from alienlang.cli import _of_type, _read_records
 from alienlang.translator import ID_STREAM_MAGIC
-from helpers import byte_complete_vocab
+from helpers import byte_complete_vocab, identity_key
 
 VOCAB = byte_complete_vocab(extra_tokens=[b"ab", b"the"])
 KEY = identity_key(VOCAB)

@@ -13,14 +13,13 @@ from alienlang import (
     OverlapMatrix,
     build_key,
     emit_summary,
-    identity_key,
     opacity_report,
     overlap_matrix,
     read_summary,
     recovery_ratio,
 )
 from alienlang.report import matrix_to_csv
-from helpers import random_vocab, unit_store
+from helpers import identity_key, random_vocab, unit_store
 
 
 class TestRecoveryRatio:

@@ -22,7 +22,6 @@ from alienlang import (
     decode_text,
     encode_ids,
     encode_text,
-    identity_key,
     key_from_pairs,
     read_id_stream,
     reference_tokenize,
@@ -31,6 +30,7 @@ from alienlang import (
 from alienlang.translator import to_wire
 from helpers import (
     byte_complete_vocab,
+    identity_key,
     random_vocab,
     retokenize_decode_oracle,
     retokenize_encode_oracle,

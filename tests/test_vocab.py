@@ -16,7 +16,6 @@ from alienlang import (
     UnknownTokenError,
     Vocabulary,
     detokenize,
-    identity_key,
     key_from_pairs,
     load_key,
     load_vocab,
@@ -28,7 +27,7 @@ from alienlang import (
 )
 from alienlang.attacks import frequency_hypotheses, ngram_hypotheses
 from alienlang.vocab import first_merge, parse_id_line
-from helpers import byte_complete_vocab, oracle_tokenize, vocab_from
+from helpers import byte_complete_vocab, identity_key, oracle_tokenize, vocab_from
 
 
 def write_vocab_file(tmp_path, mapping, specials=None):
