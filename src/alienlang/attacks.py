@@ -433,16 +433,12 @@ def bleu(candidates: Sequence[str], references: Sequence[str]) -> float:
             m, t = matched[1], total[1]
         else:
             m, t = matched[order] + 1, total[order] + 1
-        if m == 0 or t == 0:
-            return 0.0
         log_precision += 0.25 * math.log(m / t)
     brevity = 1.0 if cand_len > ref_len else math.exp(1.0 - ref_len / cand_len)
     return 100.0 * brevity * math.exp(log_precision)
 
 
 def _lcs_length(a: Sequence[str], b: Sequence[str]) -> int:
-    if not a or not b:
-        return 0
     prev = [0] * (len(b) + 1)
     for x in a:
         cur = [0]

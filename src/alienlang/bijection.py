@@ -49,7 +49,7 @@ from .embeddings import EmbeddingStore, id_array, topk_cosine
 from .errors import ArgumentError, CompatibilityError, CoverageError, FormatError, ToolkitError
 from .fileio import atomic_write, parse_json
 from .seeding import derive_rng, derive_seed, derive_seeds
-from .vocab import Vocabulary, _parse_fingerprint, first_non_id
+from .vocab import Vocabulary, _parse_fingerprint, check_ids
 
 KEY_FORMAT_VERSION = 1
 
@@ -156,9 +156,7 @@ def _edit_terms(surfaces: list[bytes], left, right, edit_mode: str) -> np.ndarra
     """The edit term of the pair score for each pair ``(surfaces[left[i]], surfaces[right[i]])``."""
     if edit_mode == "raw":
         return editdist.levenshtein_batch(left, right, surfaces).astype(np.float64)
-    if edit_mode == "normalized":
-        return editdist.normalized_batch(left, right, surfaces)
-    raise ArgumentError(f"edit_mode must be one of {EDIT_MODES}")
+    return editdist.normalized_batch(left, right, surfaces)
 
 
 def _pair_scores(edits: np.ndarray, cos: np.ndarray, mu: float) -> np.ndarray:
@@ -185,7 +183,7 @@ def pair_score(
 ) -> float:
     """Score candidate pair (i, j); symmetric, defined for distinct non-specials."""
     config = BuildConfig(mu=mu, edit_mode=edit_mode)  # refuses what a build refuses
-    _check_ids([i, j], ArgumentError)
+    check_ids([i, j], ArgumentError)
     if i == j:
         raise ArgumentError("pair_score requires two distinct tokens")
     if i in vocab.specials or j in vocab.specials:
@@ -205,10 +203,6 @@ def select_mask(seed: int, rho: float, permutable: Iterable[int]) -> frozenset[i
         raise ArgumentError("rho must lie in [0, 1]")
     ids = np.unique(id_array(permutable, "permutable"))
     size = math.floor(rho * ids.size)
-    if size == 0:
-        return frozenset()
-    if size == ids.size:
-        return frozenset(ids.tolist())
     rng = derive_rng("mask", seed)
     return frozenset(rng.permutation(ids)[:size].tolist())
 
@@ -459,13 +453,6 @@ def save_key(key: BijectionKey, path: str | Path) -> None:
         fp.write(blob.encode("ascii"))
 
 
-def _check_ids(ids: list, error: type[ToolkitError]) -> None:
-    """Raise ``error`` naming the first of ``ids`` that is not a token id."""
-    bad = first_non_id(ids)
-    if bad is not None:
-        raise error(f"token id {ids[bad]!r} is not an int")
-
-
 def _assemble(
     fingerprint: int,
     config: BuildConfig,
@@ -475,7 +462,7 @@ def _assemble(
 ) -> BijectionKey:
     """A key from disjoint pairs and fixed points; a non-id or an id used twice raises ``error``."""
     pairs, fixed_points = list(pairs), list(fixed_points)
-    _check_ids([*chain.from_iterable(pairs), *fixed_points], error)
+    check_ids([*chain.from_iterable(pairs), *fixed_points], error)
     mapping: dict[int, int] = {}
     for i, j in pairs:
         if i == j:
@@ -532,7 +519,7 @@ def key_from_pairs(
     """A key from explicit pairs, checked to fit ``vocab`` (:func:`check_key`)."""
     config = config or BuildConfig()
     fixed_points = list(fixed_points)
-    _check_ids(fixed_points, ArgumentError)  # before repeats fold: True would fold into 1
+    check_ids(fixed_points, ArgumentError)  # before repeats fold: True would fold into 1
     key = _assemble(vocab.fingerprint, config, pairs, dict.fromkeys(fixed_points), ArgumentError)
     try:
         check_key(key, vocab)

@@ -192,8 +192,6 @@ def _distances(left, right, surfaces) -> tuple[np.ndarray, np.ndarray]:
     for i in np.flatnonzero(m > _WORD).tolist():  # both sides exceed a word
         out[i] = _dp(surfaces.strings[pat[i]], surfaces.strings[txt[i]])
     todo = np.flatnonzero((m <= _WORD) & (m > 0) & (n > 0))
-    if not todo.size:
-        return out, np.maximum(m, n)
     # Two lanes, each by text length: passes of similar length step only as
     # often as their longest text.
     todo = todo[np.argsort(n[todo])]

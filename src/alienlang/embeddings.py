@@ -40,7 +40,9 @@ import numpy as np
 
 from .errors import ArgumentError, CoverageError, DegenerateInputError, FormatError
 from .fileio import atomic_write
-from .vocab import DIGIT, Vocabulary, check_count, first_non_id, read_lines, reference_tokenize
+from .vocab import (
+    DIGIT, Vocabulary, check_count, check_ids, first_non_id, read_lines, reference_tokenize
+)
 
 _MAGIC = b"AEMB"
 _VERSION = 1
@@ -94,6 +96,7 @@ class EmbeddingStore:
         return self.rows.shape[1]
 
     def row(self, token_id: int) -> np.ndarray:
+        check_ids([token_id], ArgumentError)
         if not 0 <= token_id < self.n:
             raise CoverageError(f"no embedding row for token id {token_id}")
         return self.rows[token_id]

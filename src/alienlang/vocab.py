@@ -1,5 +1,9 @@
 """Vocabularies, the reference tokenizer, and ID lines.
 
+A :class:`Vocabulary` stores its id -> token table and its special ids;
+the reverse table and the fingerprint are derived from those on
+construction, however the vocabulary is made.
+
 Token strings are byte sequences throughout, so vocabularies containing
 raw-byte tokens load and round-trip losslessly.  In the JSON vocab file,
 non-UTF-8 bytes are carried as lone-surrogate escapes (``"\\udcff"`` is the
@@ -13,13 +17,13 @@ import io
 import json
 import re
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
-from .errors import ArgumentError, CoverageError, FormatError, UnknownTokenError
+from .errors import ArgumentError, CoverageError, FormatError, ToolkitError, UnknownTokenError
 from .fileio import atomic_write, parse_json
 
 # Ids and text embedding numbers are ASCII decimal: int() also takes signs, underscores
@@ -36,6 +40,13 @@ def first_non_id(values: Sequence) -> int | None:
     if {int}.issuperset(map(type, values)):
         return None
     return next(i for i, value in enumerate(values) if type(value) is not int)
+
+
+def check_ids(ids: Sequence, error: type[ToolkitError]) -> None:
+    """Raise ``error`` naming the first of ``ids`` that is not a token id."""
+    bad = first_non_id(ids)
+    if bad is not None:
+        raise error(f"token id {ids[bad]!r} is not an int")
 
 
 def check_count(name: str, value, least: int) -> None:
@@ -100,9 +111,18 @@ class Vocabulary:
     """Immutable token-string <-> token-ID table with a designated special set."""
 
     id_to_token: dict[int, bytes]
-    token_to_id: dict[bytes, int]
     specials: frozenset[int]
-    fingerprint: int
+    token_to_id: dict[bytes, int] = field(init=False)
+    fingerprint: int = field(init=False)
+
+    def __post_init__(self):
+        table = self.id_to_token
+        token_to_id = dict(zip(table.values(), table))
+        if len(token_to_id) != len(table):
+            tok = next(tok for tid, tok in table.items() if token_to_id[tok] != tid)
+            raise FormatError(f"duplicate token string {tok!r}")
+        object.__setattr__(self, "token_to_id", token_to_id)
+        object.__setattr__(self, "fingerprint", _fingerprint(table, self.specials))
 
     @classmethod
     def from_entries(
@@ -116,7 +136,6 @@ class Vocabulary:
             tok, tid = entries[bad]
             raise FormatError(f"token id {tid!r} of {tok!r} is not an integer")
         id_to_token: dict[int, bytes] = {}
-        token_to_id: dict[bytes, int] = {}
         for tok, tid in entries:
             if not isinstance(tok, bytes):
                 tok = _surrogate_encode(tok)
@@ -126,20 +145,14 @@ class Vocabulary:
                 raise FormatError(f"negative token id {tid}")
             if tid in id_to_token:
                 raise FormatError(f"duplicate token id {tid}")
-            if tok in token_to_id:
-                raise FormatError(f"duplicate token string {tok!r}")
             id_to_token[tid] = tok
-            token_to_id[tok] = tid
+        special_ids = list(special_ids)
+        check_ids(special_ids, FormatError)
         specials = frozenset(special_ids)
         missing = specials - id_to_token.keys()
         if missing:
             raise UnknownTokenError(f"special ids not in vocabulary: {sorted(missing)}")
-        return cls(
-            id_to_token=id_to_token,
-            token_to_id=token_to_id,
-            specials=specials,
-            fingerprint=_fingerprint(id_to_token, specials),
-        )
+        return cls(id_to_token=id_to_token, specials=specials)
 
     def __len__(self) -> int:
         return len(self.id_to_token)
@@ -194,9 +207,7 @@ class Vocabulary:
     def sequence(self, ids: Iterable[int]) -> TokenSequence:
         """Wrap raw IDs as a TokenSequence, checking the whole sequence at once for membership."""
         ids = tuple(ids)
-        bad = first_non_id(ids)
-        if bad is not None:
-            raise ArgumentError(f"token id {ids[bad]!r} is not an int")
+        check_ids(ids, ArgumentError)
         return self._known_sequence(ids)
 
     def _known_sequence(self, ids: tuple[int, ...]) -> TokenSequence:
@@ -215,12 +226,10 @@ def load_vocab(path: str | Path, specials_path: str | Path | None = None) -> Voc
     """
 
     def reject_duplicates(pairs):
-        seen = set()
         out = {}
         for key, value in pairs:
-            if key in seen:
+            if key in out:
                 raise FormatError(f"duplicate token string {key!r} in vocab file")
-            seen.add(key)
             out[key] = value
         return out
 

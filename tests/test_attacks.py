@@ -323,6 +323,9 @@ class TestRougeL:
         # LCS("a b c d", "a c d e") = 3 -> P = R = 3/4 -> F = 0.75
         assert rouge_l(["a b c d"], ["a c d e"]) == pytest.approx(0.75)
 
+    def test_empty_side_is_0(self):
+        assert rouge_l([""], ["a"]) == rouge_l(["a"], [""]) == 0.0
+
     def test_length_mismatch_rejected(self):
         with pytest.raises(ArgumentError):
             rouge_l(["a"], [])
@@ -372,6 +375,10 @@ def test_nn_hypotheses_reads_any_id_sequence(masked):
 def test_nn_hypotheses_never_guesses_a_repeated_id_as_its_own_partner():
     store = EmbeddingStore(np.eye(4), normalized=True)
     assert nn_hypotheses(store, [1, 1, 2]) == nn_hypotheses(store, [1, 2]) == {1: 2, 2: 1}
+
+
+def test_nn_hypotheses_of_one_id_guesses_nothing():
+    assert nn_hypotheses(EmbeddingStore(np.eye(4), normalized=True), [2]) == {}
 
 
 class CountedRows(np.ndarray):

@@ -11,6 +11,7 @@ from alienlang import (
     BijectionKey,
     BuildConfig,
     CompatibilityError,
+    CoverageError,
     EmbeddingStore,
     FormatError,
     Vocabulary,
@@ -739,6 +740,12 @@ class TestObjective:
         with pytest.raises(ArgumentError, match="zero embedding"):
             pair_score(0, 1, vocab, EmbeddingStore(rows=rows))
 
+    def test_store_without_a_pair_row_rejected(self):
+        vocab, store = build_instance(5, 4)
+        key = key_from_pairs(vocab, [(0, 3)])
+        with pytest.raises(CoverageError, match="^no embedding row for token id 3$"):
+            objective_value(key, vocab, EmbeddingStore(rows=store.rows[:3]))
+
     def test_fingerprint_mismatch(self):
         vocab, store = build_instance(2, 10)
         other_vocab, _ = build_instance(3, 10)
@@ -803,6 +810,10 @@ class TestCheckKey:
     def test_unfit_key_rejected(self, mapping, message):
         with pytest.raises(CompatibilityError, match=re.escape(message)):
             check_key(self.key(mapping), self.VOCAB)
+
+    def test_validate_rejects_a_broken_involution(self):
+        with pytest.raises(FormatError, match=r"^involution broken at pair \(0, 1\)$"):
+            self.key({0: 1, 1: 1}).validate()
 
     def test_fingerprint_mismatch(self):
         with pytest.raises(CompatibilityError, match="different vocabulary"):

@@ -212,7 +212,9 @@ def test_index_form_accepts_arrays_and_normalizes():
     assert editdist.normalized_batch(left, right, surfaces).tolist() == [1.0, 0.25, 0.0, 0.0]
 
 
-@pytest.mark.parametrize("left,right", [([0], [2]), ([-1], [0]), ([0, 1], [1, 2])])
+@pytest.mark.parametrize(
+    "left,right", [([0], [2]), ([-1], [0]), ([0, 1], [1, 2]), ([2**70], [0])]
+)
 def test_index_form_rejects_out_of_range(left, right):
     with pytest.raises(IndexError):
         editdist.levenshtein_batch(left, right, [b"a", b"b"])

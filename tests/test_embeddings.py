@@ -205,6 +205,11 @@ class TestProxyEmbed:
             expected = np.mean([store.rows[p] for p in pieces], axis=0)
             assert np.allclose(proxy_embed(text, proxy_vocab, store), expected, atol=1e-12)
 
+    def test_empty_token_string_rejected(self):
+        store = EmbeddingStore(rows=np.eye(2))
+        with pytest.raises(CoverageError, match="^empty token string has no subpieces$"):
+            proxy_embed(b"", vocab_from([b"ab", b"cd"]), store)
+
     def test_linearity_under_scaling(self):
         proxy_vocab = vocab_from([b"ab", b"cd"])
         rows = np.array([[1.0, 2.0], [3.0, 4.0]])
@@ -270,6 +275,11 @@ class TestKnn:
     def test_candidate_set_of_only_query(self):
         store = unit_store(np.random.default_rng(1), 4, 3)
         assert nearest(store, 2, 5, {2}) == []
+
+    def test_empty_candidate_set(self):
+        store = unit_store(np.random.default_rng(1), 4, 3)
+        ids, sims = topk_cosine(store, [0, 1], 3, [])
+        assert ids.shape == sims.shape == (2, 0)
 
     def test_orthonormal_tie_break_ascending(self):
         store = EmbeddingStore(rows=np.eye(6), normalized=True)

@@ -121,6 +121,10 @@ class TestEmitSummary:
         assert doc["reports"][0]["attack_name"] == "frequency"
         assert doc["reports"][1]["type"] == "overlap_matrix"
 
+    def test_unknown_report_type_rejected(self, tmp_path):
+        with pytest.raises(ArgumentError, match="^cannot serialize report of type object$"):
+            emit_summary([object()], tmp_path / "summary.json")
+
     def test_empty_report_list(self, tmp_path):
         path = tmp_path / "summary.json"
         emit_summary([], path)

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from alienlang import (
     ArgumentError,
     CoverageError,
+    EmbeddingStore,
     FormatError,
     TokenSequence,
     UnknownTokenError,
@@ -76,6 +77,10 @@ class TestLoadVocab:
     def test_duplicate_id_rejected(self):
         with pytest.raises(FormatError):
             Vocabulary.from_entries([(b"a", 0), (b"b", 0)])
+
+    def test_special_id_outside_the_table_rejected(self):
+        with pytest.raises(UnknownTokenError, match=r"^special ids not in vocabulary: \[5\]$"):
+            Vocabulary.from_entries([(b"a", 0)], special_ids=[5])
 
     @pytest.mark.parametrize(
         "tid",
@@ -206,12 +211,7 @@ class TestReferenceTokenize:
     def test_direct_construction_tokenizes_like_from_entries(self):
         entries = [(b"a", 0), (b"ab", 1), (b"b", 2)]
         built = Vocabulary.from_entries(entries)
-        direct = Vocabulary(
-            id_to_token={tid: tok for tok, tid in entries},
-            token_to_id=dict(entries),
-            specials=frozenset(),
-            fingerprint=built.fingerprint,
-        )
+        direct = Vocabulary(id_to_token={tid: tok for tok, tid in entries}, specials=frozenset())
         for text in (b"", b"a", b"abba", b"babab"):
             assert reference_tokenize(text, direct) == reference_tokenize(text, built)
 
@@ -253,6 +253,27 @@ class TestReferenceTokenize:
         assert reference_tokenize(text, vocab).ids == reference_tokenize(text, vocab).ids
 
 
+class TestDirectConstruction:
+    """A vocabulary's reverse table and fingerprint come from its table, never from its caller."""
+
+    def test_round_trips_and_matches_from_entries(self):
+        direct = Vocabulary(id_to_token={0: b"a", 1: b"b"}, specials=frozenset())
+        ids = reference_tokenize(b"ab", direct)
+        assert ids.ids == (0, 1)
+        assert detokenize(ids, direct) == b"ab"
+        built = Vocabulary.from_entries([(b"a", 0), (b"b", 1)])
+        assert (direct.token_to_id, direct.fingerprint) == (built.token_to_id, built.fingerprint)
+
+    @pytest.mark.parametrize("name, value", [("token_to_id", {b"a": 0}), ("fingerprint", 0)])
+    def test_derived_fields_are_not_arguments(self, name, value):
+        with pytest.raises(TypeError, match=f"unexpected keyword argument '{name}'"):
+            Vocabulary(id_to_token={0: b"a"}, specials=frozenset(), **{name: value})
+
+    def test_duplicate_token_string_rejected(self):
+        with pytest.raises(FormatError, match="^duplicate token string b'a'$"):
+            Vocabulary(id_to_token={0: b"a", 1: b"a"}, specials=frozenset())
+
+
 class TestDetokenize:
     def test_empty(self):
         vocab = vocab_from([b"a"])
@@ -267,6 +288,8 @@ class TestDetokenize:
         vocab = vocab_from([b"a"])
         with pytest.raises(UnknownTokenError, match="unknown token id 5"):
             detokenize([0, 5, 0], vocab)
+        with pytest.raises(UnknownTokenError, match="^unknown token id 7$"):
+            vocab.token_of(7)
 
     def test_round_trip_1000_random_byte_strings(self):
         vocab = byte_complete_vocab(extra_tokens=[b"the", b"ing", b"\xc3\xa9", b"qu"])
@@ -355,7 +378,11 @@ def key_file(tmp_path, mapping: list, fixed_points: list) -> Path:
 # name: (the module's error, a call that passes ``bad`` where a token id belongs)
 ID_ENTRY_POINTS = {
     "from_entries": (FormatError, lambda bad, _: Vocabulary.from_entries([(b"a", 0), (b"b", bad)])),
+    "from_entries-special": (
+        FormatError, lambda bad, _: Vocabulary.from_entries([(b"a", 0), (b"b", 1)], [bad])
+    ),
     "sequence": (ArgumentError, lambda bad, _: ABC.sequence([0, bad])),
+    "embedding-row": (ArgumentError, lambda bad, _: EmbeddingStore(rows=np.eye(3)).row(bad)),
     "frequency-corpus": (ArgumentError, lambda bad, _: frequency_hypotheses([(0, bad)], [0], 1)),
     "ngram-pair-side": (
         ArgumentError, lambda bad, _: ngram_hypotheses([((0, bad), (1, 2))], [((), (1,))], 2)
