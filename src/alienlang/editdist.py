@@ -45,9 +45,12 @@ BACKEND = "numpy"  # the only backend; kept for callers that record it
 
 _WORD = 64
 # _NARROW and _CHUNK are kernel tuning constants set by measurement, not memory
-# bounds: without the narrow lane the 4K-token bucketed build took 44.4 against
-# 40.5 ms, and passes of 2^20 entries took 47.7 against 44.3 ms (bucketed) and
-# 70.5 against 69.0 ms (flat), medians of 12 alternating builds.
+# bounds.  Medians of 12 alternating builds of perfbench's 4K-token inputs
+# (seed 1), two runs each, once a round scored only unpaired candidates:
+# without the narrow lane the 16-bucket build took 39.0 against 36.4 ms (56.3
+# against 53.0 in a slower run); passes of 2^20 entries took 39.1-42.2 against
+# 37.4-38.8 ms (16 buckets) and 59.5-64.2 against 61.5-63.1 ms (flat, no
+# clear difference).
 # A pair whose longer string has at most this many bytes runs in the narrow
 # lane, in uint16 words; every other pair runs in uint64 words.
 _NARROW = 16

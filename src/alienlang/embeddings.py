@@ -16,13 +16,21 @@ that form one run are read as a view of the store's rows, not gathered into
 a copy.
 
 Each row's answer is a set, returned in ascending id order, not by cosine:
-its query's own cell is set to -inf, and one ``argpartition`` puts the
-(k + 1)-th largest value before the k largest.  Those k are the answer
-unless the least of them equals the (k + 1)-th: then ties may lie outside
-the set, and only that row is re-chosen from its full row, keeping the
-lowest-id ties.  Every row thus holds the first k of an exhaustive
-(-cosine, ascending id) sort, and no step sorts by value or reads a whole
-row a second time except in a repaired row.
+its query's own cell is set to -inf, and the row's (k + 1)-th largest value
+is found.  The k values above it are the answer unless fewer than k are:
+then the k-th equals the (k + 1)-th, ties may lie outside the set, and only
+that row is re-chosen from its full row, keeping the lowest-id ties.  Every
+row thus holds the first k of an exhaustive (-cosine, ascending id) sort.
+
+Two selections find the set, chosen by the number of candidates
+(``_NARROW_CANDIDATES``); both give the same answer.  Over a narrow set,
+such as a bucket cell, a value ``np.partition`` finds the (k + 1)-th value
+and one mask of the values above it, read by ``np.flatnonzero``, gives the
+k positions already in id order.  Over a wide set, such as a flat build's
+4K candidates, one ``argpartition`` puts the (k + 1)-th value before the k
+largest, whose positions are then sorted: there the mask and its scan,
+each a pass over the whole row, cost more than gathering and sorting k
+positions.
 """
 
 from __future__ import annotations
@@ -62,6 +70,14 @@ _ROW = re.compile(rf"\s*(?:{DIGIT}+(?:\s+{_NUMBER})*)?\s*", re.ASCII)
 # returned each matmul's pages and faulted them in again, about 34K minor
 # faults per 4K-token build.
 _BLOCK_BYTES = 1 << 23
+# A selection over at most this many candidates runs by value (np.partition,
+# a mask and np.flatnonzero), a wider one by argpartition.  A tuning constant
+# set by measurement (_topk_rows on build-shaped slices, k=50, medians of 60
+# alternating calls): by value took 98 against 183 us on 63 x 255 slices and
+# 361-536 against 374-610 us on 128 x 512 ones, the two were even from 576 to
+# 768 candidates, and argpartition won from 1,024 (780 against 904 us on
+# 64 x 4,088 slices).
+_NARROW_CANDIDATES = 512
 
 
 @dataclass(frozen=True)
@@ -218,36 +234,59 @@ def _topk_rows(
     """Exact top-``width`` set of every row of ``sims``, in ascending id order.
 
     ``sims`` has one row per query and one column per ascending candidate id;
-    it is modified in place (each query's own cell becomes -inf).  One
-    ``argpartition`` puts each row's (width + 1)-th largest value just before
-    its ``width`` largest.  Where the least of those equals the (width + 1)-th,
-    the partition may have kept a higher id than a tie it left out, so that
-    row is re-chosen from all its values, ties at the cut going to the lowest
-    ids as in an exhaustive (-sim, id) sort.  Slots left holding -inf (the
-    query itself, when width covers every candidate) come back as id -1.
+    it is modified in place (each query's own cell becomes -inf).  Over at
+    most ``_NARROW_CANDIDATES`` candidates, a value ``np.partition`` finds
+    each row's (width + 1)-th largest value and the row's positions above it,
+    found by one ``np.flatnonzero`` over all rows, come out in id order with
+    no sort.  Over more, one ``argpartition`` puts that value just before the
+    ``width`` largest, whose positions are sorted: on a wide row the mask and
+    its scan cost more than that sort of ``width`` positions.  Where fewer
+    than ``width`` values exceed the (width + 1)-th, the two tie at the cut,
+    and that row is re-chosen from all its values (:func:`_keep_ties`), ties
+    going to the lowest ids as in an exhaustive (-sim, id) sort.  Slots left
+    holding -inf (the query itself, when width covers every candidate) come
+    back as id -1.
     """
     rows, m = sims.shape
     pos = np.searchsorted(cand_ids, query_ids)
     hit = np.flatnonzero(cand_ids[np.minimum(pos, m - 1)] == query_ids)
     sims[hit, pos[hit]] = -np.inf
-    if width < m:
+    if width >= m:  # every candidate
+        ids, vals = np.tile(cand_ids, (rows, 1)), sims
+    elif m <= _NARROW_CANDIDATES:
+        nxt = np.partition(sims, m - width - 1, axis=1)[:, m - width - 1, None]
+        keep = sims > nxt
+        flat = np.flatnonzero(keep)  # row by row, each row's positions ascending
+        if flat.size < rows * width:
+            cut = np.flatnonzero(keep.sum(axis=1) < width)
+            keep[cut] = _keep_ties(sims[cut], nxt[cut], width)
+            flat = np.flatnonzero(keep)
+        ids = cand_ids[flat % m].reshape(rows, width)
+        vals = sims.take(flat).reshape(rows, width)
+    else:
         part = np.argpartition(sims, m - width - 1, axis=1)
         nxt = np.take_along_axis(sims, part[:, m - width - 1 : m - width], axis=1)
         top = np.sort(part[:, m - width :], axis=1)  # position order is id order
         vals = np.take_along_axis(sims, top, axis=1)
         cut = np.flatnonzero(vals.min(axis=1) == nxt[:, 0])
         if cut.size:
-            s, t = sims[cut], nxt[cut]
-            tied = s == t
-            need = width - (s > t).sum(axis=1, keepdims=True)
-            keep = (s > t) | (tied & (np.cumsum(tied, axis=1) <= need))
+            s = sims[cut]
+            keep = _keep_ties(s, nxt[cut], width)
             top[cut] = np.nonzero(keep)[1].reshape(cut.size, width)
             vals[cut] = s[keep].reshape(cut.size, width)
         ids = cand_ids[top]
-    else:  # every candidate
-        ids, vals = np.tile(cand_ids, (rows, 1)), sims
     ids[vals == -np.inf] = -1
     return ids, vals
+
+
+def _keep_ties(sims: np.ndarray, nxt: np.ndarray, width: int) -> np.ndarray:
+    """The top-``width`` mask of rows whose ``width``-th largest value equals
+    ``nxt``, their (width + 1)-th: every larger value, then the ties at the
+    cut from the lowest position."""
+    above = sims > nxt
+    tied = sims == nxt
+    need = width - above.sum(axis=1, keepdims=True)
+    return above | (tied & (np.cumsum(tied, axis=1) <= need))
 
 
 def id_array(ids: Iterable[int], what: str) -> np.ndarray:

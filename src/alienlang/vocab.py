@@ -116,11 +116,21 @@ class Vocabulary:
     fingerprint: int = field(init=False)
 
     def __post_init__(self):
+        # Each check is one pass in C: loading a large vocabulary runs them all.
         table = self.id_to_token
+        check_ids(tuple(table), FormatError)
+        if not all(table.values()):
+            raise FormatError("empty token string is not allowed")
+        if min(table, default=0) < 0:
+            raise FormatError(f"negative token id {min(table)}")
         token_to_id = dict(zip(table.values(), table))
         if len(token_to_id) != len(table):
             tok = next(tok for tid, tok in table.items() if token_to_id[tok] != tid)
             raise FormatError(f"duplicate token string {tok!r}")
+        check_ids(tuple(self.specials), FormatError)
+        missing = self.specials.difference(table)
+        if missing:
+            raise UnknownTokenError(f"special ids not in vocabulary: {sorted(missing)}")
         object.__setattr__(self, "token_to_id", token_to_id)
         object.__setattr__(self, "fingerprint", _fingerprint(table, self.specials))
 
@@ -139,20 +149,12 @@ class Vocabulary:
         for tok, tid in entries:
             if not isinstance(tok, bytes):
                 tok = _surrogate_encode(tok)
-            if len(tok) == 0:
-                raise FormatError("empty token string is not allowed")
-            if tid < 0:
-                raise FormatError(f"negative token id {tid}")
             if tid in id_to_token:
                 raise FormatError(f"duplicate token id {tid}")
             id_to_token[tid] = tok
         special_ids = list(special_ids)
-        check_ids(special_ids, FormatError)
-        specials = frozenset(special_ids)
-        missing = specials - id_to_token.keys()
-        if missing:
-            raise UnknownTokenError(f"special ids not in vocabulary: {sorted(missing)}")
-        return cls(id_to_token=id_to_token, specials=specials)
+        check_ids(special_ids, FormatError)  # before repeats fold: True would fold into 1
+        return cls(id_to_token=id_to_token, specials=frozenset(special_ids))
 
     def __len__(self) -> int:
         return len(self.id_to_token)

@@ -605,6 +605,30 @@ class TestLazyGreedy:
         # one scoring call per round: as many as the cell with the most batches
         assert len(scoring_calls) == max(map(batch_cells.count, batch_cells)) > 1
 
+    @pytest.mark.parametrize("buckets", [1, 4])
+    def test_a_round_scores_only_candidates_still_unpaired(self, buckets, monkeypatch):
+        rounds = []  # per scoring call: its (row id, candidate id) pairs
+        edit_terms = bijection._edit_terms
+
+        def edit_spy(surfaces, left, right, edit_mode):
+            ids = [vocab.token_to_id[s] for s in surfaces.strings]
+            rounds.append([(ids[a], ids[b]) for a, b in zip(left.tolist(), right.tolist())])
+            return edit_terms(surfaces, left, right, edit_mode)
+
+        monkeypatch.setattr(bijection, "_edit_terms", edit_spy)
+        rng = np.random.default_rng(2640 + buckets)
+        vocab = sparse_vocab(rng, 300, specials=5)
+        store = axis_store(rng, max(vocab.id_to_token) + 1, 16)
+        config = BuildConfig(k=30, seed=5, buckets=buckets)
+        key = build_key(vocab, store, config)
+        mapping, paired_by = reference_greedy_walk(vocab, store, config)
+        assert key.mapping == mapping
+        assert len(rounds) > 1
+        # a token is paired in the round of the row whose turn paired it
+        round_of = {r: t for t, pairs in enumerate(rounds) for r, _ in pairs}
+        for t, pairs in enumerate(rounds):
+            assert all(round_of[paired_by[c]] >= t for _, c in pairs if c in paired_by)
+
     def test_a_cell_is_retrieved_in_quarters_at_most(self, monkeypatch):
         # ~200-member cells' similarities fit the budget whole, but a batch holds
         # at most a quarter of its cell, so members taken before their turn stay

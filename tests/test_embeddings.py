@@ -389,6 +389,13 @@ class TestCandidateForms:
 
 
 class TestExactTies:
+    """Every case runs through both selection paths."""
+
+    @pytest.fixture(autouse=True, params=["by-value", "argpartition"])
+    def selection(self, request, monkeypatch):
+        narrow = 1 << 62 if request.param == "by-value" else 0  # candidates selected by value
+        monkeypatch.setattr(embeddings, "_NARROW_CANDIDATES", narrow)
+
     @pytest.mark.parametrize("select", range(1, 10))
     def test_topk_matches_oracle_on_tied_rows(self, select, monkeypatch):
         rng = np.random.default_rng(900 + select)

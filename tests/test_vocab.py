@@ -273,6 +273,21 @@ class TestDirectConstruction:
         with pytest.raises(FormatError, match="^duplicate token string b'a'$"):
             Vocabulary(id_to_token={0: b"a", 1: b"a"}, specials=frozenset())
 
+    @pytest.mark.parametrize(
+        "table, specials, error, message",
+        [
+            ({0: b"a", "1": b"b"}, (), FormatError, "^token id '1' is not an int$"),
+            ({0: b"", 1: b"a"}, (), FormatError, "^empty token string is not allowed$"),
+            ({-1: b"a", 0: b"b"}, (), FormatError, "^negative token id -1$"),
+            ({0: b"a", 1: b"b"}, (5,), UnknownTokenError, r"^special ids not in vocabulary: \[5\]$"),
+            ({0: b"a", 1: b"b"}, (True,), FormatError, "^token id True is not an int$"),
+        ],
+        ids=["str-id", "empty-string", "negative-id", "special-outside", "special-bool"],
+    )
+    def test_from_entries_checks_hold_for_a_direct_construction(self, table, specials, error, message):
+        with pytest.raises(error, match=message):
+            Vocabulary(id_to_token=table, specials=frozenset(specials))
+
 
 class TestDetokenize:
     def test_empty(self):
