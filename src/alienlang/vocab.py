@@ -1,8 +1,12 @@
 """Vocabularies, the reference tokenizer, and ID lines.
 
 A :class:`Vocabulary` stores its id -> token table and its special ids;
-the reverse table and the fingerprint are derived from those on
-construction, however the vocabulary is made.
+the fingerprint is derived from those on construction, however the
+vocabulary is made.  The reverse table, token string -> id, is derived on
+first use: tokenizing (:func:`reference_tokenize`, and so encoding text
+and decoding its text form), :attr:`Vocabulary._lengths_by_first_byte` and
+:attr:`Vocabulary.extension_lengths` build it, while loading a vocabulary,
+building a key and the attacks never do.
 
 Token strings are byte sequences throughout, so vocabularies containing
 raw-byte tokens load and round-trip losslessly.  In the JSON vocab file,
@@ -19,6 +23,7 @@ import re
 import struct
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import repeat
 from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple, Sequence
@@ -68,6 +73,29 @@ def _surrogate_decode(b: bytes) -> str:
     return b.decode("utf-8", errors="surrogateescape")
 
 
+def _fold(ids: list, tokens: list) -> dict[int, bytes]:
+    """The id -> token table of the parallel lists ``ids`` and ``tokens``.
+
+    Raises FormatError naming the first id that is not an int, then the
+    first repeated id.  A str token is encoded later, by ``from_entries``;
+    one that carries no bytes is reported before a repeated id that comes
+    after it.  Each per-entry scan runs only to name a culprit.
+    """
+    bad = first_non_id(ids)
+    if bad is not None:
+        raise FormatError(f"token id {ids[bad]!r} of {tokens[bad]!r} is not an integer")
+    table = dict(zip(ids, tokens))
+    if len(table) != len(ids):
+        seen = set()
+        for tid, tok in zip(ids, tokens):
+            if not isinstance(tok, bytes):
+                _surrogate_encode(tok)
+            if tid in seen:
+                raise FormatError(f"duplicate token id {tid}")
+            seen.add(tid)
+    return table
+
+
 def _fingerprint(id_to_token: dict[int, bytes], specials: frozenset[int]) -> int:
     """64-bit content hash over sorted (id, string) pairs plus the special set."""
     h = hashlib.blake2b(digest_size=8)
@@ -108,11 +136,16 @@ class TokenSequence:
 
 @dataclass(frozen=True)
 class Vocabulary:
-    """Immutable token-string <-> token-ID table with a designated special set."""
+    """Immutable token-string <-> token-ID table with a designated special set.
+
+    Construction checks the table and the specials and derives the
+    fingerprint.  The reverse table :attr:`token_to_id` is derived on first
+    use, by tokenizing, :attr:`_lengths_by_first_byte` or
+    :attr:`extension_lengths`; a key build or an attack never needs it.
+    """
 
     id_to_token: dict[int, bytes]
     specials: frozenset[int]
-    token_to_id: dict[bytes, int] = field(init=False)
     fingerprint: int = field(init=False)
 
     def __post_init__(self):
@@ -123,15 +156,14 @@ class Vocabulary:
             raise FormatError("empty token string is not allowed")
         if min(table, default=0) < 0:
             raise FormatError(f"negative token id {min(table)}")
-        token_to_id = dict(zip(table.values(), table))
-        if len(token_to_id) != len(table):
-            tok = next(tok for tid, tok in table.items() if token_to_id[tok] != tid)
+        if len(set(table.values())) != len(table):
+            last = dict(zip(table.values(), table))
+            tok = next(tok for tid, tok in table.items() if last[tok] != tid)
             raise FormatError(f"duplicate token string {tok!r}")
         check_ids(tuple(self.specials), FormatError)
         missing = self.specials.difference(table)
         if missing:
             raise UnknownTokenError(f"special ids not in vocabulary: {sorted(missing)}")
-        object.__setattr__(self, "token_to_id", token_to_id)
         object.__setattr__(self, "fingerprint", _fingerprint(table, self.specials))
 
     @classmethod
@@ -140,21 +172,24 @@ class Vocabulary:
         entries: Iterable[tuple[bytes, int]],
         special_ids: Iterable[int] = (),
     ) -> "Vocabulary":
+        """A vocabulary of (token, id) entries; a str token is its UTF-8 bytes,
+        a lone surrogate in U+DC80..U+DCFF escaping one byte."""
         entries = list(entries)
-        bad = first_non_id([tid for _, tid in entries])
-        if bad is not None:
-            tok, tid = entries[bad]
-            raise FormatError(f"token id {tid!r} of {tok!r} is not an integer")
-        id_to_token: dict[int, bytes] = {}
-        for tok, tid in entries:
-            if not isinstance(tok, bytes):
-                tok = _surrogate_encode(tok)
-            if tid in id_to_token:
-                raise FormatError(f"duplicate token id {tid}")
-            id_to_token[tid] = tok
+        tokens = list(map(itemgetter(0), entries))
+        table = _fold(list(map(itemgetter(1), entries)), tokens)
+        if not {bytes}.issuperset(map(type, tokens)):
+            table = {
+                tid: tok if isinstance(tok, bytes) else _surrogate_encode(tok)
+                for tid, tok in table.items()
+            }
         special_ids = list(special_ids)
         check_ids(special_ids, FormatError)  # before repeats fold: True would fold into 1
-        return cls(id_to_token=id_to_token, specials=frozenset(special_ids))
+        return cls(id_to_token=table, specials=frozenset(special_ids))
+
+    @cached_property
+    def token_to_id(self) -> dict[bytes, int]:
+        """The reverse table, token string -> id.  Derived on first use."""
+        return dict(zip(self.id_to_token.values(), self.id_to_token))
 
     def __len__(self) -> int:
         return len(self.id_to_token)
@@ -220,42 +255,59 @@ class Vocabulary:
         return TokenSequence(ids=ids, fingerprint=self.fingerprint)
 
 
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    """A JSON object's pairs as a dict; a key that repeats raises FormatError."""
+    obj = dict(pairs)
+    if len(obj) != len(pairs):
+        seen = set()
+        key = next(key for key, _ in pairs if key in seen or seen.add(key))
+        raise FormatError(f"duplicate token string {key!r} in vocab file")
+    return obj
+
+
 def load_vocab(path: str | Path, specials_path: str | Path | None = None) -> Vocabulary:
     """Load a vocabulary from a JSON object {token_string: id}.
 
     The optional specials file is a JSON array of token strings; each must
-    resolve to a vocabulary entry.
+    resolve to a vocabulary entry.  The table is built in C-level passes
+    (one ``dict`` of the parsed pairs, one ``map`` to encode the strings, one
+    ``zip`` to fold them); the reverse table is left to first use.
     """
-
-    def reject_duplicates(pairs):
-        out = {}
-        for key, value in pairs:
-            if key in out:
-                raise FormatError(f"duplicate token string {key!r} in vocab file")
-            out[key] = value
-        return out
-
     obj = parse_json(
         Path(path).read_bytes(), "vocab file", dict,
-        errors="surrogateescape", object_pairs_hook=reject_duplicates,
+        errors="surrogateescape", object_pairs_hook=_unique_keys,
     )
-    entries = [(_surrogate_encode(tok_str), tid) for tok_str, tid in obj.items()]
+    try:
+        tokens = list(map(str.encode, obj, repeat("utf-8"), repeat("surrogateescape")))
+    except UnicodeEncodeError:
+        for tok_str in obj:  # name the first string that carries no bytes
+            _surrogate_encode(tok_str)
+        raise
+    ids = list(obj.values())
 
     special_ids: list[int] = []
     if specials_path is not None:
         spec_list = parse_json(
             Path(specials_path).read_bytes(), "specials file", list, errors="surrogateescape"
         )
-        token_map = {tok: tid for tok, tid in entries}
         for tok_str in spec_list:
             if not isinstance(tok_str, str):
                 raise FormatError(f"specials file entry {tok_str!r} is not a token string")
+            if tok_str in obj:
+                special_ids.append(obj[tok_str])
+                continue
+            # another string may spell the same bytes, as "\udcc3\udcbf" spells U+00FF
             tok = _surrogate_encode(tok_str)
-            if tok not in token_map:
+            if tok not in tokens:
                 raise UnknownTokenError(f"special token {tok_str!r} absent from vocab")
-            special_ids.append(token_map[tok])
+            special_ids.append(ids[tokens.index(tok)])
 
-    return Vocabulary.from_entries(entries, special_ids)
+    # The table's checks and fingerprint run with the parsed object and both
+    # lists freed, which keeps them off the load's peak memory.
+    del obj
+    table = _fold(ids, tokens)
+    del ids, tokens
+    return Vocabulary(id_to_token=table, specials=frozenset(special_ids))
 
 
 def save_vocab(vocab: Vocabulary, path: str | Path, specials_path: str | Path | None = None) -> None:

@@ -6,6 +6,7 @@ from __future__ import annotations
 import builtins
 import re
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 
@@ -13,7 +14,9 @@ from alienlang import (
     BijectionKey,
     BuildConfig,
     EmbeddingStore,
+    FormatError,
     StabilityError,
+    UnknownTokenError,
     Vocabulary,
     decode_ids,
     detokenize,
@@ -22,8 +25,10 @@ from alienlang import (
     select_mask,
 )
 from alienlang.bijection import KEY_FORMAT_VERSION, bucket_index
+from alienlang.fileio import parse_json
 from alienlang.seeding import derive_rng
 from alienlang.translator import ID_STREAM_MAGIC
+from alienlang.vocab import _surrogate_encode, check_ids, first_non_id
 
 LOWER = "abcdefghijklmnopqrstuvwxyz"
 
@@ -213,6 +218,51 @@ def oracle_tokenize(text: bytes, vocab: Vocabulary) -> list[int] | int:
         ids.append(vocab.token_to_id[text[pos : pos + fits[0]]])
         pos += fits[0]
     return ids
+
+
+def reference_load_vocab(path, specials_path=None) -> Vocabulary:
+    """``load_vocab`` entry by entry: each string is checked and encoded, each
+    special looked up and each id folded in turn, in the order that decides
+    which fault a malformed file reports."""
+
+    def reject_duplicates(pairs):
+        out = {}
+        for key, value in pairs:
+            if key in out:
+                raise FormatError(f"duplicate token string {key!r} in vocab file")
+            out[key] = value
+        return out
+
+    obj = parse_json(
+        Path(path).read_bytes(), "vocab file", dict,
+        errors="surrogateescape", object_pairs_hook=reject_duplicates,
+    )
+    entries = [(_surrogate_encode(tok_str), tid) for tok_str, tid in obj.items()]
+    special_ids: list[int] = []
+    if specials_path is not None:
+        spec_list = parse_json(
+            Path(specials_path).read_bytes(), "specials file", list, errors="surrogateescape"
+        )
+        token_map = {tok: tid for tok, tid in entries}
+        for tok_str in spec_list:
+            if not isinstance(tok_str, str):
+                raise FormatError(f"specials file entry {tok_str!r} is not a token string")
+            tok = _surrogate_encode(tok_str)
+            if tok not in token_map:
+                raise UnknownTokenError(f"special token {tok_str!r} absent from vocab")
+            special_ids.append(token_map[tok])
+
+    bad = first_non_id([tid for _, tid in entries])
+    if bad is not None:
+        tok, tid = entries[bad]
+        raise FormatError(f"token id {tid!r} of {tok!r} is not an integer")
+    id_to_token: dict[int, bytes] = {}
+    for tok, tid in entries:
+        if tid in id_to_token:
+            raise FormatError(f"duplicate token id {tid}")
+        id_to_token[tid] = tok
+    check_ids(special_ids, FormatError)
+    return Vocabulary(id_to_token=id_to_token, specials=frozenset(special_ids))
 
 
 def reference_frequency_hypotheses(

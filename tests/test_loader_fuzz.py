@@ -13,11 +13,11 @@ import json
 import struct
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from alienlang import ToolkitError, load_embeddings, load_vocab, read_summary
-from helpers import in_ascii_embedding_grammar
+from helpers import in_ascii_embedding_grammar, reference_load_vocab
 
 MAX_CELLS = 4096
 
@@ -67,6 +67,17 @@ vocab_documents = st.one_of(
     JSON_VALUES,
 ).map(as_json)
 specials_documents = st.one_of(st.lists(TOKENS, max_size=4), JSON_VALUES).map(as_json)
+
+
+def as_object_text(pairs) -> bytes:
+    """A JSON object written pair by pair, so that a key may repeat."""
+    return ("{" + ", ".join(f"{json.dumps(k)}: {json.dumps(v)}" for k, v in pairs) + "}").encode("ascii")
+
+
+# vocab objects whose keys and ids may repeat, which a dict never writes
+repeating_documents = st.lists(
+    st.tuples(TOKENS, st.one_of(st.integers(0, 6), JSON_VALUES)), max_size=6
+).map(as_object_text)
 
 
 def json_files(documents):
@@ -184,6 +195,48 @@ def test_load_specials_fuzz(scratch, data):
     vocab.write_bytes(VALID_VOCAB)
     specials.write_bytes(data)
     only_toolkit_errors(load_vocab, vocab, specials)
+
+
+def load_outcome(load, *paths):
+    """A loaded vocabulary's table, specials and fingerprint, or what it raised."""
+    try:
+        vocab = load(*paths)
+    except Exception as e:
+        return type(e), str(e)
+    return list(vocab.id_to_token.items()), vocab.specials, vocab.fingerprint
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.one_of(json_files(vocab_documents), repeating_documents),
+    st.one_of(st.none(), json_files(specials_documents)),
+)
+@example(b'{"a": 0, "b": 1, "a": 2}', None)  # a repeated key string
+@example(b'[{"a": 0, "a": 1}]', None)  # ... in an object nested in another type
+@example(b'{"a": 0, "b": 1.5}', None)  # an id that is not an int
+@example(b'{"a": 0, "b": true}', None)
+@example(b'{"a": 0, "b": 1.0}', None)
+@example(b'{"a": 0, "b": {"c": 1}}', None)  # a nested object as an id
+@example(b'{"a": 0, "b": {"c": 1, "c": 2}}', None)
+@example(b'{"a": 0, "b": 1, "c": 0}', None)  # a repeated id
+@example(b'{"a": 0, "b": 0, "c": 1.5}', None)  # a non-int id is named before a repeat
+@example(b'{"\\ud800": 0}', None)  # a surrogate that is not a byte escape
+@example(b'{"a": 0, "\\ud800": 1.5}', None)  # ... named before a non-int id
+@example(b'{"\\udcc3\\udcbf": 0, "\\u00ff": 1}', None)  # two strings spelling one token
+@example(b'{"a": 0, "b": 1}', b'["b", "zz"]')  # an absent special
+@example(b'{"a": 0, "b": 1}', b'["a", 1]')  # a special that is not a string
+@example(b'{"a": 0, "b": 1}', b'["\\ud800"]')
+@example(b'{"a": 0, "b": 1.5}', b'["zz"]')  # the specials are resolved before ids are checked
+@example(b'{"\\u00ff": 0, "a": 1}', b'["\\udcc3\\udcbf"]')  # a special spelled another way
+@example(b'{"a": 0, "b": 1}', b'["b", "a", "b"]')
+def test_load_vocab_matches_reference_loader(scratch, data, specials):
+    path = scratch / "vocab.json"
+    path.write_bytes(data)
+    paths = [path]
+    if specials is not None:
+        paths.append(scratch / "specials.json")
+        paths[1].write_bytes(specials)
+    assert load_outcome(load_vocab, *paths) == load_outcome(reference_load_vocab, *paths)
 
 
 @settings(max_examples=300, deadline=None)

@@ -10,16 +10,24 @@ from hypothesis import strategies as st
 
 from alienlang import (
     ArgumentError,
+    BuildConfig,
     CoverageError,
     EmbeddingStore,
     FormatError,
     TokenSequence,
     UnknownTokenError,
     Vocabulary,
+    build_key,
+    check_key,
     detokenize,
+    encode_ids,
+    frequency_attack,
     key_from_pairs,
     load_key,
     load_vocab,
+    ngram_attack,
+    nn_mapping_attack,
+    opacity_report,
     read_id_stream,
     reference_tokenize,
     save_key,
@@ -28,7 +36,7 @@ from alienlang import (
 )
 from alienlang.attacks import frequency_hypotheses, ngram_hypotheses
 from alienlang.vocab import first_merge, parse_id_line
-from helpers import byte_complete_vocab, identity_key, oracle_tokenize, vocab_from
+from helpers import byte_complete_vocab, identity_key, oracle_tokenize, random_vocab, unit_store, vocab_from
 
 
 def write_vocab_file(tmp_path, mapping, specials=None):
@@ -151,8 +159,17 @@ class TestLoadVocab:
             ([(b"a", 0), (b"a", 1)], "^duplicate token string b'a'$"),
             # a str token is its UTF-8 bytes, a lone surrogate escaping one byte
             ([("\udcc3\udcbf", 0), ("\u00ff", 1)], r"^duplicate token string b'\\xc3\\xbf'$"),
+            # entries are read in order: the first fault, a bad string or a repeated id, is named
+            (
+                [("\ud800", 0), ("b", 0)],
+                r"^token string '\\ud800' holds a surrogate that is not a byte escape$",
+            ),
+            ([("a", 0), ("b", 0), ("\ud800", 1)], "^duplicate token id 0$"),
         ],
-        ids=["negative-id", "duplicate-bytes", "duplicate-after-encoding"],
+        ids=[
+            "negative-id", "duplicate-bytes", "duplicate-after-encoding",
+            "surrogate-before-repeated-id", "repeated-id-before-surrogate",
+        ],
     )
     def test_bad_entries_rejected(self, entries, message):
         with pytest.raises(FormatError, match=message):
@@ -273,6 +290,11 @@ class TestDirectConstruction:
         with pytest.raises(FormatError, match="^duplicate token string b'a'$"):
             Vocabulary(id_to_token={0: b"a", 1: b"a"}, specials=frozenset())
 
+    def test_duplicate_token_string_named_at_its_first_entry(self):
+        # b"b" repeats first, but b"a" is the first entry whose string repeats
+        with pytest.raises(FormatError, match="^duplicate token string b'a'$"):
+            Vocabulary(id_to_token={0: b"a", 1: b"b", 2: b"b", 3: b"a"}, specials=frozenset())
+
     @pytest.mark.parametrize(
         "table, specials, error, message",
         [
@@ -323,6 +345,28 @@ class TestFirstMerge:
         vocab = vocab_from([b"a", b"ab"])
         assert "extension_lengths" not in vocab.__dict__
         assert vocab.extension_lengths is vocab.extension_lengths
+
+    def test_reverse_table_derived_on_first_use(self, tmp_path):
+        path, _ = write_vocab_file(tmp_path, {"a": 0, "ab": 1, "b": 2, "\udcff": 3})
+        vocab = load_vocab(path)
+        assert "token_to_id" not in vars(vocab)
+        reference_tokenize(b"abba\xff", vocab)
+        assert vars(vocab)["token_to_id"] == {tok: tid for tid, tok in vocab.id_to_token.items()}
+
+    def test_key_build_and_attacks_leave_reverse_table_unbuilt(self):
+        rng = np.random.default_rng(38)
+        vocab = random_vocab(rng, 120, specials=2)
+        store = unit_store(rng, 120, 8)
+        key = build_key(vocab, store, BuildConfig(k=4, buckets=2))
+        check_key(key, vocab)
+        opacity_report(key, vocab)
+        plain = vocab.sequence(rng.choice(vocab.permutable_ids, size=400).tolist())
+        alien = encode_ids(plain, key)
+        frequency_attack(alien, plain, key, top_m=20)
+        pairs = [(plain.ids[i : i + 20], alien.ids[i : i + 20]) for i in range(0, 400, 20)]
+        ngram_attack(pairs[:10], pairs[10:], n=2, truth=key, reference_corpus=plain)
+        nn_mapping_attack(store, key)
+        assert "token_to_id" not in vars(vocab)
 
     def test_fixpoint_is_none(self):
         vocab = vocab_from([b"a", b"ab", b"b", b"c"])
